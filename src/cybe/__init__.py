@@ -8,8 +8,8 @@ from .classify import (ClassificationReport, ClassifyPlan,
                        hamiltonian_coeffs, invariant_suite)
 from .errors import (BranchAmbiguityWarning, CybeError, InvalidSpec,
                      ModulusOutOfRange, MultiplicativityViolation,
-                     NotEightVertex, NotGauge, PoleProximity, SizeLimit,
-                     StepUnstable, ZeroDivisor)
+                     NotEightVertex, NotGauge, PoleProximity,
+                     SamplingExhausted, SizeLimit, StepUnstable, ZeroDivisor)
 from .families import (FamilyId, FamilySpec, WeightFamily,
                        bazhanov_stroganov, bs_scale, eval_family,
                        make_family, murakami_reduction, spec_from_json,
@@ -17,7 +17,7 @@ from .families import (FamilyId, FamilySpec, WeightFamily,
                        with_murakami_profiles)
 from .numkernel import elliptic_exp, jacobi_cd, jacobi_sncndn
 from .profiles import ColorProfile, SpectralProfile
-from .sampling import SamplePlan, draw_points, draw_triples
+from .sampling import SamplePlan, draw_points, draw_triples, residual_sweep
 from .spinchain import (ChainOperator, CouplingConstants, build_chain,
                         couplings_from_coeffs, cyclic_shift,
                         ff_relation_check)

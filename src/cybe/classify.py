@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import CybeError, StepUnstable
 from .families import WeightFamily
-from .sampling import SamplePlan, draw_points, draw_triples
+from .sampling import SamplePlan, draw_points, residual_sweep
 from .transforms import gauge_reduce
 from .weights import (WeightVector, baxter_curve_residual,
-                      free_fermion_residual, ybe_residual)
+                      free_fermion_residual)
 
 
 class Verdict(str, enum.Enum):
@@ -62,15 +62,11 @@ class HamiltonianCoefficients:
         return self.m.mean(axis=0)
 
 
-def _fd_coeffs(fam: WeightFamily, xi, h: float):
-    """Central difference with one Richardson level for d/du a(u,xi,xi)|_0."""
-    def d(step):
-        wp = fam.eval(step, xi, xi).a
-        wm = fam.eval(-step, xi, xi).a
-        return (wp - wm) / (2 * step)
-
-    raw = d(h)
-    fine = d(h / 2)
+def _du(fam, u, xi, eta, h=1e-5):
+    """Central difference with one Richardson level for d/du a(u,xi,eta):
+    the extrapolated value and its distance from the raw difference."""
+    raw = (fam.eval(u + h, xi, eta).a - fam.eval(u - h, xi, eta).a) / (2 * h)
+    fine = (fam.eval(u + h/2, xi, eta).a - fam.eval(u - h/2, xi, eta).a) / h
     rich = (4 * fine - raw) / 3
     return rich, float(np.abs(rich - raw).max())
 
@@ -96,7 +92,7 @@ def hamiltonian_coeffs(fam: WeightFamily, xi_grid=None, h: float = 1e-5,
             rows.append(fam.analytic_coeffs(xi))
             errs.append(0.0)
         else:
-            rich, err = _fd_coeffs(fam, xi, h)
+            rich, err = _du(fam, 0.0, xi, xi, h)
             scale = max(1.0, float(np.abs(rich).max()))
             if err > 1e-4 * scale:
                 raise StepUnstable(
@@ -132,12 +128,6 @@ def _spread(values: np.ndarray) -> float:
     return float(np.abs(values - values.mean()).max()) if len(values) else 0.0
 
 
-def _du(fam, u, xi, eta, h=1e-5):
-    raw = (fam.eval(u + h, xi, eta).a - fam.eval(u - h, xi, eta).a) / (2 * h)
-    fine = (fam.eval(u + h/2, xi, eta).a - fam.eval(u - h/2, xi, eta).a) / h
-    return (4 * fine - raw) / 3
-
-
 def _d2u(fam, u, xi, eta, h=1e-4):
     return (fam.eval(u + h, xi, eta).a - 2 * fam.eval(u, xi, eta).a
             + fam.eval(u - h, xi, eta).a) / h**2
@@ -152,7 +142,7 @@ def _coeff_at(fam: WeightFamily, coeffs: HamiltonianCoefficients,
         m = fam.analytic_coeffs(x)
         if m is not None:
             return m
-    return _fd_coeffs(fam, x, coeffs.h)[0]
+    return _du(fam, 0.0, x, x, coeffs.h)[0]
 
 
 def curve_residuals(fam: WeightFamily, coeffs: HamiltonianCoefficients,
@@ -170,7 +160,7 @@ def curve_residuals(fam: WeightFamily, coeffs: HamiltonianCoefficients,
         r_ode5 = r_ode1 = r_curve = 0.0
         for (u, xi, eta) in samples:
             w = fam.eval(u, xi, eta)
-            dw = _du(fam, u, xi, eta)
+            dw = _du(fam, u, xi, eta)[0]
             c = beta**2 - gamma**2 + alpha**2
             r_ode5 = max(r_ode5, abs(dw[4]**2 - (beta**2 - c * w.a5**2
                                                  + alpha**2 * w.a5**4)))
@@ -185,7 +175,7 @@ def curve_residuals(fam: WeightFamily, coeffs: HamiltonianCoefficients,
         r_ff = r_bilinear = r_quaddiff = r_ode7 = 0.0
         for (u, xi, eta) in samples:
             w = fam.eval(u, xi, eta)
-            dw = _du(fam, u, xi, eta)
+            dw = _du(fam, u, xi, eta)[0]
             me = _coeff_at(fam, coeffs, eta)
             m1e, m5e, m6e = me[0], me[4], me[5]
             r_ff = max(r_ff, abs(free_fermion_residual(w)))
@@ -360,18 +350,19 @@ def derived_identity_suite(fam: WeightFamily, coeffs: HamiltonianCoefficients,
 
 # ---- the verdict pipeline ----
 
+_N_POINTS = 24       # pole-free points for the branch conditions
+_N_GRID = 20         # color grid of the coefficient extraction
+_TOL_BRANCH = 1e-6   # median branch-condition residual counted as zero
+
+
 @dataclass(frozen=True)
 class ClassifyPlan:
     n_ybe: int = 60
-    n_points: int = 24
-    n_grid: int = 20
     seed: int = 0
     u_span: tuple[float, float] = (-0.35, 0.35)
     color_span: tuple[float, float] = (-0.5, 0.5)
     max_weight: float = 15.0
     tol_solution: float = 1e-8
-    tol_branch: float = 1e-6
-    h: float = 1e-5
 
     def sample_plan(self, n) -> SamplePlan:
         return SamplePlan(n=n, seed=self.seed, u_span=self.u_span,
@@ -384,7 +375,7 @@ class ClassificationReport:
     verdict: Verdict
     is_gauge: bool
     initial_condition_ok: bool
-    initial_condition_residual: float
+    initial_condition_residual: float | None
     ybe_median: float
     ybe_max: float
     ff_condition_median: float | None = None
@@ -462,14 +453,10 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     rng = np.random.default_rng(plan.seed + 1)
     notes: list[str] = []
 
-    triples = draw_triples(fam, plan.sample_plan(plan.n_ybe))
     rels = []
     weight_mags = np.zeros(8)
-    for (u, v, xi, eta, lam) in triples:
-        wu = fam.eval(u, xi, eta)
-        ww = fam.eval(u + v, xi, lam)
-        wv = fam.eval(v, eta, lam)
-        rels.append(ybe_residual(wu, ww, wv).relative)
+    for wu, rep in residual_sweep(fam, plan.sample_plan(plan.n_ybe)):
+        rels.append(rep.relative)
         weight_mags = np.maximum(weight_mags, np.abs(wu.a))
     ybe_median = float(np.median(rels))
     ybe_max = float(np.max(rels))
@@ -479,7 +466,7 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     if ybe_median > plan.tol_solution:
         return ClassificationReport(
             verdict=Verdict.NOT_A_SOLUTION, is_gauge=False,
-            initial_condition_ok=False, initial_condition_residual=np.nan,
+            initial_condition_ok=False, initial_condition_residual=None,
             notes=("matrix identity fails beyond tolerance",), **base)
 
     dead = [f"a{i+1}" for i in range(8)
@@ -487,7 +474,7 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     if dead:
         return ClassificationReport(
             verdict=Verdict.NOT_EIGHT_VERTEX, is_gauge=False,
-            initial_condition_ok=False, initial_condition_residual=np.nan,
+            initial_condition_ok=False, initial_condition_residual=None,
             notes=(f"weights {', '.join(dead)} vanish identically",), **base)
 
     ic_res = _initial_condition_residual(fam, rng, plan.color_span)
@@ -523,13 +510,13 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
                 notes=(f"gauge reduction failed: {exc}",), **base)
 
     coeffs = hamiltonian_coeffs(
-        work, np.linspace(*plan.color_span, plan.n_grid), h=plan.h,
+        work, np.linspace(*plan.color_span, _N_GRID),
         use_analytic=work.spec is not None)
     inv = invariant_suite(work, coeffs)
     mbar = coeffs.mean()
     alpha, beta, gamma = mbar[6], mbar[4], mbar[0]
 
-    points = draw_points(work, plan.sample_plan(plan.n_points))
+    points = draw_points(work, plan.sample_plan(_N_POINTS))
     ff_vals, curve_vals = [], []
     for (u, xi, eta) in points:
         w = work.eval(u, xi, eta)
@@ -544,8 +531,8 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
         "gamma": [gamma.real, gamma.imag],
     }
 
-    ff_small = ff_median <= plan.tol_branch
-    curve_small = curve_median <= plan.tol_branch
+    ff_small = ff_median <= _TOL_BRANCH
+    curve_small = curve_median <= _TOL_BRANCH
     if ff_small and curve_small:
         verdict = Verdict.INDETERMINATE
         notes.append("free-fermion and curve residuals both below tolerance")

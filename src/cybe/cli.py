@@ -2,32 +2,33 @@
 
 Output is JSON by default (CSV opt-in for weight tables).  Runs are
 deterministic: identical spec, flags and seed produce byte-identical
-output.  YBE_THREADS caps worker threads for residual sweeps; output
-assembly is always single-threaded and ordered by sample index.
+output.  Residual sweeps run in one thread; the YBE_THREADS environment
+variable of earlier versions is no longer read.
 
 Exit codes: 0 success (verify: median within tolerance; classify: a
 solution verdict), 1 verification failure or non-solution verdict,
 2 invalid spec / size limit, 3 pole at a requested point,
-4 NOT_EIGHT_VERTEX, 5 INDETERMINATE.
+4 NOT_EIGHT_VERTEX, 5 INDETERMINATE, 6 pole-free sampling exhausted
+(widen the spans or relax --max-weight).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .classify import ClassifyPlan, Verdict, classify, hamiltonian_coeffs
-from .errors import CybeError, InvalidSpec, PoleProximity, SizeLimit
+from .errors import (CybeError, InvalidSpec, PoleProximity,
+                     SamplingExhausted, SizeLimit)
 from .families import (WeightFamily, make_family, spec_from_json,
                        validate_spec)
-from .sampling import SamplePlan, draw_points, draw_triples
+from .sampling import SamplePlan, draw_points, residual_sweep
 from .transforms import Pipeline, apply, transform_diagnostics
-from .weights import WeightVector, unitarity_residual, ybe_residual
+from .weights import WeightVector, unitarity_residual
 
 _EXIT_VERDICT = {
     Verdict.BAXTER: 0, Verdict.FREE_FERMION: 0,
@@ -36,20 +37,11 @@ _EXIT_VERDICT = {
     Verdict.INDETERMINATE: 5,
 }
 
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("YBE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    n = _threads()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+#: exit code of the first matching error class
+_EXIT_ERROR = (
+    ((InvalidSpec, SizeLimit, json.JSONDecodeError, OSError), 2),
+    (PoleProximity, 3), (SamplingExhausted, 6), (CybeError, 1),
+)
 
 
 def _load_json_arg(value: str):
@@ -98,13 +90,16 @@ def _perturbed(fam: WeightFamily, field: str, delta: complex) -> WeightFamily:
                         gauge=False)
 
 
-def _emit(doc, args) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(doc, args) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
 
 
 def _grid(spec: str) -> np.ndarray:
@@ -132,12 +127,7 @@ def _write_rows(rows, args) -> None:
         header = list(rows[0].keys()) if rows else []
         lines = [",".join(header)]
         lines += [",".join(repr(r[k]) for k in header) for r in rows]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args)
     else:
         _emit({"rows": rows}, args)
 
@@ -158,29 +148,20 @@ def cmd_verify(args) -> int:
                       u_span=(-args.u_span, args.u_span),
                       color_span=(-args.color_span, args.color_span),
                       max_weight=args.max_weight)
-    triples = draw_triples(fam, plan)
-
-    def one(t):
-        u, v, xi, eta, lam = t
-        rep = ybe_residual(fam.eval(u, xi, eta), fam.eval(u + v, xi, lam),
-                           fam.eval(v, eta, lam))
-        return rep.relative, rep.component_norms
-
-    results = _pmap(one, triples)
-    rels = np.array([r for r, _ in results])
+    rels = []
     worst: dict[str, float] = {}
-    for _, comp in results:
-        for key, val in comp.items():
+    for _, rep in residual_sweep(fam, plan):
+        rels.append(rep.relative)
+        for key, val in rep.component_norms.items():
             worst[key] = max(worst.get(key, 0.0), val)
+    rels = np.array(rels)
     offenders = sorted(worst.items(), key=lambda kv: -kv[1])[:5]
 
     unit = None
     if fam.gauge:
-        pts = draw_points(fam, SamplePlan(n=min(args.samples, 50),
-                                          seed=plan.seed, u_span=plan.u_span,
-                                          color_span=plan.color_span,
-                                          max_weight=plan.max_weight))
-        unit = max(_pmap(lambda p: unitarity_residual(fam.eval, *p), pts))
+        pts = draw_points(fam, dataclasses.replace(
+            plan, n=min(args.samples, 50)))
+        unit = max(unitarity_residual(fam.eval, *p) for p in pts)
 
     ok = bool(np.median(rels) <= args.tol)
     _emit({
@@ -211,10 +192,6 @@ def cmd_classify(args) -> int:
     return _EXIT_VERDICT[report.verdict]
 
 
-def cmd_transform(args) -> int:
-    return cmd_eval(args)
-
-
 def cmd_couplings(args) -> int:
     from .spinchain import build_chain, couplings_from_coeffs, export_matrix
 
@@ -236,12 +213,11 @@ def cmd_couplings(args) -> int:
     return 0
 
 
-def _add_common(p, with_transform=True):
+def _add_common(p):
     p.add_argument("--spec", required=True,
                    help="family spec: JSON file path or inline JSON")
-    if with_transform:
-        p.add_argument("--transform",
-                       help="transform pipeline: JSON file path or inline JSON")
+    p.add_argument("--transform",
+                   help="transform pipeline: JSON file path or inline JSON")
     p.add_argument("--perturb", nargs=2, metavar=("FIELD", "DELTA"),
                    help="additive perturbation of one weight, e.g. a7 0.1")
     p.add_argument("--seed", type=int, default=0)
@@ -254,6 +230,16 @@ def _add_common(p, with_transform=True):
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+def _add_grid_parser(sub, name, help_text):
+    """A subcommand tabulating weights over a (u, xi, eta) grid."""
+    p = sub.add_parser(name, help=help_text)
+    _add_common(p)
+    p.add_argument("--grid-u", default="-0.3:0.3:5")
+    p.add_argument("--grid-xi", default="-0.4:0.4:5")
+    p.add_argument("--grid-eta", default="-0.4:0.4:5")
+    p.set_defaults(fn=cmd_eval)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cybe",
@@ -262,12 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "spin-chain export")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="tabulate weights over a grid")
-    _add_common(p)
-    p.add_argument("--grid-u", default="-0.3:0.3:5")
-    p.add_argument("--grid-xi", default="-0.4:0.4:5")
-    p.add_argument("--grid-eta", default="-0.4:0.4:5")
-    p.set_defaults(fn=cmd_eval)
+    _add_grid_parser(sub, "eval", "tabulate weights over a grid")
 
     p = sub.add_parser("verify", help="matrix-identity residual sweep")
     _add_common(p)
@@ -277,13 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("transform",
-                       help="tabulate weights of a transformed family")
-    _add_common(p)
-    p.add_argument("--grid-u", default="-0.3:0.3:5")
-    p.add_argument("--grid-xi", default="-0.4:0.4:5")
-    p.add_argument("--grid-eta", default="-0.4:0.4:5")
-    p.set_defaults(fn=cmd_transform)
+    _add_grid_parser(sub, "transform",
+                     "tabulate weights of a transformed family")
 
     p = sub.add_parser("couplings",
                        help="spin-chain couplings and optional matrix dump")
@@ -301,15 +277,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidSpec, SizeLimit, json.JSONDecodeError, OSError) as exc:
+    except (CybeError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PoleProximity as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CybeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for types, code in _EXIT_ERROR
+                    if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -39,6 +39,10 @@ class SizeLimit(CybeError):
     """Requested operator size exceeds the supported dense-matrix cap."""
 
 
+class SamplingExhausted(CybeError):
+    """Pole-free sampling hit its attempt cap before drawing enough points."""
+
+
 class StepUnstable(CybeError):
     """Finite-difference step produced inconsistent derivative estimates."""
 

@@ -159,45 +159,6 @@ def _ff_coefficients(Gx, Gy, Hx, Hy, delta):
     return A, B, C, D
 
 
-def _need(spec: FamilySpec, *names: str) -> None:
-    for n in names:
-        if getattr(spec, n) is None:
-            raise InvalidSpec(f"family {spec.family.value} requires profile {n}")
-
-
-def make_family(spec: FamilySpec) -> WeightFamily:
-    """Build the evaluator for a spec.  Raises InvalidSpec on hard errors;
-    softer constraint violations are reported by validate_spec."""
-    fam = spec.family
-    if fam is FamilyId.BAXTER_ELLIPTIC:
-        ev = _baxter_elliptic(spec)
-    elif fam is FamilyId.BAXTER_TRIG:
-        ev = _baxter_trig(spec)
-    elif fam is FamilyId.FF_ELLIPTIC:
-        _need(spec, "G", "H")
-        ev = _ff_elliptic(spec, spec.k)
-    elif fam is FamilyId.FF_TANH:
-        _need(spec, "G", "H")
-        ev = _ff_elliptic(spec, 1.0)
-    elif fam is FamilyId.FF_TRIG:
-        _need(spec, "G")
-        ev = _ff_trig(spec)
-    elif fam is FamilyId.FF_HYPERBOLIC:
-        _need(spec, "G")
-        ev = _ff_hyperbolic(spec)
-    elif fam is FamilyId.TRIVIAL_A:
-        _need(spec, "spectral")
-        ev = _trivial_a(spec)
-    else:
-        ev = _trivial_b(spec)
-    return WeightFamily(spec=spec, evaluate=ev, label=fam.value,
-                        gauge=spec.is_gauge)
-
-
-def eval_family(spec: FamilySpec, u, xi, eta) -> WeightVector:
-    return make_family(spec).eval(u, xi, eta)
-
-
 def _baxter_elliptic(spec: FamilySpec):
     if spec.lam == 0 or spec.mu == 0:
         raise InvalidSpec("rates lam and mu must be nonzero")
@@ -238,9 +199,10 @@ def _baxter_trig(spec: FamilySpec):
     return ev
 
 
-def _ff_elliptic(spec: FamilySpec, k):
+def _ff_elliptic(spec: FamilySpec):
     if spec.lam == 0:
         raise InvalidSpec("rate lam must be nonzero")
+    k = spec.k if spec.family is FamilyId.FF_ELLIPTIC else 1.0
     lam, F, G, H, delta, s7 = spec.lam, spec.F, spec.G, spec.H, spec.delta, spec.s7
 
     def ev(u, xi, eta):
@@ -323,12 +285,41 @@ def _trivial_b(spec: FamilySpec):
     return ev
 
 
+#: family -> (evaluator builder, profiles the family requires)
+_BUILDERS = {
+    FamilyId.BAXTER_ELLIPTIC: (_baxter_elliptic, ()),
+    FamilyId.BAXTER_TRIG: (_baxter_trig, ()),
+    FamilyId.FF_ELLIPTIC: (_ff_elliptic, ("G", "H")),
+    FamilyId.FF_TANH: (_ff_elliptic, ("G", "H")),
+    FamilyId.FF_TRIG: (_ff_trig, ("G",)),
+    FamilyId.FF_HYPERBOLIC: (_ff_hyperbolic, ("G",)),
+    FamilyId.TRIVIAL_A: (_trivial_a, ("spectral",)),
+    FamilyId.TRIVIAL_B: (_trivial_b, ()),
+}
+
+
+def make_family(spec: FamilySpec) -> WeightFamily:
+    """Build the evaluator for a spec.  Raises InvalidSpec on hard errors;
+    softer constraint violations are reported by validate_spec."""
+    build, required = _BUILDERS[spec.family]
+    for name in required:
+        if getattr(spec, name) is None:
+            raise InvalidSpec(
+                f"family {spec.family.value} requires profile {name}")
+    return WeightFamily(spec=spec, evaluate=build(spec),
+                        label=spec.family.value, gauge=spec.is_gauge)
+
+
+def eval_family(spec: FamilySpec, u, xi, eta) -> WeightVector:
+    return make_family(spec).eval(u, xi, eta)
+
+
 # -------------------- validation --------------------
 
 _COLOR_GRID = tuple(np.linspace(-0.5, 0.5, 11))
 
 
-def validate_spec(spec: FamilySpec, color_grid=_COLOR_GRID) -> list[str]:
+def validate_spec(spec: FamilySpec) -> list[str]:
     """Diagnostics list; empty iff the spec satisfies its family constraints
     on the sampled color domain.  Soft warnings are prefixed 'warning:'."""
     out: list[str] = []
@@ -364,7 +355,7 @@ def validate_spec(spec: FamilySpec, color_grid=_COLOR_GRID) -> list[str]:
             out.append("profiles G and H are required")
         else:
             worst = max(abs(spec.G(x) ** 2 - spec.H(x) ** 2 - 1)
-                        for x in color_grid)
+                        for x in _COLOR_GRID)
             if worst > 1e-10:
                 out.append(f"G^2 - H^2 = 1 fails on the color domain "
                            f"(worst |G^2-H^2-1| = {worst:.3e})")
@@ -375,7 +366,7 @@ def validate_spec(spec: FamilySpec, color_grid=_COLOR_GRID) -> list[str]:
             out.append("profile G is required")
         else:
             worst = max(abs(cmath.sqrt(spec.G(x) ** 2) - spec.G(x))
-                        for x in color_grid)
+                        for x in _COLOR_GRID)
             if worst > 1e-10:
                 out.append("G must stay in the right half plane "
                            "(principal sqrt(G^2) must equal G)")
@@ -390,7 +381,7 @@ def validate_spec(spec: FamilySpec, color_grid=_COLOR_GRID) -> list[str]:
         if spec.spectral is None:
             out.append("a spectral profile is required")
     elif fam is FamilyId.TRIVIAL_B:
-        zeros = [x for x in color_grid if abs(spec.F(x)) < _DENOM_TOL]
+        zeros = [x for x in _COLOR_GRID if abs(spec.F(x)) < _DENOM_TOL]
         if zeros:
             out.append(f"profile F vanishes on the color domain at {zeros[:3]}")
     return out

@@ -10,147 +10,118 @@ is supported; arbitrary user scripting is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import ClassVar
 import cmath
 
 from .errors import InvalidSpec
 from .numkernel import jacobi_sncndn
 
+
+def _cn_over_sn(p, x):
+    sn, cn, _ = jacobi_sncndn(x, p[0])
+    return cn / sn
+
+
+#: preset -> (parameter count, function of (params, x))
 _COLOR_PRESETS = {
-    "constant": 1,     # c
-    "linear": 1,       # a -> a*x
-    "affine": 2,       # a, b -> a*x + b
-    "cosh": 2,         # a, b -> cosh(a*x + b)
-    "sinh": 2,         # a, b -> sinh(a*x + b)
-    "exp": 2,          # a, b -> exp(a*x + b)
-    "recip_sn": 1,     # k -> 1/sn(x, k)
-    "cn_over_sn": 1,   # k -> cn(x, k)/sn(x, k)
+    "constant": (1, lambda p, x: p[0]),
+    "linear": (1, lambda p, x: p[0] * x),
+    "affine": (2, lambda p, x: p[0] * x + p[1]),
+    "cosh": (2, lambda p, x: cmath.cosh(p[0] * x + p[1])),
+    "sinh": (2, lambda p, x: cmath.sinh(p[0] * x + p[1])),
+    "exp": (2, lambda p, x: cmath.exp(p[0] * x + p[1])),
+    "recip_sn": (1, lambda p, x: 1.0 / jacobi_sncndn(x, p[0])[0]),
+    "cn_over_sn": (1, _cn_over_sn),
 }
 
+#: preset -> (parameter count, function of (params, u, xi, eta))
 _SPECTRAL_PRESETS = {
-    "const": 1,            # c
-    "exp_affine": 3,       # a, b, c -> exp(a*u + b*xi + c*eta)
-    "one_plus_bilinear": 1,  # a -> 1 + a*xi*eta
-    "sin_bilinear": 2,     # a, b -> sin(a*u + b*xi*eta)
+    "const": (1, lambda p, u, xi, eta: p[0]),
+    "exp_affine": (3, lambda p, u, xi, eta:
+                   cmath.exp(p[0] * u + p[1] * xi + p[2] * eta)),
+    "one_plus_bilinear": (1, lambda p, u, xi, eta: 1.0 + p[0] * xi * eta),
+    "sin_bilinear": (2, lambda p, u, xi, eta: cmath.sin(p[0] * u
+                                                        + p[1] * xi * eta)),
 }
 
 
-def _as_complex_tuple(params) -> tuple[complex, ...]:
-    return tuple(complex(p) for p in params)
+def _product(factors, *args):
+    out = 1.0 + 0j
+    for f in factors:
+        out *= f(*args)
+    return out
 
 
 @dataclass(frozen=True)
-class ColorProfile:
-    """A one-variable profile from the preset algebra.
+class _Profile:
+    """A profile from one preset table.
 
     ``factors`` turns the profile into a pointwise product of its factors;
     in that case ``preset`` must be "product" and ``params`` empty.
     """
 
+    _KIND: ClassVar[str]
+    _PRESETS: ClassVar[dict]
+
     preset: str
     params: tuple[complex, ...] = ()
-    factors: tuple["ColorProfile", ...] = field(default=())
+    factors: tuple["_Profile", ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "params", _as_complex_tuple(self.params))
+        object.__setattr__(self, "params",
+                           tuple(complex(p) for p in self.params))
         if self.preset == "product":
             if not self.factors:
                 raise InvalidSpec("product profile needs at least one factor")
-            return
-        if self.preset not in _COLOR_PRESETS:
-            raise InvalidSpec(f"unknown color profile preset {self.preset!r}")
-        if len(self.params) != _COLOR_PRESETS[self.preset]:
+            fn = partial(_product, self.factors)
+        elif self.preset not in self._PRESETS:
             raise InvalidSpec(
-                f"preset {self.preset!r} takes {_COLOR_PRESETS[self.preset]} "
-                f"parameter(s), got {len(self.params)}")
+                f"unknown {self._KIND} profile preset {self.preset!r}")
+        else:
+            count, preset_fn = self._PRESETS[self.preset]
+            if len(self.params) != count:
+                raise InvalidSpec(
+                    f"preset {self.preset!r} takes {count} "
+                    f"parameter(s), got {len(self.params)}")
+            fn = partial(preset_fn, self.params)
+        object.__setattr__(self, "_fn", fn)
+
+    def __reduce__(self):
+        return type(self), (self.preset, self.params, self.factors)
+
+    def to_json(self) -> dict:
+        doc = {"preset": self.preset, "params": [_cjson(p) for p in self.params]}
+        if self.factors:
+            doc["factors"] = [f.to_json() for f in self.factors]
+        return doc
+
+    @classmethod
+    def from_json(cls, doc: dict):
+        _check_keys(doc, {"preset", "params", "factors"}, f"{cls._KIND} profile")
+        factors = tuple(cls.from_json(f) for f in doc.get("factors", []))
+        return cls(doc["preset"], tuple(_cval(p) for p in doc.get("params", [])),
+                   factors)
+
+
+class ColorProfile(_Profile):
+    """A one-variable profile f(xi) from the preset algebra."""
+
+    _KIND = "color"
+    _PRESETS = _COLOR_PRESETS
 
     def __call__(self, x: complex) -> complex:
-        x = complex(x)
-        p = self.params
-        if self.preset == "product":
-            out = 1.0 + 0j
-            for f in self.factors:
-                out *= f(x)
-            return out
-        if self.preset == "constant":
-            return p[0]
-        if self.preset == "linear":
-            return p[0] * x
-        if self.preset == "affine":
-            return p[0] * x + p[1]
-        if self.preset == "cosh":
-            return cmath.cosh(p[0] * x + p[1])
-        if self.preset == "sinh":
-            return cmath.sinh(p[0] * x + p[1])
-        if self.preset == "exp":
-            return cmath.exp(p[0] * x + p[1])
-        if self.preset == "recip_sn":
-            return 1.0 / jacobi_sncndn(x, p[0])[0]
-        sn, cn, _ = jacobi_sncndn(x, p[0])
-        return cn / sn
-
-    def to_json(self) -> dict:
-        doc = {"preset": self.preset, "params": [_cjson(p) for p in self.params]}
-        if self.factors:
-            doc["factors"] = [f.to_json() for f in self.factors]
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ColorProfile":
-        _check_keys(doc, {"preset", "params", "factors"}, "color profile")
-        factors = tuple(cls.from_json(f) for f in doc.get("factors", []))
-        return cls(doc["preset"], tuple(_cval(p) for p in doc.get("params", [])),
-                   factors)
+        return self._fn(complex(x))
 
 
-@dataclass(frozen=True)
-class SpectralProfile:
-    """A profile of (u, xi, eta) from the preset algebra."""
+class SpectralProfile(_Profile):
+    """A profile g(u, xi, eta) from the preset algebra."""
 
-    preset: str
-    params: tuple[complex, ...] = ()
-    factors: tuple["SpectralProfile", ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", _as_complex_tuple(self.params))
-        if self.preset == "product":
-            if not self.factors:
-                raise InvalidSpec("product profile needs at least one factor")
-            return
-        if self.preset not in _SPECTRAL_PRESETS:
-            raise InvalidSpec(f"unknown spectral profile preset {self.preset!r}")
-        if len(self.params) != _SPECTRAL_PRESETS[self.preset]:
-            raise InvalidSpec(
-                f"preset {self.preset!r} takes {_SPECTRAL_PRESETS[self.preset]} "
-                f"parameter(s), got {len(self.params)}")
+    _KIND = "spectral"
+    _PRESETS = _SPECTRAL_PRESETS
 
     def __call__(self, u: complex, xi: complex, eta: complex) -> complex:
-        u, xi, eta = complex(u), complex(xi), complex(eta)
-        p = self.params
-        if self.preset == "product":
-            out = 1.0 + 0j
-            for f in self.factors:
-                out *= f(u, xi, eta)
-            return out
-        if self.preset == "const":
-            return p[0]
-        if self.preset == "exp_affine":
-            return cmath.exp(p[0] * u + p[1] * xi + p[2] * eta)
-        if self.preset == "one_plus_bilinear":
-            return 1.0 + p[0] * xi * eta
-        return cmath.sin(p[0] * u + p[1] * xi * eta)
-
-    def to_json(self) -> dict:
-        doc = {"preset": self.preset, "params": [_cjson(p) for p in self.params]}
-        if self.factors:
-            doc["factors"] = [f.to_json() for f in self.factors]
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SpectralProfile":
-        _check_keys(doc, {"preset", "params", "factors"}, "spectral profile")
-        factors = tuple(cls.from_json(f) for f in doc.get("factors", []))
-        return cls(doc["preset"], tuple(_cval(p) for p in doc.get("params", [])),
-                   factors)
+        return self._fn(complex(u), complex(xi), complex(eta))
 
 
 def _cjson(z: complex) -> list[float]:

@@ -34,6 +34,16 @@ _KINDS = ("swap_23_78", "swap_14_56", "scale", "regauge", "negate_56",
 
 _ZERO_TOL = 1e-12
 
+#: index permutations of the two swap transforms
+_SWAPS = {
+    "swap_23_78": np.array([0, 2, 1, 3, 4, 5, 7, 6]),
+    "swap_14_56": np.array([3, 1, 2, 0, 5, 4, 6, 7]),
+}
+
+#: sampled domain of transform_diagnostics
+_DIAG_COLORS = np.linspace(-0.5, 0.5, 9)
+_DIAG_US = np.linspace(-0.35, 0.35, 5)
+
 
 @dataclass(frozen=True)
 class TransformSpec:
@@ -134,14 +144,10 @@ def apply(t, fam: WeightFamily) -> WeightFamily:
     kind = t.kind
     gauge = fam.gauge
 
-    if kind == "swap_23_78":
+    if kind in _SWAPS:
+        perm = _SWAPS[kind]
         def ev(u, xi, eta):
-            a = base(u, xi, eta).a
-            return WeightVector.of(a[0], a[2], a[1], a[3], a[4], a[5], a[7], a[6])
-    elif kind == "swap_14_56":
-        def ev(u, xi, eta):
-            a = base(u, xi, eta).a
-            return WeightVector.of(a[3], a[1], a[2], a[0], a[5], a[4], a[6], a[7])
+            return WeightVector(base(u, xi, eta).a[perm])
     elif kind == "scale":
         gauge = False
         def ev(u, xi, eta):
@@ -175,27 +181,22 @@ def apply(t, fam: WeightFamily) -> WeightFamily:
                         label=f"{kind}({fam.label})", gauge=gauge)
 
 
-def transform_diagnostics(t: TransformSpec, color_grid=None,
-                          u_grid=None) -> list[str]:
+def transform_diagnostics(t: TransformSpec) -> list[str]:
     """Payload checks on a sampled domain: scale/regauge profiles must be
     nowhere zero, recolor maps injective.  Diagnostics are data, not errors;
     runtime evaluation still raises ZeroDivisor at an offending point."""
-    if color_grid is None:
-        color_grid = np.linspace(-0.5, 0.5, 9)
-    if u_grid is None:
-        u_grid = np.linspace(-0.35, 0.35, 5)
     out: list[str] = []
     if t.kind == "scale":
-        vals = [t.g(u, xi, eta) for u in u_grid for xi in color_grid[::2]
-                for eta in color_grid[::2]]
+        vals = [t.g(u, xi, eta) for u in _DIAG_US for xi in _DIAG_COLORS[::2]
+                for eta in _DIAG_COLORS[::2]]
         if min(abs(v) for v in vals) < _ZERO_TOL:
             out.append("scale profile g vanishes on the sampled domain")
     elif t.kind == "regauge":
-        vals = [t.N(x) for x in color_grid]
+        vals = [t.N(x) for x in _DIAG_COLORS]
         if min(abs(v) for v in vals) < _ZERO_TOL:
             out.append("regauge profile N vanishes on the sampled domain")
     elif t.kind == "recolor":
-        vals = [t.f(x) for x in color_grid]
+        vals = [t.f(x) for x in _DIAG_COLORS]
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
                 if abs(vals[i] - vals[j]) < 1e-10:

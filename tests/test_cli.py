@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from cybe import spec_to_json
 from cybe.cli import main
@@ -218,3 +219,45 @@ def test_cross_process_determinism(tmp_path):
     b = subprocess.run(args, capture_output=True, text=True)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_classify_reports_are_strict_json(capsys):
+    from cybe import ColorProfile, FamilyId, FamilySpec
+    # a5 = a6 = 0 identically: a solution, but not eight-vertex
+    no_a5 = FamilySpec(family=FamilyId.FF_HYPERBOLIC, lam=0.0, mu=0.5,
+                       G=ColorProfile("linear", (0.2,)))
+    cases = [
+        (["--spec", json.dumps(spec_to_json(ff_elliptic_spec())),
+          "--perturb", "a7", "0.1"], 1, "NOT_A_SOLUTION"),
+        (["--spec", json.dumps(spec_to_json(no_a5))], 4, "NOT_EIGHT_VERTEX"),
+    ]
+    for args, want, verdict in cases:
+        code, out, _ = run_cli(["classify", "--samples", "30", *args], capsys)
+        assert code == want
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["verdict"] == verdict
+        assert doc["initial_condition_residual"] is None
+
+
+def test_sampling_exhausted_exit_6(capsys):
+    # a2 = 1 at every point, so no point has all weights below 0.5
+    doc = json.dumps(spec_to_json(ff_tanh_spec()))
+    for sub in ("verify", "classify"):
+        code, out, err = run_cli([sub, "--spec", doc, "--samples", "5",
+                                  "--max-weight", "0.5"], capsys)
+        assert code == 6
+        assert out == ""
+        assert err.startswith("error: sample rejection rate too high")
+
+
+def test_sampling_exhausted_is_named():
+    from cybe import SamplingExhausted, make_family
+    from cybe.sampling import SamplePlan, draw_points, draw_triples
+    fam = make_family(ff_tanh_spec())
+    for draw in (draw_triples, draw_points):
+        with pytest.raises(SamplingExhausted):
+            draw(fam, SamplePlan(n=3, max_weight=0.5))
