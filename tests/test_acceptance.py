@@ -18,6 +18,7 @@ from cybe import (ClassifyPlan, CouplingConstants,
                   with_bs_profiles, with_murakami_profiles, ybe_residual)
 from cybe.classify import curve_residuals, derived_identity_suite
 from cybe.families import FAMILY_CLASS, FamilyId
+from cybe.spinchain import MAX_SITES
 from cybe.sampling import SamplePlan, draw_points, draw_triples
 
 from conftest import CANONICAL_SPECS, random_spec
@@ -278,7 +279,7 @@ def test_criterion_10_spin_chain():
     rng = np.random.default_rng(110)
     t0 = time.perf_counter()
     worst_h = 0.0
-    for n in range(2, 11):
+    for n in range(2, MAX_SITES + 1):
         c = CouplingConstants(*rng.normal(size=4))
         op = build_chain(c, n, periodic=bool(n % 2))
         worst_h = max(worst_h, op.hermiticity_defect())

@@ -1,14 +1,62 @@
 """Coupling-constant algebra and the dense chain Hamiltonian."""
 
+import itertools
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from cybe import (SizeLimit, build_chain,
+from cybe import (ChainOperator, CouplingConstants, SizeLimit, build_chain,
                   couplings_from_coeffs, cyclic_shift, ff_relation_check,
-                  hamiltonian_coeffs, make_family)
-from cybe.spinchain import export_matrix
+                  hamiltonian_coeffs, make_family, spec_to_json)
+from cybe.spinchain import (MAX_SITES, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                            export_matrix)
 
-from conftest import ff_hyperbolic_spec, ff_trig_spec
+from conftest import baxter_elliptic_spec, ff_hyperbolic_spec, ff_trig_spec
+
+
+def _site_op(op, site, n):
+    mats = [op if j == site else np.eye(2, dtype=complex) for j in range(n)]
+    out = mats[0]
+    for mat in mats[1:]:
+        out = np.kron(out, mat)
+    return out
+
+
+def _dense_chain(c, n, periodic):
+    """Reference builder: 3n dense site operators and their products, in
+    the bond-by-bond order XX, YY, ZZ, field that build_chain keeps."""
+    H = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    bonds = [(j, j + 1) for j in range(n - 1)]
+    if periodic:
+        bonds.append((n - 1, 0))
+    X = [_site_op(SIGMA_X, j, n) for j in range(n)]
+    Y = [_site_op(SIGMA_Y, j, n) for j in range(n)]
+    Z = [_site_op(SIGMA_Z, j, n) for j in range(n)]
+    for (a, b) in bonds:
+        H += c.jx * (X[a] @ X[b])
+        H += c.jy * (Y[a] @ Y[b])
+        H += c.jz * (Z[a] @ Z[b])
+        H += 0.5 * c.h * (Z[a] + Z[b])
+    return H
+
+
+def _loop_shift(n):
+    """Reference cyclic shift, one basis state at a time."""
+    dim = 2 ** n
+    S = np.zeros((dim, dim), dtype=complex)
+    for b in range(dim):
+        S[((b << 1) & (dim - 1)) | (b >> (n - 1)), b] = 1.0
+    return S
+
+
+def _random_couplings(rng, complex_=False):
+    v = rng.normal(size=4)
+    if complex_:
+        v = v + 1j * rng.normal(size=4)
+    return CouplingConstants(*v)
 
 
 def test_gauge_baxter_pattern():
@@ -149,3 +197,114 @@ def test_export(tmp_path):
     assert np.array_equal(back, op.matrix)
     flat = np.loadtxt(csv, delimiter=",")
     assert np.abs(flat[:, 0::2] + 1j * flat[:, 1::2] - op.matrix).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_matches_dense_oracle(n, rng):
+    # one nonzero term per entry and bond, added in the oracle's order
+    for periodic, complex_ in itertools.product((False, True), repeat=2):
+        c = _random_couplings(rng, complex_)
+        assert np.array_equal(build_chain(c, n, periodic).matrix,
+                              _dense_chain(c, n, periodic))
+
+
+def test_double_bond_two_sites(rng):
+    # n = 2 periodic: both bonds flip the same two bits, so the oracle adds
+    # jx and -jy z_a z_b twice where build_chain adds their sum twice
+    for complex_ in (False, True):
+        c = _random_couplings(rng, complex_)
+        scale = max(abs(c.jx), abs(c.jy), abs(c.jz), abs(c.h))
+        got = build_chain(c, 2, periodic=True).matrix
+        assert np.abs(got - _dense_chain(c, 2, True)).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cyclic_shift_matches_loop(n):
+    assert np.array_equal(cyclic_shift(n), _loop_shift(n))
+
+
+def _free_fermion_spectrum(c, n):
+    """Open XY chain in the site fields h d_j / 2 (d_j the bond degree) via
+    Jordan-Wigner: with Majoranas a_2j = (prod_{k<j} Z_k) X_j and
+    a_2j+1 = (prod_{k<j} Z_k) Y_j, X_j X_j+1 = -i a_2j+1 a_2j+2,
+    Y_j Y_j+1 = i a_2j a_2j+3 and Z_j = -i a_2j a_2j+1, so
+    H = (i/4) sum A_pq a_p a_q with A real antisymmetric.  The many-body
+    levels are E0 + sum_{k in S} eps_k, eps_k >= 0 the single-particle
+    energies (Lieb, Schultz and Mattis 1961)."""
+    A = np.zeros((2 * n, 2 * n))
+
+    def term(kappa, p, q):  # kappa (-i a_p a_q)
+        A[p, q] -= 2 * kappa
+        A[q, p] += 2 * kappa
+
+    for j in range(n - 1):
+        term(c.jx, 2 * j + 1, 2 * j + 2)
+        term(-c.jy, 2 * j, 2 * j + 3)
+    for j in range(n):
+        degree = (j > 0) + (j < n - 1)
+        term(c.h * degree / 2, 2 * j, 2 * j + 1)
+    eps = np.linalg.eigvalsh(1j * A)[n:]
+    levels = [sum(s) for s in itertools.product(*[(0.0, e) for e in eps])]
+    return np.sort(np.array(levels) - eps.sum() / 2)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_free_fermion_spectrum(n, rng):
+    for _ in range(3):
+        jx, jy, h = rng.normal(size=3)
+        c = CouplingConstants(jx, jy, 0.0, h)
+        ev = np.linalg.eigvalsh(build_chain(c, n, periodic=False).matrix)
+        want = _free_fermion_spectrum(c, n)
+        assert np.abs(ev - want).max() <= 1e-10 * np.abs(ev).max()
+
+
+def test_max_sites_trace_and_norm(rng):
+    c = _random_couplings(rng, complex_=True)
+    n = MAX_SITES
+    H = build_chain(c, n, periodic=True).matrix
+    frob2 = np.vdot(H, H).real
+    # distinct Pauli strings are orthogonal under tr(A^H B); n bonds, and
+    # every site of degree 2 carries h Z_j
+    want = 2 ** n * (n * (abs(c.jx) ** 2 + abs(c.jy) ** 2 + abs(c.jz) ** 2)
+                     + n * abs(c.h) ** 2)
+    assert abs(frob2 - want) <= 1e-12 * want
+    assert abs(np.trace(H)) <= 1e-12 * np.sqrt(frob2)
+
+
+_CLI_RUN = """
+import resource, sys
+from cybe.cli import main
+code = main(["couplings", "--spec", sys.argv[1], "--sites", sys.argv[2],
+             "--periodic"])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_max_sites_cli():
+    spec = json.dumps(spec_to_json(baxter_elliptic_spec()))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_RUN, spec, str(MAX_SITES)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert '"hermiticity_defect": 0.0' in proc.stdout
+    assert json.loads(proc.stdout)["sites"] == MAX_SITES
+    maxrss_kb = int(proc.stderr.split()[-1])  # kilobytes on Linux
+    assert maxrss_kb < 600 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_RUN, spec, str(MAX_SITES + 1)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"site count {MAX_SITES + 1}" in proc.stderr
+
+
+@pytest.mark.parametrize("n", [2, 8, 9, 10])
+def test_hermiticity_defect_matches_full_matrix(n, rng):
+    dim = 2 ** n
+    M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    M = M + M.conj().T
+    for i, j in [(0, 0), (dim - 1, 0), (dim // 3, dim - 1), (dim // 2, 1)]:
+        P = M.copy()
+        P[i, j] += 50 + 20j  # the largest defect, in a chosen tile
+        got = ChainOperator(n, False, P).hermiticity_defect()
+        assert got == float(np.abs(P - P.conj().T).max()) > 0
