@@ -17,7 +17,8 @@ from .families import (FamilyId, FamilySpec, WeightFamily,
                        with_murakami_profiles)
 from .numkernel import elliptic_exp, jacobi_cd, jacobi_sncndn
 from .profiles import ColorProfile, SpectralProfile
-from .sampling import SamplePlan, draw_points, draw_triples, residual_sweep
+from .sampling import (SamplePlan, draw_points, draw_triples, point_weights,
+                       residual_sweep)
 from .spinchain import (ChainOperator, CouplingConstants, build_chain,
                         couplings_from_coeffs, cyclic_shift,
                         ff_relation_check)
@@ -27,7 +28,7 @@ from .weights import (COMPONENT_IDS, GAUGE_COMPONENT_IDS, ResidualReport,
                       WeightVector, baxter_curve_residual,
                       component_residuals, free_fermion_residual,
                       gauge_ybe_residual, matrix_weights, tensor_embed,
-                      to_matrix, unitarity_residual, ybe_defect,
-                      ybe_residual)
+                      to_matrix, unitarity_defect, unitarity_residual,
+                      ybe_defect, ybe_residual, ybe_residuals)
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CybeError, StepUnstable
 from .families import WeightFamily
-from .sampling import SamplePlan, draw_points, residual_sweep
+from .sampling import SamplePlan, point_weights, residual_sweep
 from .transforms import gauge_reduce
 from .weights import (WeightVector, baxter_curve_residual,
                       free_fermion_residual)
@@ -455,9 +455,10 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
 
     rels = []
     weight_mags = np.zeros(8)
-    for wu, rep in residual_sweep(fam, plan.sample_plan(plan.n_ybe)):
-        rels.append(rep.relative)
-        weight_mags = np.maximum(weight_mags, np.abs(wu.a))
+    for U, rel, _ in residual_sweep(fam, plan.sample_plan(plan.n_ybe)):
+        rels.append(rel)
+        weight_mags = np.maximum(weight_mags, np.abs(U).max(axis=0))
+    rels = np.concatenate(rels)
     ybe_median = float(np.median(rels))
     ybe_max = float(np.max(rels))
 
@@ -516,10 +517,8 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     mbar = coeffs.mean()
     alpha, beta, gamma = mbar[6], mbar[4], mbar[0]
 
-    points = draw_points(work, plan.sample_plan(_N_POINTS))
     ff_vals, curve_vals = [], []
-    for (u, xi, eta) in points:
-        w = work.eval(u, xi, eta)
+    for _, (w, _) in point_weights(work, plan.sample_plan(_N_POINTS)):
         ff_vals.append(abs(free_fermion_residual(w)))
         curve_vals.append(abs(baxter_curve_residual(w, alpha, beta, gamma)))
     ff_median = float(np.median(ff_vals))

@@ -26,9 +26,9 @@ from .errors import (CybeError, InvalidSpec, PoleProximity,
                      SamplingExhausted, SizeLimit)
 from .families import (WeightFamily, make_family, spec_from_json,
                        validate_spec)
-from .sampling import SamplePlan, draw_points, residual_sweep
+from .sampling import SamplePlan, point_weights, residual_sweep
 from .transforms import Pipeline, apply, transform_diagnostics
-from .weights import WeightVector, unitarity_residual
+from .weights import COMPONENT_IDS, WeightVector, unitarity_defect
 
 _EXIT_VERDICT = {
     Verdict.BAXTER: 0, Verdict.FREE_FERMION: 0,
@@ -142,26 +142,33 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _require_samples(args) -> None:
+    if args.samples < 1:
+        raise InvalidSpec(f"--samples must be at least 1, got {args.samples}")
+
+
 def cmd_verify(args) -> int:
+    _require_samples(args)
     fam = _load_family(args)
     plan = SamplePlan(n=args.samples, seed=args.seed,
                       u_span=(-args.u_span, args.u_span),
                       color_span=(-args.color_span, args.color_span),
                       max_weight=args.max_weight)
     rels = []
-    worst: dict[str, float] = {}
-    for _, rep in residual_sweep(fam, plan):
-        rels.append(rep.relative)
-        for key, val in rep.component_norms.items():
-            worst[key] = max(worst.get(key, 0.0), val)
-    rels = np.array(rels)
-    offenders = sorted(worst.items(), key=lambda kv: -kv[1])[:5]
+    worst = np.zeros(len(COMPONENT_IDS))
+    for _, rel, comp in residual_sweep(fam, plan):
+        rels.append(rel)
+        # fmax: a NaN component never lowers the running max
+        worst = np.fmax(worst, np.fmax.reduce(comp, axis=0))
+    rels = np.concatenate(rels)
+    offenders = sorted(zip(COMPONENT_IDS, worst.tolist()),
+                       key=lambda kv: -kv[1])[:5]
 
     unit = None
     if fam.gauge:
-        pts = draw_points(fam, dataclasses.replace(
+        pts = point_weights(fam, dataclasses.replace(
             plan, n=min(args.samples, 50)))
-        unit = max(unitarity_residual(fam.eval, *p) for p in pts)
+        unit = max(unitarity_defect(w, wr) for _, (w, wr) in pts)
 
     ok = bool(np.median(rels) <= args.tol)
     _emit({
@@ -181,6 +188,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    _require_samples(args)
     fam = _load_family(args)
     plan = ClassifyPlan(n_ybe=args.samples, seed=args.seed,
                         tol_solution=args.tol,

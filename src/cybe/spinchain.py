@@ -12,6 +12,7 @@ scatter.  It is still dense on output, 16 4^n bytes (268 MB at n = 12).
 
 from __future__ import annotations
 
+import gzip
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,15 +122,26 @@ def ff_relation_check(c: CouplingConstants, m, tol: float = 1e-8) -> dict:
     }
 
 
+#: matrix rows per np.savetxt call of the CSV export
+_CSV_ROWS = 256
+
+
 def export_matrix(op: ChainOperator, path: str, fmt: str = "npy") -> None:
-    """Dense dump; 'npy' binary or 'csv' with re/im column pairs."""
+    """Dense dump; 'npy' binary or 'csv' with re/im column pairs.  The CSV
+    is written in blocks of ``_CSV_ROWS`` rows, so its float re/im copy
+    stays small at any size."""
     if fmt == "npy":
         np.save(path, op.matrix)
     elif fmt == "csv":
         dim = op.matrix.shape[0]
-        cols = np.empty((dim, 2 * dim))
-        cols[:, 0::2] = op.matrix.real
-        cols[:, 1::2] = op.matrix.imag
-        np.savetxt(path, cols, delimiter=",")
+        # a .gz path is gzipped, as np.savetxt does for file names
+        opener = gzip.open if str(path).endswith(".gz") else open
+        with opener(path, "wb") as fh:
+            for start in range(0, dim, _CSV_ROWS):
+                block = op.matrix[start:start + _CSV_ROWS]
+                cols = np.empty((len(block), 2 * dim))
+                cols[:, 0::2] = block.real
+                cols[:, 1::2] = block.imag
+                np.savetxt(fh, cols, delimiter=",")
     else:
         raise ValueError(f"unknown export format {fmt!r}")

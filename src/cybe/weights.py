@@ -20,6 +20,18 @@ sextets duplicate the first two, leaving the 12 gauge equations.
 
 Tensor index convention: row-major pairing, first factor is the slower
 index, so (R (x) E)[(i,a),(j,b)] = R[i,j] * delta[a,b].
+
+Residuals of many triples at once (``ybe_residuals``) take (B, 8) weight
+arrays.  The embeddings R (x) E and E (x) R are built by scattering the
+eight weights into (B, 8, 8) zeros with constant index arrays, and the two
+sides of the identity are stacked ``np.matmul`` products in the same
+(A @ B) @ C order as the kron form ``ybe_defect``, which stays as the
+oracle; the max-abs defect is bitwise the same.  The 28 components of a
+batch are evaluated on separate real and imaginary float columns
+(``_Split``): numpy's SIMD complex-array multiply may fuse multiply-adds and
+then differs in the last bit from the scalar product, while the split form
+rounds every product and sum exactly as the scalar complex arithmetic of
+``component_residuals`` does.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ class WeightVector:
         arr = np.asarray(self.a, dtype=complex)
         if arr.shape != (8,):
             raise ValueError("weight vector needs exactly eight components")
-        if not np.all(np.isfinite(arr.view(float))):
+        if not np.isfinite(arr).all():
             raise ValueError("weight vector has non-finite components")
         object.__setattr__(self, "a", arr)
 
@@ -110,16 +122,80 @@ COMPONENT_IDS = tuple(f"eq{i:02d}" for i in range(1, 29))
 GAUGE_COMPONENT_IDS = COMPONENT_IDS[4:16]
 
 
+#: (row, col) of a1..a8 in the 4x4 matrix, as laid out by to_matrix
+_POS = ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (0, 3), (3, 0))
+
+
+def _embed_index(slot: int):
+    """Flat (row*8 + col) targets and weight indices of the 16 nonzero
+    entries of tensor_embed(R, slot)."""
+    flat, src = [], []
+    for k, (i, j) in enumerate(_POS):
+        for a in range(2):
+            r, c = (2*i + a, 2*j + a) if slot == 12 else (4*a + i, 4*a + j)
+            flat.append(8*r + c)
+            src.append(k)
+    return np.array(flat), np.array(src)
+
+
+_EMBED = {slot: _embed_index(slot) for slot in (12, 23)}
+
+
+def _embedded(A: np.ndarray, slot: int) -> np.ndarray:
+    """tensor_embed(to_matrix(w), slot) for each row w of the (B, 8) array A,
+    as a (B, 8, 8) stack."""
+    flat, src = _EMBED[slot]
+    M = np.zeros((len(A), 64), dtype=complex)
+    M[:, flat] = A[:, src]
+    return M.reshape(-1, 8, 8)
+
+
+def _defect_norms(U: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """max |ybe_defect| of each triple of rows of the (B, 8) arrays."""
+    lhs = _embedded(U, 12) @ _embedded(W, 23) @ _embedded(V, 12)
+    rhs = _embedded(V, 23) @ _embedded(W, 12) @ _embedded(U, 23)
+    return np.abs(lhs - rhs).max(axis=(1, 2))
+
+
+class _Split:
+    """A complex column held as separate real and imaginary float arrays;
+    products and sums round like scalar complex arithmetic."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    def __mul__(self, o):
+        return _Split(self.re*o.re - self.im*o.im, self.re*o.im + self.im*o.re)
+
+    def __add__(self, o):
+        return _Split(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return _Split(self.re - o.re, self.im - o.im)
+
+
+def _split(A: np.ndarray) -> list[_Split]:
+    return [_Split(c.real, c.imag) for c in A.T]
+
+
 def component_residuals(wu: WeightVector, ww: WeightVector,
                         wv: WeightVector) -> np.ndarray:
     """The 28 scalar equations; zero exactly when the matrix identity holds.
 
     Argument pattern: wu at (u,xi,eta), ww at (u+v,xi,lam), wv at (v,eta,lam).
     """
-    u1, u2, u3, u4, u5, u6, u7, u8 = wu.a
-    w1, w2, w3, w4, w5, w6, w7, w8 = ww.a
-    v1, v2, v3, v4, v5, v6, v7, v8 = wv.a
-    return np.array([
+    return np.array(_components(wu.a, ww.a, wv.a))
+
+
+def _components(u, w, v) -> list:
+    """The 28 equations in COMPONENT_IDS order on three sequences of eight
+    numbers (complex scalars or ``_Split`` columns)."""
+    u1, u2, u3, u4, u5, u6, u7, u8 = u
+    w1, w2, w3, w4, w5, w6, w7, w8 = w
+    v1, v2, v3, v4, v5, v6, v7, v8 = v
+    return [
         u7*w3*v8 - u8*w2*v7,
         u7*w8*v3 - u8*w7*v2,
         u2*w3*v2 - u3*w2*v3,
@@ -152,7 +228,7 @@ def component_residuals(wu: WeightVector, ww: WeightVector,
         u4*w3*v4 + u8*w1*v7 - v3*w4*u3 - v6*w3*u5,
         u4*w8*v6 + u8*w5*v2 - v8*w6*u3 - v4*w8*u5,
         u4*w8*v3 + u8*w5*v5 - v4*w4*u8 - v8*w3*u1,
-    ])
+    ]
 
 
 @dataclass(frozen=True)
@@ -194,15 +270,34 @@ def ybe_residual(wu: WeightVector, ww: WeightVector,
                  wv: WeightVector) -> ResidualReport:
     """Full defect report; caller supplies the (u,xi,eta)/(u+v,xi,lam)/
     (v,eta,lam) argument pattern."""
-    defect = ybe_defect(wu, ww, wv)
+    norm = _defect_norms(wu.a[None], ww.a[None], wv.a[None])[0]
     comp = np.abs(component_residuals(wu, ww, wv))
     scale = max(wu.scale(), 1e-300) * max(ww.scale(), 1e-300) * max(wv.scale(), 1e-300)
     return ResidualReport(
-        matrix_norm=float(np.abs(defect).max()),
+        matrix_norm=float(norm),
         component_norms=dict(zip(COMPONENT_IDS, comp.tolist())),
         max_component=float(comp.max()),
         scale=float(scale),
     )
+
+
+def ybe_residuals(U: np.ndarray, W: np.ndarray, V: np.ndarray):
+    """``ybe_residual`` of B triples at once, from (B, 8) weight arrays with
+    the same argument pattern as rows.
+
+    Returns (matrix_norm (B,), |components| (B, 28), scale (B,)), each entry
+    bitwise equal to the field of the scalar report.
+    """
+    parts = _components(_split(U), _split(W), _split(V))
+    # np.abs of a complex array, as in the scalar path: np.hypot on the
+    # float parts rounds differently
+    comp = np.empty((len(U), len(parts)), dtype=complex)
+    for k, c in enumerate(parts):
+        comp.real[:, k] = c.re
+        comp.imag[:, k] = c.im
+    su, sw, sv = (np.maximum(np.abs(A).max(axis=1), 1e-300)
+                  for A in (U, W, V))
+    return _defect_norms(U, W, V), np.abs(comp), su * sw * sv
 
 
 def _require_gauge(w: WeightVector, where: str) -> None:
@@ -252,8 +347,12 @@ def gauge_ybe_residual(evaluate, u, v, xi, eta, lam) -> float:
 
 def unitarity_residual(evaluate, u, xi, eta) -> float:
     """Max-abs entry of R(u,xi,eta) R(-u,eta,xi) - (1 - a5 a6) E."""
-    w = evaluate(u, xi, eta)
-    wr = evaluate(-u, eta, xi)
+    return unitarity_defect(evaluate(u, xi, eta), evaluate(-u, eta, xi))
+
+
+def unitarity_defect(w: WeightVector, wr: WeightVector) -> float:
+    """``unitarity_residual`` from the weights w at (u,xi,eta) and wr at
+    (-u,eta,xi)."""
     _require_gauge(w, "unitarity_residual")
     _require_gauge(wr, "unitarity_residual")
     prod = to_matrix(w) @ to_matrix(wr) - (1 - w.a5 * w.a6) * _E4

@@ -261,3 +261,14 @@ def test_sampling_exhausted_is_named():
     for draw in (draw_triples, draw_points):
         with pytest.raises(SamplingExhausted):
             draw(fam, SamplePlan(n=3, max_weight=0.5))
+
+
+@pytest.mark.parametrize("sub", ["verify", "classify"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_exit_2(sub, samples, capsys):
+    doc = json.dumps(spec_to_json(ff_elliptic_spec()))
+    code, out, err = run_cli([sub, "--spec", doc, "--samples", samples],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --samples must be at least 1, got {samples}\n"

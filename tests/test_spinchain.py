@@ -1,5 +1,6 @@
 """Coupling-constant algebra and the dense chain Hamiltonian."""
 
+import gzip
 import itertools
 import json
 import subprocess
@@ -184,6 +185,29 @@ def test_ff_relation_check_trig_family():
     assert rep["jz_zero"]
     assert not rep["jx_plus_jy_equals_h"]
     assert rep["residuals"]["jx_plus_jy_minus_h"] > 0
+
+
+@pytest.mark.parametrize("rows", [None, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_csv_export_matches_full_copy(tmp_path, monkeypatch, n, periodic,
+                                      rows):
+    """Row-block CSV bytes equal one np.savetxt of the whole re/im copy."""
+    import cybe.spinchain
+    if rows is not None:
+        monkeypatch.setattr(cybe.spinchain, "_CSV_ROWS", rows)
+    op = build_chain(CouplingConstants(1, 0.5 - 0.2j, 0.25, 0.1j), n, periodic)
+    dim = len(op.matrix)
+    cols = np.empty((dim, 2 * dim))
+    cols[:, 0::2] = op.matrix.real
+    cols[:, 1::2] = op.matrix.imag
+    want, got = tmp_path / "full.csv", tmp_path / "blocks.csv"
+    np.savetxt(want, cols, delimiter=",")
+    export_matrix(op, str(got), "csv")
+    assert got.read_bytes() == want.read_bytes()
+    export_matrix(op, str(tmp_path / "blocks.csv.gz"), "csv")
+    with gzip.open(tmp_path / "blocks.csv.gz") as fh:
+        assert fh.read() == want.read_bytes()
 
 
 def test_export(tmp_path):

@@ -1,19 +1,25 @@
 """Matrix layout, tensor embedding, residual reports, and the gauge-level
 condition evaluators."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cybe import (COMPONENT_IDS, GAUGE_COMPONENT_IDS, NotGauge, WeightVector,
-                  baxter_curve_residual, free_fermion_residual,
+from cybe import (COMPONENT_IDS, GAUGE_COMPONENT_IDS, NotGauge,
+                  Pipeline, PoleProximity, SamplePlan, WeightFamily,
+                  WeightVector, apply, baxter_curve_residual,
+                  component_residuals, draw_triples, free_fermion_residual,
                   gauge_ybe_residual, make_family, matrix_weights,
-                  tensor_embed, to_matrix, unitarity_residual, ybe_residual)
+                  residual_sweep, tensor_embed, to_matrix, unitarity_residual,
+                  ybe_defect, ybe_residual, ybe_residuals)
+from cybe.sampling import _BLOCK, _triple_points
 from cybe.weights import gauge_equation_residuals
 
-from conftest import (baxter_elliptic_spec, baxter_trig_spec,
-                      ff_elliptic_spec, ff_hyperbolic_spec)
+from conftest import (CANONICAL_SPECS, baxter_elliptic_spec,
+                      baxter_trig_spec, ff_elliptic_spec, ff_hyperbolic_spec)
 
 IDENTITY = WeightVector.of(1, 1, 1, 1, 0, 0, 0, 0)
 
@@ -47,6 +53,17 @@ def test_matrix_round_trip(rng):
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         WeightVector.of(np.nan, 1, 1, 1, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.nan),
+                                 complex(np.inf, 0), complex(0, np.inf),
+                                 complex(-np.inf, 1), complex(1, -np.inf)])
+@pytest.mark.parametrize("pos", [0, 4, 7])
+def test_nonfinite_rejected_in_either_part(bad, pos):
+    a = np.ones(8, dtype=complex)
+    a[pos] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        WeightVector(a)
 
 
 def test_tensor_embed_identity():
@@ -225,3 +242,127 @@ def test_residual_report_consistency_property(seed):
     rep = ybe_residual(wu, ww, wv)
     assert rep.consistency < 1e-12 * max(1.0, rep.scale)
     assert rep.max_component <= rep.matrix_norm + 1e-12 * max(1.0, rep.scale)
+
+
+# ---- the batched residual path against the scalar oracles ----
+
+SCALE_REGAUGE = Pipeline.from_json([
+    {"kind": "scale", "g": {"preset": "exp_affine", "params": [0.5, 0.1, -0.2]}},
+    {"kind": "regauge", "N": {"preset": "exp", "params": [0.7, 0.1]},
+     "s": [1.3, 0]}])
+
+
+def perturbed(fam, idx, delta):
+    """The additive one-weight perturbation of ``cybe verify --perturb``."""
+    def ev(u, xi, eta):
+        a = fam.evaluate(u, xi, eta).a.copy()
+        a[idx] += delta
+        return WeightVector(a)
+    return WeightFamily(spec=None, evaluate=ev, label="perturbed", gauge=False)
+
+
+def oracle_families():
+    fams = {f.value: make_family(spec()) for f, spec in CANONICAL_SPECS.items()}
+    fams["scale_regauge"] = apply(SCALE_REGAUGE, fams["ff_tanh"])
+    fams["perturbed"] = perturbed(fams["ff_elliptic"], 6, 0.1)
+    return fams
+
+
+def triple_weights(fam, n, seed):
+    """(n, 8) weight arrays at the three points of n sampled triples."""
+    pts = [_triple_points(*t) for t in draw_triples(fam, SamplePlan(n=n, seed=seed))]
+    return [np.array([fam.eval(*p[k]).a for p in pts]) for k in range(3)]
+
+
+def assert_matches_oracle(U, W, V):
+    """Every entry of the batch result is bitwise the scalar one: the kron
+    ``ybe_defect``, ``component_residuals`` and the ``ybe_residual`` scale."""
+    norm, comp, scale = ybe_residuals(U, W, V)
+    assert norm.shape == scale.shape == (len(U),)
+    assert comp.shape == (len(U), len(COMPONENT_IDS))
+    rows = [tuple(WeightVector(A[b]) for A in (U, W, V)) for b in range(len(U))]
+    assert np.array_equal(norm, [np.abs(ybe_defect(*r)).max() for r in rows])
+    assert np.array_equal(comp, [np.abs(component_residuals(*r)) for r in rows])
+    reps = [ybe_residual(*r) for r in rows]
+    assert np.array_equal(scale, [rep.scale for rep in reps])
+    assert np.array_equal(norm, [rep.matrix_norm for rep in reps])
+
+
+@pytest.mark.parametrize("name", list(oracle_families()))
+def test_batch_residuals_match_oracle_per_family(name):
+    fam = oracle_families()[name]
+    assert_matches_oracle(*triple_weights(fam, 40, seed=len(name)))
+
+
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2000])
+def test_batch_residuals_match_oracle_per_size(size):
+    parts = [triple_weights(fam, size // 10 + 1, seed=i)
+             for i, fam in enumerate(oracle_families().values())]
+    U, W, V = (np.concatenate([p[k] for p in parts])[:size] for k in range(3))
+    assert len(U) == size
+    assert_matches_oracle(U, W, V)
+
+
+_weight = st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                             allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda b: st.lists(_weight, min_size=24 * b, max_size=24 * b)))
+def test_batch_residuals_match_oracle_property(values):
+    """Batch equals scalar on arbitrary complex weights with |a| <= 1e6.
+
+    Products of three such weights stay far below the float range.
+    Overflow behaviour is out of scope: where products overflow, inf - inf
+    gives NaN and numpy warns with a different text for scalars and arrays,
+    so equality is not claimed there.
+    """
+    A = np.array(values, dtype=complex).reshape(-1, 3, 8)
+    assert_matches_oracle(A[:, 0], A[:, 1], A[:, 2])
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300])
+def test_residual_sweep_blocks_match_scalar_reports(n):
+    fam = make_family(ff_elliptic_spec())
+    plan = SamplePlan(n=n, seed=n)
+    blocks = list(residual_sweep(fam, plan))
+    assert [len(U) for U, _, _ in blocks] == \
+        [min(_BLOCK, n - i) for i in range(0, n, _BLOCK)]
+    U = np.concatenate([b[0] for b in blocks])
+    rel = np.concatenate([b[1] for b in blocks])
+    comp = np.concatenate([b[2] for b in blocks])
+    pts = [_triple_points(*t) for t in draw_triples(fam, plan)]
+    reps = [ybe_residual(*(fam.eval(*p) for p in tp)) for tp in pts]
+    assert np.array_equal(U, [fam.eval(*tp[0]).a for tp in pts])
+    assert np.array_equal(rel, [rep.relative for rep in reps])
+    assert np.array_equal(comp, [list(rep.component_norms.values())
+                                 for rep in reps])
+
+
+def test_residual_sweep_evaluates_each_point_once():
+    """3 evaluations per accepted triple plus those of rejected attempts:
+    the sweep evaluates exactly what the rejection loop does."""
+    base = make_family(ff_elliptic_spec())
+    calls = []
+
+    def ev(u, xi, eta):
+        calls.append((u, xi, eta))
+        if u > 0.25:
+            raise PoleProximity("planted pole")
+        return base.evaluate(u, xi, eta)
+
+    fam = WeightFamily(spec=None, evaluate=ev, label="counting")
+    plan = SamplePlan(n=_BLOCK + 5, seed=3)
+    triples = draw_triples(fam, plan)
+    sampler_calls = list(calls)
+    calls.clear()
+    assert sum(len(U) for U, _, _ in residual_sweep(fam, plan)) == plan.n
+    assert calls == sampler_calls
+    accepted = {p for t in triples for p in _triple_points(*t)}
+    counts = Counter(calls)
+    assert len(accepted) == 3 * plan.n
+    assert all(counts[p] == 1 for p in accepted)
+    rejected = [p for p in calls if p not in accepted]
+    assert len(calls) == 3 * plan.n + len(rejected)
+    assert any(p[0] > 0.25 for p in rejected)
