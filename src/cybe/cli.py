@@ -7,7 +7,7 @@ variable of earlier versions is no longer read.
 
 Exit codes: 0 success (verify: median within tolerance; classify: a
 solution verdict), 1 verification failure or non-solution verdict,
-2 invalid spec / size limit, 3 pole at a requested point,
+2 invalid spec / size limit, 3 pole or overflow at a requested point,
 4 NOT_EIGHT_VERTEX, 5 INDETERMINATE, 6 pole-free sampling exhausted
 (widen the spans or relax --max-weight).
 """
@@ -27,8 +27,8 @@ from .errors import (CybeError, InvalidSpec, PoleProximity,
 from .families import (WeightFamily, make_family, spec_from_json,
                        validate_spec)
 from .sampling import SamplePlan, point_weights, residual_sweep
-from .transforms import Pipeline, apply, transform_diagnostics
-from .weights import COMPONENT_IDS, WeightVector, unitarity_defect
+from .transforms import Pipeline, apply, transform_diagnostics, wrap
+from .weights import COMPONENT_IDS, unitarity_defect
 
 _EXIT_VERDICT = {
     Verdict.BAXTER: 0, Verdict.FREE_FERMION: 0,
@@ -78,16 +78,13 @@ def _perturbed(fam: WeightFamily, field: str, delta: complex) -> WeightFamily:
     if field not in _FIELD_INDEX:
         raise InvalidSpec(f"cannot perturb unknown field {field!r}")
     idx = _FIELD_INDEX[field]
-    base = fam.evaluate
 
-    def ev(u, xi, eta):
-        a = base(u, xi, eta).a.copy()
-        a[idx] += delta
-        return WeightVector(a)
+    def step(o, base, u, xi, eta):
+        a = base().copy()
+        a[..., idx] += delta
+        return a
 
-    return WeightFamily(spec=None, evaluate=ev,
-                        label=f"perturb_{field}({fam.label})",
-                        gauge=False)
+    return wrap(fam, step, f"perturb_{field}({fam.label})", gauge=False)
 
 
 def _write(text: str, args) -> None:

@@ -28,6 +28,14 @@ the radicand; radicands that vanish identically on the color diagonal are
 clamped to exactly zero inside a roundoff window so gauge families meet the
 identity initial value bit-exactly at u = 0, eta = xi.  The chosen branch
 combination is validated by the residual suite, not asserted a priori.
+
+Evaluation: each family is one closed form ``form(o, u, xi, eta)`` over an
+operation table of ``numkernel``.  ``WeightFamily.eval`` runs it on Python
+complex numbers (``SCALAR``) and raises at a pole; ``WeightFamily.eval_array``
+runs it on split real/imaginary columns of n points (``Batch``) and returns
+the (n, 8) weights with the mask of the points at which ``eval`` succeeds,
+bitwise equal where it does.  An evaluation that overflows or gives a
+non-finite weight counts as a pole.
 """
 
 from __future__ import annotations
@@ -39,8 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchAmbiguityWarning, InvalidSpec, PoleProximity
-from .numkernel import elliptic_exp, jacobi_sncndn
+from .errors import (BranchAmbiguityWarning, CybeError, InvalidSpec,
+                     PoleProximity)
+from .numkernel import SCALAR, Batch, elliptic_exp, jacobi_sncndn
 from .profiles import ColorProfile, SpectralProfile, _check_keys, _cjson, _cval
 from .weights import WeightVector
 
@@ -117,15 +126,41 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class WeightFamily:
-    """A family spec together with its evaluator (u, xi, eta) -> weights."""
+    """A family spec together with its evaluators: ``evaluate(u, xi, eta)``
+    returns a WeightVector, and ``batch(o, u, xi, eta)``, when present,
+    returns the (n, 8) weight array of n points for a ``numkernel.Batch``
+    ``o``, marking in ``o.bad`` the points at which ``evaluate`` raises."""
 
     spec: FamilySpec | None
     evaluate: object  # callable (u, xi, eta) -> WeightVector
     label: str = ""
     gauge: bool = True
+    batch: object = None  # callable (Batch, u, xi, eta) -> (n, 8) array
 
     def eval(self, u, xi, eta) -> WeightVector:
-        return self.evaluate(u, xi, eta)
+        """The weights at (u, xi, eta).  An evaluation that overflows or
+        gives a non-finite weight raises PoleProximity, as a pole does."""
+        try:
+            return self.evaluate(u, xi, eta)
+        except CybeError:
+            raise
+        except (ArithmeticError, ValueError) as exc:
+            raise PoleProximity(f"weights overflow at (u, xi, eta) = "
+                                f"({u}, {xi}, {eta}): {exc}") from None
+
+    def eval_array(self, u, xi, eta):
+        """The weights at n points (arrays of u, xi and eta) as an (n, 8)
+        array, and the mask of the points at which ``eval`` succeeds; the
+        weights of the other points are undefined.  Needs ``batch``."""
+        o = Batch(len(u))
+        with np.errstate(all="ignore"):
+            try:
+                W = self.batch(o, o.lift(u), o.lift(xi), o.lift(eta))
+            except (CybeError, ArithmeticError):
+                # raised by the parameters, so at every point alike
+                return (np.full((o.n, 8), np.nan, dtype=complex),
+                        np.zeros(o.n, dtype=bool))
+        return W, ~o.bad
 
     def analytic_coeffs(self, xi):
         """Spectral-derivative coefficients m1..m8 at color xi, or None."""
@@ -134,30 +169,32 @@ class WeightFamily:
         return _analytic_coeffs(self.spec, complex(xi))
 
 
-def _sign_unit(t: complex, scale: float) -> complex:
+def _sign_unit(o, t, scale):
     """t/sqrt(t^2): +-1 tracking the half-plane of t; +1 on the roundoff rim."""
-    if abs(t) <= _CLAMP * scale:
-        return 1.0 + 0j
-    return t / cmath.sqrt(t * t)
+    return o.where(o.abs(t) <= _CLAMP * scale, 1.0 + 0j,
+                   lambda: t / o.sqrt(t * t))
 
 
-def _root(w: complex, scale: float) -> complex:
+def _root(o, w, scale):
     """Principal sqrt with the identically-vanishing radicand clamped to 0."""
-    if abs(w) <= _CLAMP * scale:
-        return 0j
-    return cmath.sqrt(w)
+    return o.where(o.abs(w) <= _CLAMP * scale, 0j, lambda: o.sqrt(w))
 
 
-def _ff_coefficients(Gx, Gy, Hx, Hy, delta):
+def _ff_coefficients(o, Gx, Gy, Hx, Hy, delta):
     """The four color coefficients of the elliptic/tanh free-fermion forms."""
     GG, HH = Gx * Gy, Hx * Hy
-    scale = 1.0 + abs(GG) + abs(HH)
-    A = _root((1 + GG - HH) / 2, scale)
-    B = _root((-1 + GG + HH) / 2, scale) * _sign_unit(Hx * Gy + Gx * Hy, scale)
-    C = delta * _root((1 + GG + HH) / 2, scale)
-    D = delta * _root((-1 + GG - HH) / 2, scale) * _sign_unit(Hx * Gy - Gx * Hy, scale)
+    scale = 1.0 + o.abs(GG) + o.abs(HH)
+    A = _root(o, (1 + GG - HH) / 2, scale)
+    B = _root(o, (-1 + GG + HH) / 2, scale) * _sign_unit(o, Hx * Gy + Gx * Hy,
+                                                         scale)
+    C = delta * _root(o, (1 + GG + HH) / 2, scale)
+    D = delta * _root(o, (-1 + GG - HH) / 2, scale) * _sign_unit(
+        o, Hx * Gy - Gx * Hy, scale)
     return A, B, C, D
 
+
+# Each builder checks the spec and returns the closed form
+# (o, u, xi, eta) -> the eight weights, over the operations o of numkernel.
 
 def _baxter_elliptic(spec: FamilySpec):
     if spec.lam == 0 or spec.mu == 0:
@@ -167,15 +204,15 @@ def _baxter_elliptic(spec: FamilySpec):
         raise InvalidSpec("sn(mu) vanishes; shift mu divides the closed form")
     k, lam, F, s5, s7 = spec.k, spec.lam, spec.F, spec.s5, spec.s7
 
-    def ev(u, xi, eta):
-        w = lam * complex(u) + F(xi) - F(eta)
-        snw = jacobi_sncndn(w, k)[0]
-        snwm = jacobi_sncndn(w + spec.mu, k)[0]
+    def form(o, u, xi, eta):
+        w = lam * u + F(xi, o) - F(eta, o)
+        snw = o.sncndn(w, k)[0]
+        snwm = o.sncndn(w + spec.mu, k)[0]
         a1 = snwm / snmu
         a5 = s5 * snw / snmu
         a7 = s7 * k * snw * snwm
-        return WeightVector.of(a1, 1, 1, a1, a5, a5, a7, a7)
-    return ev
+        return a1, 1, 1, a1, a5, a5, a7, a7
+    return form
 
 
 def _baxter_trig(spec: FamilySpec):
@@ -186,17 +223,17 @@ def _baxter_trig(spec: FamilySpec):
         raise InvalidSpec("tan(mu) vanishes; shift mu divides the closed form")
     lam, F, s5, s7 = spec.lam, spec.F, spec.s5, spec.s7
 
-    def ev(u, xi, eta):
-        w = lam * complex(u) + F(xi) - F(eta)
-        cw, cwm = cmath.cos(w), cmath.cos(w + spec.mu)
-        if min(abs(cw), abs(cwm)) < _DENOM_TOL:
-            raise PoleProximity(f"tan pole near w = {w}")
-        tw, twm = cmath.tan(w), cmath.tan(w + spec.mu)
+    def form(o, u, xi, eta):
+        w = lam * u + F(xi, o) - F(eta, o)
+        cw, cwm = o.cos(w), o.cos(w + spec.mu)
+        o.check((o.abs(cw) < _DENOM_TOL) | (o.abs(cwm) < _DENOM_TOL),
+                PoleProximity, lambda: f"tan pole near w = {w}")
+        tw, twm = o.tan(w), o.tan(w + spec.mu)
         a1 = twm / tanmu
         a5 = s5 * tw / tanmu
         a7 = s7 * tw * twm
-        return WeightVector.of(a1, 1, 1, a1, a5, a5, a7, a7)
-    return ev
+        return a1, 1, 1, a1, a5, a5, a7, a7
+    return form
 
 
 def _ff_elliptic(spec: FamilySpec):
@@ -205,20 +242,21 @@ def _ff_elliptic(spec: FamilySpec):
     k = spec.k if spec.family is FamilyId.FF_ELLIPTIC else 1.0
     lam, F, G, H, delta, s7 = spec.lam, spec.F, spec.G, spec.H, spec.delta, spec.s7
 
-    def ev(u, xi, eta):
-        w = lam * complex(u) + F(xi) - F(eta)
-        snw, cnw, dnw = jacobi_sncndn(w, k)
-        if abs(dnw) < _DENOM_TOL:
-            raise PoleProximity(f"dn vanishes near w = {w}")
+    def form(o, u, xi, eta):
+        w = lam * u + F(xi, o) - F(eta, o)
+        snw, cnw, dnw = o.sncndn(w, k)
+        o.check(o.abs(dnw) < _DENOM_TOL, PoleProximity,
+                lambda: f"dn vanishes near w = {w}")
         cdw = cnw / dnw
-        A, B, C, D = _ff_coefficients(G(xi), G(eta), H(xi), H(eta), delta)
+        A, B, C, D = _ff_coefficients(o, G(xi, o), G(eta, o), H(xi, o),
+                                      H(eta, o), delta)
         a1 = A * cdw + B * snw
         a4 = A * cdw - B * snw
         a5 = C * snw + D * cdw
         a6 = C * snw - D * cdw
         a7 = s7 * k * snw * cdw
-        return WeightVector.of(a1, 1, 1, a4, a5, a6, a7, a7)
-    return ev
+        return a1, 1, 1, a4, a5, a6, a7, a7
+    return form
 
 
 def _ff_trig(spec: FamilySpec):
@@ -226,14 +264,14 @@ def _ff_trig(spec: FamilySpec):
         raise InvalidSpec("rate lam must be nonzero")
     lam, F, G, s5, s7 = spec.lam, spec.F, spec.G, spec.s5, spec.s7
 
-    def ev(u, xi, eta):
-        w = lam * complex(u) + F(xi) - F(eta)
-        cw = cmath.cos(w)
-        if abs(cw) < _DENOM_TOL:
-            raise PoleProximity(f"cos vanishes near w = {w}")
-        sw, tw = cmath.sin(w), cmath.tan(w)
-        Gx, Gy = G(xi), G(eta)
-        X = 1 / (2 * cmath.sqrt(Gx * Gy))
+    def form(o, u, xi, eta):
+        w = lam * u + F(xi, o) - F(eta, o)
+        cw = o.cos(w)
+        o.check(o.abs(cw) < _DENOM_TOL, PoleProximity,
+                lambda: f"cos vanishes near w = {w}")
+        sw, tw = o.sin(w), o.tan(w)
+        Gx, Gy = G(xi, o), G(eta, o)
+        X = 1 / (2 * o.sqrt(Gx * Gy))
         Y = s5 * X
         twoGG = 2 * Gx * Gy
         a1 = X * ((Gx + Gy) / cw + twoGG * sw)
@@ -241,8 +279,8 @@ def _ff_trig(spec: FamilySpec):
         a5 = Y * ((Gx - Gy) / cw + twoGG * sw)
         a6 = Y * (-(Gx - Gy) / cw + twoGG * sw)
         a7 = s7 * tw
-        return WeightVector.of(a1, 1, 1, a4, a5, a6, a7, a7)
-    return ev
+        return a1, 1, 1, a4, a5, a6, a7, a7
+    return form
 
 
 def _ff_hyperbolic(spec: FamilySpec):
@@ -250,42 +288,41 @@ def _ff_hyperbolic(spec: FamilySpec):
         raise InvalidSpec("rates lam and mu must not both vanish")
     lam, mu, F, G, s5, s7 = spec.lam, spec.mu, spec.F, spec.G, spec.s5, spec.s7
 
-    def ev(u, xi, eta):
-        u = complex(u)
-        wf = lam * u + F(xi) - F(eta)
-        wg = mu * u + G(xi) - G(eta)
-        cg = cmath.cos(wg)
-        if abs(cg) < _DENOM_TOL:
-            raise PoleProximity(f"cos vanishes near w = {wg}")
-        a1 = cmath.cosh(wf) / cg
-        a5 = s5 * cmath.sinh(wf) / cg
-        a7 = s7 * cmath.tan(wg)
-        return WeightVector.of(a1, 1, 1, a1, a5, -a5, a7, a7)
-    return ev
+    def form(o, u, xi, eta):
+        wf = lam * u + F(xi, o) - F(eta, o)
+        wg = mu * u + G(xi, o) - G(eta, o)
+        cg = o.cos(wg)
+        o.check(o.abs(cg) < _DENOM_TOL, PoleProximity,
+                lambda: f"cos vanishes near w = {wg}")
+        a1 = o.cosh(wf) / cg
+        a5 = s5 * o.sinh(wf) / cg
+        a7 = s7 * o.tan(wg)
+        return a1, 1, 1, a1, a5, -a5, a7, a7
+    return form
 
 
 def _trivial_a(spec: FamilySpec):
     prof = spec.spectral
 
-    def ev(u, xi, eta):
-        h = prof(u, xi, eta)
-        return WeightVector.of(h, 1, 1, h, h, h, 1, 1)
-    return ev
+    def form(o, u, xi, eta):
+        h = prof(u, xi, eta, o)
+        return h, 1, 1, h, h, h, 1, 1
+    return form
 
 
 def _trivial_b(spec: FamilySpec):
     F = spec.F
 
-    def ev(u, xi, eta):
-        fe = F(eta)
-        if abs(fe) < _DENOM_TOL:
-            raise PoleProximity("profile F vanishes at eta")
-        e = F(xi) / fe * cmath.exp(complex(u))
-        return WeightVector.of(e, 1, 1, e, e, -e, 1j, 1j)
-    return ev
+    def form(o, u, xi, eta):
+        fe = F(eta, o)
+        o.check(o.abs(fe) < _DENOM_TOL, PoleProximity,
+                lambda: "profile F vanishes at eta")
+        e = F(xi, o) / fe * o.exp(u)
+        return e, 1, 1, e, e, -e, 1j, 1j
+    return form
 
 
-#: family -> (evaluator builder, profiles the family requires)
+#: family -> (closed-form builder, profiles the family requires)
 _BUILDERS = {
     FamilyId.BAXTER_ELLIPTIC: (_baxter_elliptic, ()),
     FamilyId.BAXTER_TRIG: (_baxter_trig, ()),
@@ -299,15 +336,24 @@ _BUILDERS = {
 
 
 def make_family(spec: FamilySpec) -> WeightFamily:
-    """Build the evaluator for a spec.  Raises InvalidSpec on hard errors;
+    """Build the evaluators for a spec.  Raises InvalidSpec on hard errors;
     softer constraint violations are reported by validate_spec."""
     build, required = _BUILDERS[spec.family]
     for name in required:
         if getattr(spec, name) is None:
             raise InvalidSpec(
                 f"family {spec.family.value} requires profile {name}")
-    return WeightFamily(spec=spec, evaluate=build(spec),
-                        label=spec.family.value, gauge=spec.is_gauge)
+    form = build(spec)
+
+    def evaluate(u, xi, eta):
+        return WeightVector.of(*form(SCALAR, complex(u), complex(xi),
+                                     complex(eta)))
+
+    def batch(o, u, xi, eta):
+        return o.pack(form(o, u, xi, eta))
+
+    return WeightFamily(spec=spec, evaluate=evaluate, label=spec.family.value,
+                        gauge=spec.is_gauge, batch=batch)
 
 
 def eval_family(spec: FamilySpec, u, xi, eta) -> WeightVector:
@@ -408,8 +454,9 @@ def _analytic_coeffs(spec: FamilySpec, xi: complex):
         k = spec.k if fam is FamilyId.FF_ELLIPTIC else 1.0
         Gx, Hx = spec.G(xi), spec.H(xi)
         scale = 1.0 + abs(Gx) ** 2 + abs(Hx) ** 2
-        m1 = spec.lam * _root(Hx * Hx, scale) * _sign_unit(Hx * Gx, scale)
-        m5 = spec.lam * spec.delta * _root(Gx * Gx, scale)
+        m1 = (spec.lam * _root(SCALAR, Hx * Hx, scale)
+              * _sign_unit(SCALAR, Hx * Gx, scale))
+        m5 = spec.lam * spec.delta * _root(SCALAR, Gx * Gx, scale)
         m[0], m[3] = m1, -m1
         m[4] = m[5] = m5
         m[6] = m[7] = spec.s7 * k * spec.lam

@@ -5,51 +5,54 @@ functions of the closed forms and of the regauge/recolor transforms) and
 spectral profiles g(u, xi, eta) (the arbitrary scaling functions and the
 free weight of the first trivial solution).  Only a closed preset algebra
 is supported; arbitrary user scripting is out of scope.
+
+Each preset is written once over an operation table ``o`` (see
+``numkernel``): a profile called with its arguments alone evaluates on
+Python complex numbers, and called with a ``numkernel.Batch`` as the last
+argument it evaluates whole ``Split`` columns with the same roundings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import ClassVar
-import cmath
 
 from .errors import InvalidSpec
-from .numkernel import jacobi_sncndn
+from .numkernel import SCALAR
 
 
-def _cn_over_sn(p, x):
-    sn, cn, _ = jacobi_sncndn(x, p[0])
+def _cn_over_sn(o, p, x):
+    sn, cn, _ = o.sncndn(x, p[0])
     return cn / sn
 
 
-#: preset -> (parameter count, function of (params, x))
+#: preset -> (parameter count, function of (ops, params, x))
 _COLOR_PRESETS = {
-    "constant": (1, lambda p, x: p[0]),
-    "linear": (1, lambda p, x: p[0] * x),
-    "affine": (2, lambda p, x: p[0] * x + p[1]),
-    "cosh": (2, lambda p, x: cmath.cosh(p[0] * x + p[1])),
-    "sinh": (2, lambda p, x: cmath.sinh(p[0] * x + p[1])),
-    "exp": (2, lambda p, x: cmath.exp(p[0] * x + p[1])),
-    "recip_sn": (1, lambda p, x: 1.0 / jacobi_sncndn(x, p[0])[0]),
+    "constant": (1, lambda o, p, x: p[0]),
+    "linear": (1, lambda o, p, x: p[0] * x),
+    "affine": (2, lambda o, p, x: p[0] * x + p[1]),
+    "cosh": (2, lambda o, p, x: o.cosh(p[0] * x + p[1])),
+    "sinh": (2, lambda o, p, x: o.sinh(p[0] * x + p[1])),
+    "exp": (2, lambda o, p, x: o.exp(p[0] * x + p[1])),
+    "recip_sn": (1, lambda o, p, x: 1.0 / o.sncndn(x, p[0])[0]),
     "cn_over_sn": (1, _cn_over_sn),
 }
 
-#: preset -> (parameter count, function of (params, u, xi, eta))
+#: preset -> (parameter count, function of (ops, params, u, xi, eta))
 _SPECTRAL_PRESETS = {
-    "const": (1, lambda p, u, xi, eta: p[0]),
-    "exp_affine": (3, lambda p, u, xi, eta:
-                   cmath.exp(p[0] * u + p[1] * xi + p[2] * eta)),
-    "one_plus_bilinear": (1, lambda p, u, xi, eta: 1.0 + p[0] * xi * eta),
-    "sin_bilinear": (2, lambda p, u, xi, eta: cmath.sin(p[0] * u
-                                                        + p[1] * xi * eta)),
+    "const": (1, lambda o, p, u, xi, eta: p[0]),
+    "exp_affine": (3, lambda o, p, u, xi, eta:
+                   o.exp(p[0] * u + p[1] * xi + p[2] * eta)),
+    "one_plus_bilinear": (1, lambda o, p, u, xi, eta: 1.0 + p[0] * xi * eta),
+    "sin_bilinear": (2, lambda o, p, u, xi, eta: o.sin(p[0] * u
+                                                       + p[1] * xi * eta)),
 }
 
 
-def _product(factors, *args):
+def _product(o, factors, *args):
     out = 1.0 + 0j
     for f in factors:
-        out *= f(*args)
+        out *= f(*args, o)
     return out
 
 
@@ -74,7 +77,7 @@ class _Profile:
         if self.preset == "product":
             if not self.factors:
                 raise InvalidSpec("product profile needs at least one factor")
-            fn = partial(_product, self.factors)
+            fn = _product
         elif self.preset not in self._PRESETS:
             raise InvalidSpec(
                 f"unknown {self._KIND} profile preset {self.preset!r}")
@@ -84,8 +87,11 @@ class _Profile:
                 raise InvalidSpec(
                     f"preset {self.preset!r} takes {count} "
                     f"parameter(s), got {len(self.params)}")
-            fn = partial(preset_fn, self.params)
+            fn = preset_fn
         object.__setattr__(self, "_fn", fn)
+        # what the function takes after the operations: params or factors
+        object.__setattr__(self, "_args",
+                           self.factors if fn is _product else self.params)
 
     def __reduce__(self):
         return type(self), (self.preset, self.params, self.factors)
@@ -110,8 +116,8 @@ class ColorProfile(_Profile):
     _KIND = "color"
     _PRESETS = _COLOR_PRESETS
 
-    def __call__(self, x: complex) -> complex:
-        return self._fn(complex(x))
+    def __call__(self, x: complex, o=SCALAR) -> complex:
+        return self._fn(o, self._args, o.lift(x))
 
 
 class SpectralProfile(_Profile):
@@ -120,8 +126,9 @@ class SpectralProfile(_Profile):
     _KIND = "spectral"
     _PRESETS = _SPECTRAL_PRESETS
 
-    def __call__(self, u: complex, xi: complex, eta: complex) -> complex:
-        return self._fn(complex(u), complex(xi), complex(eta))
+    def __call__(self, u: complex, xi: complex, eta: complex,
+                 o=SCALAR) -> complex:
+        return self._fn(o, self._args, o.lift(u), o.lift(xi), o.lift(eta))
 
 
 def _cjson(z: complex) -> list[float]:

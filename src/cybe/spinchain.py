@@ -122,14 +122,24 @@ def ff_relation_check(c: CouplingConstants, m, tol: float = 1e-8) -> dict:
     }
 
 
-#: matrix rows per np.savetxt call of the CSV export
+#: matrix rows per formatted block of the CSV export
 _CSV_ROWS = 256
 
 
+def _csv_rows(cols: np.ndarray) -> bytes:
+    """The bytes ``np.savetxt(fh, cols, delimiter=",")`` writes: each row
+    as '%.18e' fields.  A chain matrix holds few distinct values, so each
+    distinct bit pattern is formatted once and the rows are joined."""
+    keys, inverse = np.unique(cols.view(np.int64).ravel(), return_inverse=True)
+    text = np.array(["%.18e" % v for v in keys.view(np.float64).tolist()],
+                    dtype=object)[inverse].reshape(cols.shape)
+    return "".join([",".join(row) + "\n" for row in text]).encode("latin1")
+
+
 def export_matrix(op: ChainOperator, path: str, fmt: str = "npy") -> None:
-    """Dense dump; 'npy' binary or 'csv' with re/im column pairs.  The CSV
-    is written in blocks of ``_CSV_ROWS`` rows, so its float re/im copy
-    stays small at any size."""
+    """Dense dump; 'npy' binary or 'csv' with re/im column pairs, in the
+    format of ``np.savetxt``.  The CSV is written in blocks of
+    ``_CSV_ROWS`` rows, so its float re/im copy stays small at any size."""
     if fmt == "npy":
         np.save(path, op.matrix)
     elif fmt == "csv":
@@ -142,6 +152,6 @@ def export_matrix(op: ChainOperator, path: str, fmt: str = "npy") -> None:
                 cols = np.empty((len(block), 2 * dim))
                 cols[:, 0::2] = block.real
                 cols[:, 1::2] = block.imag
-                np.savetxt(fh, cols, delimiter=",")
+                fh.write(_csv_rows(cols))
     else:
         raise ValueError(f"unknown export format {fmt!r}")

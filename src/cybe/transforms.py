@@ -13,8 +13,10 @@ negate_56         flip the signs of a5 and a6
 rescale_spectral  evaluate at mu*u
 recolor           evaluate at (f(xi), f(eta))
 
-Transformations act lazily by wrapping the evaluator; payload profiles make
-materializing closed forms impossible in general.
+Transformations act lazily by wrapping the evaluators; payload profiles make
+materializing closed forms impossible in general.  Each wrapper is written
+once over the operation tables of ``numkernel`` and keeps an array
+evaluator when the wrapped family has one.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from .errors import (InvalidSpec, MultiplicativityViolation, NotEightVertex,
                      ZeroDivisor)
 from .families import WeightFamily
+from .numkernel import SCALAR
 from .profiles import ColorProfile, SpectralProfile, _check_keys, _cjson, _cval
 from .weights import WeightVector
 
@@ -126,59 +129,94 @@ def compose(ts) -> Pipeline:
     return Pipeline(tuple(steps))
 
 
-def _nonzero(v: complex, what: str) -> complex:
-    if abs(v) < _ZERO_TOL:
-        raise ZeroDivisor(f"{what} vanishes at a requested point")
+def _nonzero(o, v, what: str):
+    o.check(o.abs(v) < _ZERO_TOL, ZeroDivisor,
+            lambda: f"{what} vanishes at a requested point")
     return v
 
 
+def wrap(fam: WeightFamily, step, label: str, gauge: bool) -> WeightFamily:
+    """The family whose weights at (u, xi, eta) are ``step(o, base, u, xi,
+    eta)``, where ``base()`` gives the weights of ``fam`` at that point as
+    an (8,) array (``o`` = SCALAR) or an (n, 8) array (``o`` a Batch).  The
+    array evaluator exists when ``fam`` has one."""
+    base, base_batch = fam.evaluate, fam.batch
+
+    def ev(u, xi, eta):
+        return WeightVector(step(SCALAR, lambda: base(u, xi, eta).a,
+                                 u, xi, eta))
+
+    def batch(o, u, xi, eta):
+        return o.rows(step(o, lambda: base_batch(o, u, xi, eta), u, xi, eta))
+
+    # the evaluator belongs to the module that defines the step (the cli's
+    # --perturb, or a transform), as per-layer tracing counts it
+    ev.__module__ = step.__module__
+    return WeightFamily(spec=None, evaluate=ev, label=label, gauge=gauge,
+                        batch=None if base_batch is None else batch)
+
+
+def _moved(fam: WeightFamily, args, label: str) -> WeightFamily:
+    """The family evaluated at ``args(o, u, xi, eta)``."""
+    base, base_batch = fam.evaluate, fam.batch
+
+    def ev(u, xi, eta):
+        return base(*args(SCALAR, u, xi, eta))
+
+    def batch(o, u, xi, eta):
+        return base_batch(o, *args(o, u, xi, eta))
+
+    return WeightFamily(spec=None, evaluate=ev, label=label, gauge=fam.gauge,
+                        batch=None if base_batch is None else batch)
+
+
+def _step(t: TransformSpec):
+    """The weight map of a swap, scale, regauge or negate_56 transform."""
+    kind = t.kind
+    if kind in _SWAPS:
+        perm = _SWAPS[kind]
+
+        def step(o, base, u, xi, eta):
+            return base()[..., perm]
+    elif kind == "scale":
+        def step(o, base, u, xi, eta):
+            g = _nonzero(o, t.g(u, xi, eta, o), "scale profile g")
+            return base() * o.column(g)
+    elif kind == "regauge":
+        def step(o, base, u, xi, eta):
+            a = o.columns(base())
+            nx = _nonzero(o, t.N(xi, o), "regauge profile N")
+            ny = _nonzero(o, t.N(eta, o), "regauge profile N")
+            a[1] = a[1] * (nx / ny)
+            a[2] = a[2] * (ny / nx)
+            a[6] = a[6] * (t.s * nx * ny)
+            a[7] = o.npdiv(a[7], t.s * nx * ny)
+            return o.pack(a)
+    else:  # negate_56
+        def step(o, base, u, xi, eta):
+            a = base().copy()
+            a[..., 4:6] = -a[..., 4:6]
+            return a
+    return step
+
+
 def apply(t, fam: WeightFamily) -> WeightFamily:
-    """Apply a TransformSpec or Pipeline to a family, wrapping its evaluator."""
+    """Apply a TransformSpec or Pipeline to a family, wrapping its
+    evaluators."""
     if isinstance(t, Pipeline):
         out = fam
         for step in t.steps:
             out = apply(step, out)
         return out
 
-    base = fam.evaluate
-    kind = t.kind
-    gauge = fam.gauge
-
-    if kind in _SWAPS:
-        perm = _SWAPS[kind]
-        def ev(u, xi, eta):
-            return WeightVector(base(u, xi, eta).a[perm])
-    elif kind == "scale":
-        gauge = False
-        def ev(u, xi, eta):
-            g = _nonzero(t.g(u, xi, eta), "scale profile g")
-            return WeightVector(base(u, xi, eta).a * g)
-    elif kind == "regauge":
-        gauge = False
-        def ev(u, xi, eta):
-            a = base(u, xi, eta).a.copy()
-            nx = _nonzero(t.N(xi), "regauge profile N")
-            ny = _nonzero(t.N(eta), "regauge profile N")
-            a[1] *= nx / ny
-            a[2] *= ny / nx
-            a[6] *= t.s * nx * ny
-            a[7] /= t.s * nx * ny
-            return WeightVector(a)
-    elif kind == "negate_56":
-        def ev(u, xi, eta):
-            a = base(u, xi, eta).a.copy()
-            a[4] = -a[4]
-            a[5] = -a[5]
-            return WeightVector(a)
-    elif kind == "rescale_spectral":
-        def ev(u, xi, eta):
-            return base(t.mu * u, xi, eta)
-    else:  # recolor
-        def ev(u, xi, eta):
-            return base(u, t.f(xi), t.f(eta))
-
-    return WeightFamily(spec=None, evaluate=ev,
-                        label=f"{kind}({fam.label})", gauge=gauge)
+    label = f"{t.kind}({fam.label})"
+    if t.kind == "rescale_spectral":
+        return _moved(fam, lambda o, u, xi, eta: (t.mu * u, xi, eta), label)
+    if t.kind == "recolor":
+        return _moved(fam, lambda o, u, xi, eta: (u, t.f(xi, o), t.f(eta, o)),
+                      label)
+    gauge = fam.gauge and t.kind not in ("scale", "regauge")
+    return wrap(fam, _step(t), label, gauge)
 
 
 def transform_diagnostics(t: TransformSpec) -> list[str]:
@@ -259,9 +297,12 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
         names = ", ".join(f"a{i+1}" for i in dead)
         raise NotEightVertex(f"weights {names} vanish identically on samples")
 
+    def ratio(o, w):
+        """a3/a2 of the weight columns w."""
+        return w[2] / _nonzero(o, w[1], "a2")
+
     def f_ratio(u, xi, eta):
-        w = fam.eval(u, xi, eta)
-        return w.a3 / _nonzero(w.a2, "a2")
+        return ratio(SCALAR, fam.eval(u, xi, eta).a.tolist())
 
     # cocycle check: f(u+v,xi,lam) = f(u,xi,eta) f(v,eta,lam)
     defect = 0.0
@@ -294,40 +335,46 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
             M_cache[key] = f_ratio(u_probe, x, anchor)
         return M_cache[key]
 
-    def sqrtM(x) -> complex:
-        return complex(np.sqrt(complex(M(x))))
+    def sqrtM(o, x):
+        if o is SCALAR:
+            return o.npsqrt(M(x))
+        anchored = fam.batch(o, o.lift(u_probe), x, o.lift(anchor))
+        return o.npsqrt(ratio(o, o.columns(anchored)))
 
     l_vals = []
     for _ in range(6):
         u = float(draw_u(1)[0])
         xi, eta = draw_color(2)
         w = fam.eval(u, xi, eta)
-        l_vals.append((w.a8 / _nonzero(w.a7, "a7")) / (M(xi) * M(eta)))
+        l_vals.append((w.a8 / _nonzero(SCALAR, w.a7, "a7"))
+                      / (M(xi) * M(eta)))
     l = complex(np.mean(l_vals))
     sqrt_l = complex(np.sqrt(l))
 
-    def reduced(u, xi, eta) -> WeightVector:
-        w = fam.eval(u, xi, eta)
-        a2 = _nonzero(w.a2, "a2")
-        r = sqrtM(eta) / sqrtM(xi)
+    def reduced(o, base, u, xi, eta):
+        w = o.columns(base())
+        a2 = _nonzero(o, w[1], "a2")
+        sqrt_eta, sqrt_xi = sqrtM(o, eta), sqrtM(o, xi)
+        r = sqrt_eta / sqrt_xi
         g = r / a2
-        my = sqrtM(eta) ** 2
-        return WeightVector.of(
-            w.a1 * g,
+        my = sqrt_eta ** 2
+        return o.pack([
+            w[0] * g,
             1.0,
-            (w.a3 / a2) * r * r,
-            w.a4 * g,
-            w.a5 * g,
-            w.a6 * g,
-            w.a7 / a2 * sqrt_l * my,
-            w.a8 / a2 / (sqrt_l * my) * r * r,
-        )
+            (w[2] / a2) * r * r,
+            w[3] * g,
+            w[4] * g,
+            w[5] * g,
+            w[6] / a2 * sqrt_l * my,
+            w[7] / a2 / (sqrt_l * my) * r * r,
+        ])
 
+    out = wrap(fam, reduced, f"gauge_reduce({fam.label})", gauge=True)
     gauge_res = 0.0
     for _ in range(8):
         u = float(draw_u(1)[0])
         xi, eta = draw_color(2)
-        w = reduced(u, xi, eta)
+        w = out.eval(u, xi, eta)
         gauge_res = max(gauge_res, abs(w.a2 - 1), abs(w.a3 - 1),
                         abs(w.a7 - w.a8))
 
@@ -338,6 +385,4 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
         multiplicativity_defect=float(defect),
         gauge_residual=float(gauge_res),
     )
-    out = WeightFamily(spec=None, evaluate=reduced,
-                       label=f"gauge_reduce({fam.label})", gauge=True)
     return out, cert

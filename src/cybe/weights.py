@@ -28,10 +28,10 @@ sides of the identity are stacked ``np.matmul`` products in the same
 (A @ B) @ C order as the kron form ``ybe_defect``, which stays as the
 oracle; the max-abs defect is bitwise the same.  The 28 components of a
 batch are evaluated on separate real and imaginary float columns
-(``_Split``): numpy's SIMD complex-array multiply may fuse multiply-adds and
-then differs in the last bit from the scalar product, while the split form
-rounds every product and sum exactly as the scalar complex arithmetic of
-``component_residuals`` does.
+(``numkernel.Split``): numpy's SIMD complex-array multiply may fuse
+multiply-adds and then differs in the last bit from the scalar product,
+while the split form rounds every product and sum exactly as the scalar
+complex arithmetic of ``component_residuals`` does.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotGauge
+from .numkernel import Split
 
 GAUGE_TOL = 1e-10
 
@@ -157,29 +158,6 @@ def _defect_norms(U: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.abs(lhs - rhs).max(axis=(1, 2))
 
 
-class _Split:
-    """A complex column held as separate real and imaginary float arrays;
-    products and sums round like scalar complex arithmetic."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re, self.im = re, im
-
-    def __mul__(self, o):
-        return _Split(self.re*o.re - self.im*o.im, self.re*o.im + self.im*o.re)
-
-    def __add__(self, o):
-        return _Split(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        return _Split(self.re - o.re, self.im - o.im)
-
-
-def _split(A: np.ndarray) -> list[_Split]:
-    return [_Split(c.real, c.imag) for c in A.T]
-
-
 def component_residuals(wu: WeightVector, ww: WeightVector,
                         wv: WeightVector) -> np.ndarray:
     """The 28 scalar equations; zero exactly when the matrix identity holds.
@@ -191,7 +169,7 @@ def component_residuals(wu: WeightVector, ww: WeightVector,
 
 def _components(u, w, v) -> list:
     """The 28 equations in COMPONENT_IDS order on three sequences of eight
-    numbers (complex scalars or ``_Split`` columns)."""
+    numbers (complex scalars or ``Split`` columns)."""
     u1, u2, u3, u4, u5, u6, u7, u8 = u
     w1, w2, w3, w4, w5, w6, w7, w8 = w
     v1, v2, v3, v4, v5, v6, v7, v8 = v
@@ -288,7 +266,7 @@ def ybe_residuals(U: np.ndarray, W: np.ndarray, V: np.ndarray):
     Returns (matrix_norm (B,), |components| (B, 28), scale (B,)), each entry
     bitwise equal to the field of the scalar report.
     """
-    parts = _components(_split(U), _split(W), _split(V))
+    parts = _components(*([Split.of(c) for c in A.T] for A in (U, W, V)))
     # np.abs of a complex array, as in the scalar path: np.hypot on the
     # float parts rounds differently
     comp = np.empty((len(U), len(parts)), dtype=complex)

@@ -1,0 +1,514 @@
+"""The batch evaluation core: array evaluators against the scalar ones, and
+the block sampler against the per-candidate rejection loop it replaced.
+
+Batch weights must be bitwise the scalar weights and the validity mask must
+be exactly the set of points at which the scalar ``eval`` succeeds; the
+sampler must accept the same candidates, hand on the same weights and run
+dry at the same attempt."""
+
+import cmath
+import dataclasses
+import itertools
+import json
+import warnings
+from itertools import islice
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cybe import (ColorProfile, CybeError, FamilyId, FamilySpec, Pipeline,
+                  SamplePlan, SamplingExhausted, SpectralProfile,
+                  WeightFamily, apply, gauge_reduce, make_family, sampling,
+                  with_bs_profiles, ybe_residuals)
+from cybe.cli import _perturbed
+from cybe.numkernel import (_NEAR_ONE, SCALAR, Batch, Split, _ladder,
+                            jacobi_sncndn)
+from cybe.sampling import (_BLOCK, _triple_points, draw_points, draw_triples,
+                           point_weights, residual_sweep)
+
+from conftest import CANONICAL_SPECS, random_spec
+
+# every transform kind, in the order of the golden transform_all_kinds case
+ALL_KINDS = Pipeline.from_json(json.loads(
+    '[{"kind":"swap_23_78"},{"kind":"swap_14_56"},'
+    '{"kind":"scale","g":{"preset":"product","params":[],"factors":['
+    '{"preset":"const","params":[[1.5,0.2]]},'
+    '{"preset":"one_plus_bilinear","params":[0.3]}]}},'
+    '{"kind":"regauge","N":{"preset":"cosh","params":[0.4,0.2]},"s":0.8},'
+    '{"kind":"negate_56"},{"kind":"rescale_spectral","mu":0.9},'
+    '{"kind":"recolor","f":{"preset":"affine","params":[0.8,0.05]}}]'))
+
+SCALE_REGAUGE = Pipeline.from_json([
+    {"kind": "scale", "g": {"preset": "exp_affine",
+                            "params": [0.5, 0.1, -0.2]}},
+    {"kind": "regauge", "N": {"preset": "exp", "params": [0.7, 0.1]},
+     "s": [1.3, 0.4]}])
+
+
+def bits(a) -> np.ndarray:
+    """The bit patterns of a complex array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.int64)
+
+
+def scalar_eval(fam, u, xi, eta):
+    """(W, ok) from one scalar eval per point; NaN rows where it raises."""
+    W = np.full((len(u), 8), np.nan, dtype=complex)
+    ok = np.zeros(len(u), dtype=bool)
+    for i, p in enumerate(zip(u, xi, eta)):
+        try:
+            W[i] = fam.eval(*p).a
+            ok[i] = True
+        except CybeError:
+            pass
+    return W, ok
+
+
+def assert_batch_is_scalar(fam, u, xi, eta):
+    W, ok = fam.eval_array(u, xi, eta)
+    Ws, oks = scalar_eval(fam, u, xi, eta)
+    assert np.array_equal(ok, oks)
+    assert np.array_equal(bits(W[ok]), bits(Ws[ok]))
+    return ok
+
+
+def points(rng, n, u_span=0.35, color_span=0.5):
+    return (rng.uniform(-u_span, u_span, n),
+            rng.uniform(-color_span, color_span, n),
+            rng.uniform(-color_span, color_span, n))
+
+
+def families():
+    """Base, transformed, gauge-reduced and perturbed families."""
+    base = {f.value: make_family(spec())
+            for f, spec in CANONICAL_SPECS.items()}
+    fams = dict(base)
+    fams["bazhanov_stroganov_profiles"] = make_family(with_bs_profiles(0.6))
+    for name in ("baxter_trig", "ff_elliptic", "trivial_b"):
+        fams[f"all_kinds({name})"] = apply(ALL_KINDS, base[name])
+    for name in ("baxter_elliptic", "ff_hyperbolic"):
+        fams[f"gauge_reduce({name})"] = gauge_reduce(
+            apply(SCALE_REGAUGE, base[name]), anchor=0.0, u_probe=0.14)[0]
+    fams["perturb(ff_elliptic)"] = _perturbed(base["ff_elliptic"], "a7", 0.1)
+    fams["perturb(all_kinds)"] = _perturbed(fams["all_kinds(baxter_trig)"],
+                                            "a1", -0.05)
+    return fams
+
+
+FAMILIES = families()
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_batch_equals_scalar(name):
+    fam = FAMILIES[name]
+    rng = np.random.default_rng(len(name))
+    assert_batch_is_scalar(fam, *points(rng, 300))
+    # wide spans run into poles and the rejection mask
+    ok = assert_batch_is_scalar(fam, *points(rng, 300, 2.5, 2.0))
+    assert ok.any()
+
+
+@pytest.mark.parametrize("kind", [t.kind for t in ALL_KINDS.steps])
+@pytest.mark.parametrize("base", ["baxter_elliptic", "ff_trig", "trivial_a"])
+def test_each_transform_kind(kind, base):
+    step = next(t for t in ALL_KINDS.steps if t.kind == kind)
+    fam = apply(step, FAMILIES[base])
+    assert fam.batch is not None
+    assert_batch_is_scalar(fam, *points(np.random.default_rng(3), 200, 1.5))
+
+
+def test_vanishing_profiles_mark_zero_divisor():
+    zero_g = Pipeline.from_json([{"kind": "scale", "g": {
+        "preset": "sin_bilinear", "params": [1.0, 0.0]}}])
+    fam = apply(zero_g, FAMILIES["ff_tanh"])
+    u = np.array([0.0, 0.2, -0.0, 0.1])
+    ok = assert_batch_is_scalar(fam, u, u, u)
+    assert ok.tolist() == [False, True, False, True]
+
+
+def test_overflow_and_nonfinite_are_rejected_without_warnings():
+    spec = FamilySpec(family=FamilyId.FF_HYPERBOLIC, lam=2100, mu=0.5,
+                      F=ColorProfile("linear", (0.1,)),
+                      G=ColorProfile("linear", (0.1,)))
+    twice = Pipeline.from_json([{"kind": "scale", "g": {
+        "preset": "exp_affine", "params": [700, 0, 0]}}] * 2)
+    exp_a = FamilySpec(family=FamilyId.TRIVIAL_A, spectral=SpectralProfile(
+        "exp_affine", (700, 0, 0)))
+    u = np.linspace(-0.5, 0.5, 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fam in (make_family(spec), apply(twice, make_family(exp_a))):
+            W, ok = fam.eval_array(u, u / 3, -u / 4)
+            assert not ok.all() and ok.any()
+    # the scalar side raises the same rejections, numpy warnings aside
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for fam in (make_family(spec), apply(twice, make_family(exp_a))):
+            assert_batch_is_scalar(fam, u, u / 3, -u / 4)
+
+
+def test_spec_level_error_marks_every_point():
+    fam = make_family(FamilySpec(family=FamilyId.FF_ELLIPTIC, k=0.6,
+                                 G=ColorProfile("recip_sn", (1.5,)),
+                                 H=ColorProfile("cn_over_sn", (1.5,))))
+    ok = assert_batch_is_scalar(fam, *points(np.random.default_rng(1), 20))
+    assert not ok.any()
+
+
+def test_user_family_has_no_array_evaluator():
+    base = FAMILIES["ff_elliptic"]
+    fam = WeightFamily(spec=None, evaluate=base.evaluate, label="user")
+    assert fam.batch is None
+    assert apply(ALL_KINDS, fam).batch is None
+    assert _perturbed(fam, "a5", 0.1).batch is None
+
+
+_moduli = st.one_of(
+    st.just(0j), st.just(1 + 0j),
+    st.floats(-_NEAR_ONE, _NEAR_ONE).map(lambda d: complex(1 - abs(d))),
+    st.complex_numbers(max_magnitude=0.95, allow_nan=False,
+                       allow_infinity=False))
+_params = st.complex_numbers(max_magnitude=1.5, allow_nan=False,
+                             allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(list(FamilyId)), seed=st.integers(0, 2**16),
+       k=_moduli, lam=_params, mu=_params, complex_rates=st.booleans())
+def test_random_specs_batch_equals_scalar(family, seed, k, lam, mu,
+                                          complex_rates):
+    rng = np.random.default_rng(seed)
+    spec = random_spec(family, rng)
+    changes = {"k": k} if family is FamilyId.FF_ELLIPTIC \
+        or family is FamilyId.BAXTER_ELLIPTIC else {}
+    if complex_rates and lam != 0 and mu != 0:
+        changes.update(lam=lam, mu=mu)
+    try:
+        fam = make_family(FamilySpec(**{**spec.__dict__, **changes}))
+    except CybeError:
+        return
+    assert_batch_is_scalar(fam, *points(rng, 60, 1.0, 1.0))
+
+
+# -------------------- the arithmetic --------------------
+
+def _specials():
+    sp = [0.0, -0.0, 1.0, -2.5, 1e-310, 3e300, np.inf, np.nan]
+    return [complex(a, b) for a, b in itertools.product(sp, repeat=2)]
+
+
+def _random_complex(rng, n):
+    mag = 10.0 ** rng.integers(-8, 8, n)
+    return (rng.standard_normal(n) * mag
+            + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n))
+
+
+def test_split_arithmetic_rounds_like_python_complex():
+    rng = np.random.default_rng(5)
+    a = np.concatenate([_random_complex(rng, 4000),
+                        np.repeat(_specials(), 64)])
+    b = np.concatenate([_random_complex(rng, 4000), np.tile(_specials(), 64)])
+    A, B = Split.of(a), Split.of(b)
+    ops = {
+        "add": (lambda x, y: x + y), "sub": (lambda x, y: x - y),
+        "mul": (lambda x, y: x * y), "div": (lambda x, y: x / y),
+        "real_mul": (lambda x, y: 2.5 * y), "int_sub": (lambda x, y: 1 - y),
+        "real_div": (lambda x, y: x / 2), "int_rdiv": (lambda x, y: 1 / y),
+        "neg": (lambda x, y: -x), "square": (lambda x, y: x ** 2),
+    }
+    for name, op in ops.items():
+        with np.errstate(all="ignore"):
+            got = Batch(len(a)).complex(op(A, B))
+        for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+            try:
+                want = op(x, y)
+            except (ZeroDivisionError, OverflowError):
+                continue
+            if cmath.isfinite(want):
+                assert bits(got[i]).tolist() == bits(want).tolist(), \
+                    (name, x, y)
+
+
+def test_functions_and_abs_match_cmath():
+    rng = np.random.default_rng(6)
+    z = np.concatenate([rng.uniform(-800, 800, 600)
+                        + 1j * rng.uniform(-800, 800, 600),
+                        rng.uniform(-3, 3, 2000)
+                        + 1j * rng.uniform(-3, 3, 2000),
+                        _specials(), [complex(1.7e308, 1.7e308)]])
+    for name in ("sin", "cos", "tan", "sinh", "cosh", "exp", "sqrt", "abs"):
+        o = Batch(len(z))
+        with np.errstate(all="ignore"):
+            got = np.asarray(getattr(o, name)(Split.of(z)) if name == "abs"
+                             else o.complex(getattr(o, name)(Split.of(z))))
+        for i, x in enumerate(z.tolist()):
+            try:
+                want = getattr(SCALAR, name)(x)
+            except (OverflowError, ValueError):
+                assert o.bad[i], (name, x)
+                continue
+            assert not o.bad[i], (name, x)
+            assert bits(got[i]).tolist() == bits(want).tolist(), (name, x)
+
+
+@pytest.mark.parametrize("k", [0, 0.3, 0.6, 0.85, 0.99, 0.5 + 0.2j, 1.0,
+                               1 - _NEAR_ONE / 2, 1 - 2 * _NEAR_ONE])
+def test_batch_kernel_is_the_scalar_kernel(k):
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-4, 4, 3000) + 1j * rng.uniform(-2, 2, 3000)
+    o = Batch(len(z))
+    with np.errstate(all="ignore"):
+        got = [o.complex(v) for v in o.sncndn(Split.of(z), k)]
+    for i, x in enumerate(z.tolist()):
+        try:
+            want = jacobi_sncndn(x, k)
+        except CybeError:
+            assert o.bad[i]
+            continue
+        assert not o.bad[i]
+        assert all(bits(g[i]).tolist() == bits(w).tolist()
+                   for g, w in zip(got, want))
+
+
+def test_where_ignores_failures_of_the_untaken_side():
+    o = Batch(4)
+    z = Split.of(np.array([np.inf, 0.5, np.inf, 0.5], dtype=complex))
+    cond = np.array([True, True, False, False])
+    with np.errstate(all="ignore"):
+        got = o.complex(o.where(cond, 2.0, lambda: o.cos(z)))
+    assert o.bad.tolist() == [False, False, True, False]
+    assert got[:2].tolist() == [2.0, 2.0] and got[3] == cmath.cos(0.5)
+
+
+def test_abs_overflow_of_a_finite_value_is_a_rejection():
+    # |F| overflows although F is finite; Python's abs raises there
+    spec = FamilySpec(family=FamilyId.TRIVIAL_B,
+                      F=ColorProfile("affine", (0, 1.5e308 + 1.5e308j)))
+    ok = assert_batch_is_scalar(make_family(spec),
+                                *points(np.random.default_rng(2), 10))
+    assert not ok.any()
+
+
+def _unbatched_landen(z, m):
+    """The Landen recursion computed afresh at every call."""
+    ladder = []
+    while abs(m) > 1e-10:
+        kp = cmath.sqrt(1.0 - m)
+        k1 = (1.0 - kp) / (1.0 + kp)
+        ladder.append(k1)
+        z = z / (1.0 + k1)
+        m = k1 * k1
+    s, c = cmath.sin(z), cmath.cos(z)
+    if m == 0.0:
+        sn, cn, dn = s, c, 1.0 + 0j
+    else:
+        corr = 0.25 * m * (z - s * c)
+        sn, cn, dn = s - corr * c, c + corr * s, 1.0 - 0.5 * m * s * s
+    for k1 in reversed(ladder):
+        s2 = sn * sn
+        den = 1.0 + k1 * s2
+        sn = (1.0 + k1) * sn / den
+        cn = cn * dn / den
+        dn = (1.0 - k1 * s2) / den
+    return sn, cn, dn
+
+
+@pytest.mark.parametrize("k", [0.6, 0.5 - 0.2j, 0.3 + 0.4j, complex(0.7, -0.0),
+                               complex(-0.0, 0.5), 1e-6j])
+def test_cached_ladder_is_the_recursion(k):
+    rng = np.random.default_rng(8)
+    for z in (rng.uniform(-2, 2, 50) + 1j * rng.uniform(-1, 1, 50)).tolist():
+        want = _unbatched_landen(z, complex(k) * complex(k))
+        got = jacobi_sncndn(z, k)
+        assert all(bits(g).tolist() == bits(w).tolist()
+                   for g, w in zip(got, want))
+
+
+def test_ladder_is_cached_per_modulus_and_zero_sign():
+    first = _ladder(complex(0.36, 0.0))
+    assert _ladder(complex(0.36, 0.0)) is first
+    assert _ladder(complex(0.36, -0.0)) is not first
+    assert [r for r, _ in _ladder(0.25 + 0j)[0]] == [
+        r for r, _ in _ladder(complex(0.25, -0.0))[0]]
+
+
+# -------------------- the sampler against its oracle --------------------
+
+def _oracle_accept(fam, pts, max_weight):
+    weights = []
+    try:
+        for p in pts:
+            w = fam.eval(*p)
+            if not w.scale() <= max_weight:
+                return None
+            weights.append(w)
+    except CybeError:
+        return None
+    return weights
+
+
+def oracle_draw(fam, plan, candidate):
+    """The per-candidate rejection loop of the unbatched sampler."""
+    rng = np.random.default_rng(plan.seed)
+    kept = attempts = 0
+    while kept < plan.n:
+        attempts += 1
+        if attempts > sampling._MAX_ATTEMPT_FACTOR * plan.n:
+            raise SamplingExhausted("sample rejection rate too high; widen "
+                                    "the spans or relax max_weight")
+        sample, pts = candidate(rng)
+        weights = _oracle_accept(fam, pts, plan.max_weight)
+        if weights is not None:
+            kept += 1
+            yield sample, weights
+
+
+def _triple_candidate(rng, plan):
+    u, v = rng.uniform(*plan.u_span, 2)
+    xi, eta, lam = rng.uniform(*plan.color_span, 3)
+    return (u, v, xi, eta, lam), _triple_points(u, v, xi, eta, lam)
+
+
+def _point_candidate(rng, plan):
+    u = rng.uniform(*plan.u_span)
+    xi, eta = rng.uniform(*plan.color_span, 2)
+    return (u, xi, eta), ((u, xi, eta), (-u, eta, xi))
+
+
+def oracle_triples(fam, plan):
+    return oracle_draw(fam, plan, lambda rng: _triple_candidate(rng, plan))
+
+
+def oracle_points(fam, plan):
+    return oracle_draw(fam, plan, lambda rng: _point_candidate(rng, plan))
+
+
+oracle_triples.candidate = _triple_candidate
+oracle_points.candidate = _point_candidate
+
+
+def oracle_sweep(fam, plan):
+    draws = oracle_triples(fam, plan)
+    while block := [ws for _, ws in islice(draws, _BLOCK)]:
+        U, W, V = (np.array([ws[k].a for ws in block]) for k in range(3))
+        norm, comp, scale = ybe_residuals(U, W, V)
+        yield U, norm / scale, comp
+
+
+PLANS = [
+    SamplePlan(n=1, seed=2),
+    SamplePlan(n=_BLOCK + 1, seed=3),
+    SamplePlan(n=700, seed=4),
+    SamplePlan(n=60, seed=5, max_weight=1.3),
+    SamplePlan(n=80, seed=6, u_span=(-1.5, 1.5), color_span=(-2.0, 2.5)),
+]
+SAMPLED = ["baxter_elliptic", "ff_elliptic", "ff_hyperbolic", "trivial_b",
+           "all_kinds(ff_elliptic)", "gauge_reduce(baxter_elliptic)",
+           "perturb(ff_elliptic)"]
+
+
+def outcome(make):
+    """The value of ``make()``, or SamplingExhausted if it runs dry."""
+    try:
+        return make()
+    except SamplingExhausted:
+        return SamplingExhausted
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(bits(g), bits(w))
+
+
+@pytest.mark.parametrize("plan", PLANS, ids=lambda p: f"n{p.n}s{p.seed}")
+@pytest.mark.parametrize("name", SAMPLED)
+def test_sampler_matches_oracle(name, plan):
+    fam = FAMILIES[name]
+    want = outcome(lambda: [s for s, _ in oracle_triples(fam, plan)])
+    assert outcome(lambda: draw_triples(fam, plan)) == want
+    got_blocks = outcome(lambda: list(residual_sweep(fam, plan)))
+    want_blocks = outcome(lambda: list(oracle_sweep(fam, plan)))
+    if want is SamplingExhausted:
+        assert got_blocks is want_blocks is SamplingExhausted
+    else:
+        assert len(got_blocks) == len(want_blocks)
+        for got, wnt in zip(got_blocks, want_blocks):
+            assert_same_arrays(got, wnt)
+
+    small = dataclasses.replace(plan, n=min(plan.n, 50))
+    got = outcome(lambda: list(point_weights(fam, small)))
+    want = outcome(lambda: list(oracle_points(fam, small)))
+    if want is SamplingExhausted:
+        assert got is want
+        assert outcome(lambda: draw_points(fam, small)) is want
+        return
+    assert draw_points(fam, small) == [s for s, _ in want]
+    assert [s for s, _ in got] == [s for s, _ in want]
+    for (_, (w, wr)), (_, (wo, wro)) in zip(got, want):
+        assert_same_arrays((w.a, wr.a), (wo.a, wro.a))
+
+
+def _scales(fam, plan, oracle, count):
+    """max |weight| over the points of each of the first ``count``
+    candidates of ``plan``, inf where a point fails."""
+    scales = []
+    rng = np.random.default_rng(plan.seed)
+    for _ in range(count):
+        _, pts = oracle.candidate(rng, plan)
+        ws = _oracle_accept(fam, pts, np.inf)
+        scales.append(np.inf if ws is None else max(w.scale() for w in ws))
+    return scales
+
+
+@pytest.mark.parametrize("name", ["ff_elliptic", "ff_hyperbolic",
+                                  "all_kinds(trivial_b)"])
+@pytest.mark.parametrize("which", ["triples", "points"])
+def test_exhaustion_fires_at_the_same_attempt(name, which, monkeypatch):
+    """With max_weight the third-smallest candidate scale, the sample of
+    n = 1 is found at a known attempt; a cap one short must run dry."""
+    fam = FAMILIES[name]
+    oracle, draw = ((oracle_triples, draw_triples) if which == "triples"
+                    else (oracle_points, draw_points))
+    for seed in range(3):
+        scales = _scales(fam, SamplePlan(seed=seed), oracle, 300)
+        plan = SamplePlan(n=1, seed=seed, max_weight=sorted(scales)[2])
+        attempt = 1 + next(i for i, s in enumerate(scales)
+                           if s <= plan.max_weight)
+        monkeypatch.setattr(sampling, "_MAX_ATTEMPT_FACTOR", attempt)
+        want = [s for s, _ in oracle(fam, plan)]
+        assert draw(fam, plan) == want
+        monkeypatch.setattr(sampling, "_MAX_ATTEMPT_FACTOR", attempt - 1)
+        for run in (lambda: list(oracle(fam, plan)), lambda: draw(fam, plan)):
+            if attempt > 1:
+                with pytest.raises(SamplingExhausted):
+                    run()
+
+
+def test_user_family_sampler_makes_the_oracle_calls():
+    base = FAMILIES["ff_elliptic"]
+    calls = []
+
+    def ev(u, xi, eta):
+        calls.append((u, xi, eta))
+        return base.evaluate(u, xi, eta)
+
+    fam = WeightFamily(spec=None, evaluate=ev, label="counting")
+    plan = SamplePlan(n=40, seed=9, max_weight=1.2)
+    want = [s for s, _ in oracle_triples(fam, plan)]
+    oracle_calls, calls[:] = list(calls), []
+    assert draw_triples(fam, plan) == want
+    assert calls == oracle_calls
+
+
+def test_block_draws_are_the_uniform_stream():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        want = [np.concatenate([rng.uniform(-0.35, 0.35, 2),
+                                rng.uniform(-0.5, 0.5, 3)])
+                for _ in range(500)]
+        rng = np.random.default_rng(seed)
+        lo = np.array([-0.35] * 2 + [-0.5] * 3)
+        got = lo + (-lo - lo) * rng.random((500, 5))
+        assert np.array_equal(got, want)

@@ -272,3 +272,39 @@ def test_samples_below_one_exit_2(sub, samples, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+
+_HUGE_RATE = ('{"family":"ff_hyperbolic","lambda":2100,"mu":0.5,"profiles":'
+              '{"F":{"preset":"linear","params":[0.1]},'
+              '"G":{"preset":"linear","params":[0.1]}}}')
+
+
+def test_overflow_at_requested_point_exit_3(capsys):
+    doc = ('{"family":"trivial_a","profiles":{"spectral":'
+           '{"preset":"exp_affine","params":[2000,0,0]}}}')
+    code, out, err = run_cli(["eval", "--spec", doc, "--grid-u", "0.36:0.36:1",
+                              "--grid-xi", "0:0:1", "--grid-eta", "0:0:1"],
+                             capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: weights overflow at (u, xi, eta)")
+    assert err.count("\n") == 1
+
+
+def test_overflowing_samples_are_rejected(capsys):
+    # cosh(2100 u) overflows for |u| > 0.338; all weights exceed the
+    # default max_weight away from u = 0, so sampling runs dry
+    code, out, err = run_cli(["classify", "--spec", _HUGE_RATE,
+                              "--samples", "20"], capsys)
+    assert code == 6
+    assert out == ""
+    assert err.startswith("error: sample rejection rate too high")
+    assert err.count("\n") == 1
+
+
+def test_overflowing_samples_skipped_under_large_max_weight(capsys):
+    code, out, err = run_cli(["verify", "--spec", _HUGE_RATE, "--samples",
+                              "40", "--max-weight", "1e30"], capsys)
+    assert code in (0, 1)
+    assert err == ""
+    json.loads(out, parse_constant=_reject_constant)

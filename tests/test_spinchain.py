@@ -1,6 +1,7 @@
 """Coupling-constant algebra and the dense chain Hamiltonian."""
 
 import gzip
+import io
 import itertools
 import json
 import subprocess
@@ -208,6 +209,19 @@ def test_csv_export_matches_full_copy(tmp_path, monkeypatch, n, periodic,
     export_matrix(op, str(tmp_path / "blocks.csv.gz"), "csv")
     with gzip.open(tmp_path / "blocks.csv.gz") as fh:
         assert fh.read() == want.read_bytes()
+
+
+def test_csv_rows_match_savetxt_on_special_values():
+    """Each distinct bit pattern is formatted as np.savetxt formats it,
+    signed zeros, non-finite and subnormal values included."""
+    from cybe.spinchain import _csv_rows
+    rng = np.random.default_rng(4)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 1e308]
+    cols = rng.choice(np.concatenate([special, rng.normal(size=40)]),
+                      size=(7, 12))
+    want = io.BytesIO()
+    np.savetxt(want, cols, delimiter=",")
+    assert _csv_rows(cols) == want.getvalue()
 
 
 def test_export(tmp_path):
