@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -245,7 +246,9 @@ def _add_grid_parser(sub, name, help_text):
     p.set_defaults(fn=cmd_eval)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="cybe",
         description="eight-vertex families of the colored Yang-Baxter "
@@ -281,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # an overflow is a rejection or a named error, never a numpy warning
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (CybeError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for types, code in _EXIT_ERROR

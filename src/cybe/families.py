@@ -34,13 +34,15 @@ operation table of ``numkernel``.  ``WeightFamily.eval`` runs it on Python
 complex numbers (``SCALAR``) and raises at a pole; ``WeightFamily.eval_array``
 runs it on split real/imaginary columns of n points (``Batch``) and returns
 the (n, 8) weights with the mask of the points at which ``eval`` succeeds,
-bitwise equal where it does.  An evaluation that overflows or gives a
+bitwise equal where it does; a family built with only a scalar evaluator
+is evaluated point by point.  An evaluation that overflows or gives a
 non-finite weight counts as a pole.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import enum
 import warnings
 from dataclasses import dataclass
@@ -129,7 +131,8 @@ class WeightFamily:
     """A family spec together with its evaluators: ``evaluate(u, xi, eta)``
     returns a WeightVector, and ``batch(o, u, xi, eta)``, when present,
     returns the (n, 8) weight array of n points for a ``numkernel.Batch``
-    ``o``, marking in ``o.bad`` the points at which ``evaluate`` raises."""
+    ``o``, marking in ``o.bad`` the points at which ``evaluate`` raises.
+    ``eval_array`` works with or without ``batch``."""
 
     spec: FamilySpec | None
     evaluate: object  # callable (u, xi, eta) -> WeightVector
@@ -151,7 +154,14 @@ class WeightFamily:
     def eval_array(self, u, xi, eta):
         """The weights at n points (arrays of u, xi and eta) as an (n, 8)
         array, and the mask of the points at which ``eval`` succeeds; the
-        weights of the other points are undefined.  Needs ``batch``."""
+        weights of the other points are undefined.  A family without
+        ``batch`` is evaluated point by point through ``eval``."""
+        if self.batch is None:
+            W = np.full((len(u), 8), np.nan, dtype=complex)
+            for i, p in enumerate(zip(u, xi, eta)):
+                with contextlib.suppress(CybeError):
+                    W[i] = self.eval(*p).a
+            return W, ~np.isnan(W[:, 0])
         o = Batch(len(u))
         with np.errstate(all="ignore"):
             try:
@@ -365,6 +375,29 @@ def eval_family(spec: FamilySpec, u, xi, eta) -> WeightVector:
 _COLOR_GRID = tuple(np.linspace(-0.5, 0.5, 11))
 
 
+def _sampled(out: list[str], what: str, fn, points=_COLOR_GRID,
+             prefix: str = "warning: ") -> dict:
+    """``fn(p)`` at each grid point p where it evaluates, keyed by p.  The
+    points where it raises (a pole, an overflow or a domain error) become
+    one diagnostic in ``out`` naming ``what``; checks use the others."""
+    values, failed = {}, []
+    for p in points:
+        try:
+            values[p] = fn(p)
+        except (ArithmeticError, ValueError, PoleProximity) as exc:
+            failed.append(p)
+            error = exc
+    if failed:
+        shown = ", ".join(
+            f"({', '.join(f'{v:.6g}' for v in p)})" if isinstance(p, tuple)
+            else f"{p:.6g}" for p in failed[:4])
+        out.append(f"{prefix}{what} cannot be evaluated at {len(failed)} of "
+                   f"{len(points)} sampled points: {shown}"
+                   f"{', ...' if len(failed) > 4 else ''} "
+                   f"({type(error).__name__}: {error})")
+    return values
+
+
 def validate_spec(spec: FamilySpec) -> list[str]:
     """Diagnostics list; empty iff the spec satisfies its family constraints
     on the sampled color domain.  Soft warnings are prefixed 'warning:'."""
@@ -400,8 +433,8 @@ def validate_spec(spec: FamilySpec) -> list[str]:
         if spec.G is None or spec.H is None:
             out.append("profiles G and H are required")
         else:
-            worst = max(abs(spec.G(x) ** 2 - spec.H(x) ** 2 - 1)
-                        for x in _COLOR_GRID)
+            worst = max(_sampled(out, "profiles G and H", lambda x: abs(
+                spec.G(x) ** 2 - spec.H(x) ** 2 - 1)).values(), default=0.0)
             if worst > 1e-10:
                 out.append(f"G^2 - H^2 = 1 fails on the color domain "
                            f"(worst |G^2-H^2-1| = {worst:.3e})")
@@ -411,8 +444,8 @@ def validate_spec(spec: FamilySpec) -> list[str]:
         if spec.G is None:
             out.append("profile G is required")
         else:
-            worst = max(abs(cmath.sqrt(spec.G(x) ** 2) - spec.G(x))
-                        for x in _COLOR_GRID)
+            worst = max(_sampled(out, "profile G", lambda x: abs(
+                cmath.sqrt(spec.G(x) ** 2) - spec.G(x))).values(), default=0.0)
             if worst > 1e-10:
                 out.append("G must stay in the right half plane "
                            "(principal sqrt(G^2) must equal G)")
@@ -427,7 +460,8 @@ def validate_spec(spec: FamilySpec) -> list[str]:
         if spec.spectral is None:
             out.append("a spectral profile is required")
     elif fam is FamilyId.TRIVIAL_B:
-        zeros = [x for x in _COLOR_GRID if abs(spec.F(x)) < _DENOM_TOL]
+        zeros = [x for x, v in _sampled(out, "profile F", lambda x: abs(
+            spec.F(x))).items() if v < _DENOM_TOL]
         if zeros:
             out.append(f"profile F vanishes on the color domain at {zeros[:3]}")
     return out

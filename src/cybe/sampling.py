@@ -9,19 +9,16 @@ function of the seed; ``SamplingExhausted`` is raised when the first
 ``_MAX_ATTEMPT_FACTOR * n`` candidates hold fewer.
 
 Candidates are drawn in blocks: ``lo + (hi - lo) * rng.random((B, width))``
-is bit for bit the stream of per-candidate ``rng.uniform`` calls.  A family
-with an array evaluator evaluates every point of a block in one
-``eval_array`` call, whose validity mask stands in for the per-point
-rejection.  A block holds the samples still needed at the acceptance rate
-seen so far, at most ``_DRAW_MAX`` candidates, which bounds memory.  A
-family with only a scalar evaluator is evaluated one candidate at a time,
-stopping at the first point that fails, exactly as an unbatched loop does.
+is bit for bit the stream of per-candidate ``rng.uniform`` calls.  Every
+point of a block is evaluated in one ``WeightFamily.eval_array`` call, whose
+validity mask stands in for the per-point rejection.  A block holds the
+samples still needed at the acceptance rate seen so far, at most
+``_DRAW_MAX`` candidates, which bounds memory.
 
 Each point is evaluated once: the sampler hands on the weights it computed,
 so ``residual_sweep`` and ``point_weights`` consumers never evaluate the
-family again.  ``residual_sweep`` regroups the accepted triples in blocks
-of ``_BLOCK`` and computes their residuals with one batched
-``ybe_residuals`` call per block.
+family again.  ``residual_sweep`` computes the residuals of each block of
+accepted triples with one batched ``ybe_residuals`` call.
 """
 
 from __future__ import annotations
@@ -31,16 +28,17 @@ from math import ceil
 
 import numpy as np
 
-from .errors import CybeError, SamplingExhausted
+from .errors import InvalidSpec, SamplingExhausted
 from .weights import WeightVector, ybe_residuals
 
 _MAX_ATTEMPT_FACTOR = 200
 
-#: triples per batched residual call of residual_sweep
-_BLOCK = 128
-
 #: most candidates drawn and evaluated at once
 _DRAW_MAX = 256
+
+#: largest max_weight: every residual component and defect entry is a sum of
+#: at most 4 products of three weights, so |a| <= 1e100 keeps it below 4e300
+_WEIGHT_BOUND = 1e100
 
 
 @dataclass(frozen=True)
@@ -51,20 +49,11 @@ class SamplePlan:
     color_span: tuple[float, float] = (-0.5, 0.5)
     max_weight: float = 15.0
 
-
-def _accept(fam, pts, max_weight):
-    """The weights at ``pts``, or None at the first point that raises or
-    exceeds ``max_weight``."""
-    weights = []
-    try:
-        for p in pts:
-            w = fam.eval(*p)
-            if not w.scale() <= max_weight:
-                return None
-            weights.append(w)
-    except CybeError:
-        return None
-    return weights
+    def __post_init__(self):
+        if not self.max_weight <= _WEIGHT_BOUND:
+            raise InvalidSpec(f"max_weight must be at most {_WEIGHT_BOUND:g} "
+                              f"(weight products would overflow), got "
+                              f"{self.max_weight!r}")
 
 
 def _block_size(need: int, kept: int, attempts: int) -> int:
@@ -94,16 +83,6 @@ def _draw(fam, plan: SamplePlan, spans, points):
         size = min(_block_size(plan.n - kept, kept, attempts), _DRAW_MAX,
                    cap - attempts)
         S = lo + width * rng.random((size, len(spans)))
-        if fam.batch is None:
-            for row in S:
-                attempts += 1
-                weights = _accept(fam, points(*row), plan.max_weight)
-                if weights is not None:
-                    kept += 1
-                    yield row[None], tuple(w.a[None] for w in weights)
-                    if kept == plan.n:
-                        return
-            continue
         pts = points(*S.T)
         W, ok = fam.eval_array(*(np.concatenate(c) for c in zip(*pts)))
         ok &= np.abs(W).max(axis=1) <= plan.max_weight
@@ -155,26 +134,12 @@ def draw_points(fam, plan: SamplePlan):
     return [tuple(row) for S, _ in _points(fam, plan) for row in S]
 
 
-def _regroup(chunks, size):
-    """The weight arrays of a ``_draw`` stream in groups of ``size`` rows
-    (the last group may be shorter)."""
-    parts, have = [], 0
-    for _, ws in chunks:
-        parts.append(ws)
-        have += len(ws[0])
-        while have >= size:
-            full = [np.concatenate(c) for c in zip(*parts)]
-            yield tuple(c[:size] for c in full)
-            parts, have = [tuple(c[size:] for c in full)], have - size
-    if have:
-        yield tuple(np.concatenate(c) for c in zip(*parts))
-
-
 def residual_sweep(fam, plan: SamplePlan):
-    """Yield, for each block of up to ``_BLOCK`` of the ``plan.n`` pole-free
-    triples, (U, rel, comp): the (B, 8) weights at (u, xi, eta), the relative
-    residuals (B,) and the absolute components (B, 28), each entry bitwise
-    equal to the ``ybe_residual`` report of its triple."""
-    for U, W, V in _regroup(_triples(fam, plan), _BLOCK):
+    """Yield, for each block of the ``plan.n`` pole-free triples that the
+    sampler accepts at once (at most ``_DRAW_MAX``), (U, rel, comp): the
+    (B, 8) weights at (u, xi, eta), the relative residuals (B,) and the
+    absolute components (B, 28), each entry bitwise equal to the
+    ``ybe_residual`` report of its triple."""
+    for _, (U, W, V) in _triples(fam, plan):
         norm, comp, scale = ybe_residuals(U, W, V)
         yield U, norm / scale, comp

@@ -21,13 +21,14 @@ evaluator when the wrapped family has one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (InvalidSpec, MultiplicativityViolation, NotEightVertex,
                      ZeroDivisor)
-from .families import WeightFamily
+from .families import WeightFamily, _sampled
 from .numkernel import SCALAR
 from .profiles import ColorProfile, SpectralProfile, _check_keys, _cjson, _cval
 from .weights import WeightVector
@@ -225,22 +226,23 @@ def transform_diagnostics(t: TransformSpec) -> list[str]:
     runtime evaluation still raises ZeroDivisor at an offending point."""
     out: list[str] = []
     if t.kind == "scale":
-        vals = [t.g(u, xi, eta) for u in _DIAG_US for xi in _DIAG_COLORS[::2]
-                for eta in _DIAG_COLORS[::2]]
-        if min(abs(v) for v in vals) < _ZERO_TOL:
+        points = [(u, xi, eta) for u in _DIAG_US for xi in _DIAG_COLORS[::2]
+                  for eta in _DIAG_COLORS[::2]]
+        mags = _sampled(out, "scale profile g", lambda p: abs(t.g(*p)),
+                        points, prefix="")
+        if min(mags.values(), default=np.inf) < _ZERO_TOL:
             out.append("scale profile g vanishes on the sampled domain")
     elif t.kind == "regauge":
-        vals = [t.N(x) for x in _DIAG_COLORS]
-        if min(abs(v) for v in vals) < _ZERO_TOL:
+        mags = _sampled(out, "regauge profile N", lambda x: abs(t.N(x)),
+                        _DIAG_COLORS, prefix="")
+        if min(mags.values(), default=np.inf) < _ZERO_TOL:
             out.append("regauge profile N vanishes on the sampled domain")
     elif t.kind == "recolor":
-        vals = [t.f(x) for x in _DIAG_COLORS]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if abs(vals[i] - vals[j]) < 1e-10:
-                    out.append("recolor map f is not injective on the "
-                               "sampled color domain")
-                    return out
+        vals = _sampled(out, "recolor map f", t.f, _DIAG_COLORS, prefix="")
+        if any(abs(a - b) < 1e-10
+               for a, b in itertools.combinations(vals.values(), 2)):
+            out.append("recolor map f is not injective on the sampled "
+                       "color domain")
     return out
 
 

@@ -151,13 +151,6 @@ def _embedded(A: np.ndarray, slot: int) -> np.ndarray:
     return M.reshape(-1, 8, 8)
 
 
-def _defect_norms(U: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """max |ybe_defect| of each triple of rows of the (B, 8) arrays."""
-    lhs = _embedded(U, 12) @ _embedded(W, 23) @ _embedded(V, 12)
-    rhs = _embedded(V, 23) @ _embedded(W, 12) @ _embedded(U, 23)
-    return np.abs(lhs - rhs).max(axis=(1, 2))
-
-
 def component_residuals(wu: WeightVector, ww: WeightVector,
                         wv: WeightVector) -> np.ndarray:
     """The 28 scalar equations; zero exactly when the matrix identity holds.
@@ -247,35 +240,29 @@ def ybe_defect(wu: WeightVector, ww: WeightVector, wv: WeightVector) -> np.ndarr
 def ybe_residual(wu: WeightVector, ww: WeightVector,
                  wv: WeightVector) -> ResidualReport:
     """Full defect report; caller supplies the (u,xi,eta)/(u+v,xi,lam)/
-    (v,eta,lam) argument pattern."""
-    norm = _defect_norms(wu.a[None], ww.a[None], wv.a[None])[0]
-    comp = np.abs(component_residuals(wu, ww, wv))
-    scale = max(wu.scale(), 1e-300) * max(ww.scale(), 1e-300) * max(wv.scale(), 1e-300)
+    (v,eta,lam) argument pattern.  The one-row case of ``ybe_residuals``."""
+    norm, comp, scale = ybe_residuals(wu.a[None], ww.a[None], wv.a[None])
     return ResidualReport(
-        matrix_norm=float(norm),
-        component_norms=dict(zip(COMPONENT_IDS, comp.tolist())),
-        max_component=float(comp.max()),
-        scale=float(scale),
+        matrix_norm=float(norm[0]),
+        component_norms=dict(zip(COMPONENT_IDS, comp[0].tolist())),
+        max_component=float(comp[0].max()),
+        scale=float(scale[0]),
     )
 
 
 def ybe_residuals(U: np.ndarray, W: np.ndarray, V: np.ndarray):
-    """``ybe_residual`` of B triples at once, from (B, 8) weight arrays with
-    the same argument pattern as rows.
-
-    Returns (matrix_norm (B,), |components| (B, 28), scale (B,)), each entry
-    bitwise equal to the field of the scalar report.
-    """
+    """The ``ybe_residual`` fields of B triples at once, from (B, 8) weight
+    arrays with the same argument pattern as rows: matrix_norm (B,),
+    |components| (B, 28), bitwise ``component_residuals``, and scale (B,)."""
     parts = _components(*([Split.of(c) for c in A.T] for A in (U, W, V)))
     # np.abs of a complex array, as in the scalar path: np.hypot on the
     # float parts rounds differently
-    comp = np.empty((len(U), len(parts)), dtype=complex)
-    for k, c in enumerate(parts):
-        comp.real[:, k] = c.re
-        comp.imag[:, k] = c.im
+    comp = np.abs(np.stack([c.complex() for c in parts], axis=1))
     su, sw, sv = (np.maximum(np.abs(A).max(axis=1), 1e-300)
                   for A in (U, W, V))
-    return _defect_norms(U, W, V), np.abs(comp), su * sw * sv
+    lhs = _embedded(U, 12) @ _embedded(W, 23) @ _embedded(V, 12)
+    rhs = _embedded(V, 23) @ _embedded(W, 12) @ _embedded(U, 23)
+    return np.abs(lhs - rhs).max(axis=(1, 2)), comp, su * sw * sv
 
 
 def _require_gauge(w: WeightVector, where: str) -> None:

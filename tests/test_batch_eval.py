@@ -7,11 +7,11 @@ sampler must accept the same candidates, hand on the same weights and run
 dry at the same attempt."""
 
 import cmath
+import collections
 import dataclasses
 import itertools
 import json
 import warnings
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -19,14 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cybe import (ColorProfile, CybeError, FamilyId, FamilySpec, Pipeline,
-                  SamplePlan, SamplingExhausted, SpectralProfile,
+                  PoleProximity, SamplePlan, SamplingExhausted, SpectralProfile,
                   WeightFamily, apply, gauge_reduce, make_family, sampling,
                   with_bs_profiles, ybe_residuals)
 from cybe.cli import _perturbed
 from cybe.numkernel import (_NEAR_ONE, SCALAR, Batch, Split, _ladder,
                             jacobi_sncndn)
-from cybe.sampling import (_BLOCK, _triple_points, draw_points, draw_triples,
-                           point_weights, residual_sweep)
+from cybe.sampling import (_DRAW_MAX, _triple_points, _triples, draw_points,
+                           draw_triples, point_weights, residual_sweep)
 
 from conftest import CANONICAL_SPECS, random_spec
 
@@ -93,6 +93,9 @@ def families():
     fams["perturb(ff_elliptic)"] = _perturbed(base["ff_elliptic"], "a7", 0.1)
     fams["perturb(all_kinds)"] = _perturbed(fams["all_kinds(baxter_trig)"],
                                             "a1", -0.05)
+    # a family with only a scalar evaluator
+    fams["user(ff_elliptic)"] = WeightFamily(
+        spec=None, evaluate=base["ff_elliptic"].evaluate, label="user")
     return fams
 
 
@@ -389,23 +392,24 @@ oracle_points.candidate = _point_candidate
 
 
 def oracle_sweep(fam, plan):
-    draws = oracle_triples(fam, plan)
-    while block := [ws for _, ws in islice(draws, _BLOCK)]:
-        U, W, V = (np.array([ws[k].a for ws in block]) for k in range(3))
-        norm, comp, scale = ybe_residuals(U, W, V)
-        yield U, norm / scale, comp
+    """(U, rel, comp) of all triples of the unbatched sampler, one row per
+    triple."""
+    accepted = [ws for _, ws in oracle_triples(fam, plan)]
+    U, W, V = (np.array([ws[k].a for ws in accepted]) for k in range(3))
+    norm, comp, scale = ybe_residuals(U, W, V)
+    return U, norm / scale, comp
 
 
 PLANS = [
     SamplePlan(n=1, seed=2),
-    SamplePlan(n=_BLOCK + 1, seed=3),
+    SamplePlan(n=129, seed=3),
     SamplePlan(n=700, seed=4),
     SamplePlan(n=60, seed=5, max_weight=1.3),
     SamplePlan(n=80, seed=6, u_span=(-1.5, 1.5), color_span=(-2.0, 2.5)),
 ]
 SAMPLED = ["baxter_elliptic", "ff_elliptic", "ff_hyperbolic", "trivial_b",
            "all_kinds(ff_elliptic)", "gauge_reduce(baxter_elliptic)",
-           "perturb(ff_elliptic)"]
+           "perturb(ff_elliptic)", "user(ff_elliptic)"]
 
 
 def outcome(make):
@@ -429,13 +433,15 @@ def test_sampler_matches_oracle(name, plan):
     want = outcome(lambda: [s for s, _ in oracle_triples(fam, plan)])
     assert outcome(lambda: draw_triples(fam, plan)) == want
     got_blocks = outcome(lambda: list(residual_sweep(fam, plan)))
-    want_blocks = outcome(lambda: list(oracle_sweep(fam, plan)))
     if want is SamplingExhausted:
-        assert got_blocks is want_blocks is SamplingExhausted
+        assert got_blocks is SamplingExhausted
     else:
-        assert len(got_blocks) == len(want_blocks)
-        for got, wnt in zip(got_blocks, want_blocks):
-            assert_same_arrays(got, wnt)
+        # one residual block per accepted block of the sampler
+        chunks = [len(S) for S, _ in _triples(fam, plan)]
+        assert [len(U) for U, _, _ in got_blocks] == chunks
+        assert all(0 < c <= _DRAW_MAX for c in chunks)
+        assert_same_arrays([np.concatenate(c) for c in zip(*got_blocks)],
+                           oracle_sweep(fam, plan))
 
     small = dataclasses.replace(plan, n=min(plan.n, 50))
     got = outcome(lambda: list(point_weights(fam, small)))
@@ -486,7 +492,10 @@ def test_exhaustion_fires_at_the_same_attempt(name, which, monkeypatch):
                     run()
 
 
-def test_user_family_sampler_makes_the_oracle_calls():
+def test_user_family_sampler_matches_the_oracle():
+    """A scalar-only family is sampled through per-point ``eval``: the
+    accepted samples are the oracle's, each accepted point is evaluated
+    once, and every evaluation is a point of a drawn candidate."""
     base = FAMILIES["ff_elliptic"]
     calls = []
 
@@ -497,9 +506,32 @@ def test_user_family_sampler_makes_the_oracle_calls():
     fam = WeightFamily(spec=None, evaluate=ev, label="counting")
     plan = SamplePlan(n=40, seed=9, max_weight=1.2)
     want = [s for s, _ in oracle_triples(fam, plan)]
-    oracle_calls, calls[:] = list(calls), []
-    assert draw_triples(fam, plan) == want
-    assert calls == oracle_calls
+    calls.clear()
+    got = draw_triples(fam, plan)
+    assert got == want
+    counts = collections.Counter(calls)
+    assert all(counts[p] == 1 for t in got for p in _triple_points(*t))
+    rng = np.random.default_rng(plan.seed)
+    drawn = {p for _ in range(sampling._MAX_ATTEMPT_FACTOR * plan.n)
+             for p in _triple_candidate(rng, plan)[1]}
+    assert set(calls) <= drawn
+
+
+def test_user_family_eval_array_is_pointwise_eval():
+    base = FAMILIES["ff_elliptic"]
+
+    def ev(u, xi, eta):
+        if complex(u).real > 0.2:
+            raise PoleProximity("planted pole")
+        if complex(u).real < -0.2:
+            raise OverflowError("planted overflow")
+        return base.evaluate(u, xi, eta)
+
+    user = WeightFamily(spec=None, evaluate=ev, label="user")
+    rng = np.random.default_rng(4)
+    for fam in (user, apply(ALL_KINDS, user), _perturbed(user, "a5", 0.1)):
+        ok = assert_batch_is_scalar(fam, *points(rng, 200))
+        assert ok.any() and not ok.all()
 
 
 def test_block_draws_are_the_uniform_stream():

@@ -3,12 +3,13 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from cybe import spec_to_json
-from cybe.cli import main
+from cybe import InvalidSpec, SamplePlan, spec_to_json
+from cybe.cli import build_parser, main
 
 from conftest import (baxter_elliptic_spec, ff_elliptic_spec,
                       ff_tanh_spec, trivial_a_spec, trivial_b_spec)
@@ -308,3 +309,76 @@ def test_overflowing_samples_skipped_under_large_max_weight(capsys):
     assert code in (0, 1)
     assert err == ""
     json.loads(out, parse_constant=_reject_constant)
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+_BS = ('{"family":"ff_elliptic","k":0.6,"lambda":0.5,"profiles":{'
+       '"G":{"preset":"recip_sn","params":[0.6]},'
+       '"H":{"preset":"cn_over_sn","params":[0.6]}}}')
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["verify", "--spec", _BS, "--samples", "5"], 1),
+    (["verify", "--spec", '{"family":"trivial_b","profiles":{"F":'
+      '{"preset":"exp","params":[2000,0]}}}', "--samples", "5"], 2),
+    (["verify", "--spec", '{"family":"ff_trig","profiles":{"G":'
+      '{"preset":"recip_sn","params":[0.6]}}}', "--samples", "5"], 2),
+    (["verify", "--spec", '{"family":"ff_trig","profiles":{"G":'
+      '{"preset":"exp","params":[0,800]}}}', "--samples", "5"], 6),
+    (["eval", "--spec", json.dumps(spec_to_json(ff_tanh_spec())),
+      "--transform", '[{"kind":"regauge","N":{"preset":"exp",'
+      '"params":[2000,0]}}]', "--grid-u", "0:0:1", "--grid-xi", "0:0:1",
+      "--grid-eta", "0:0:1"], 0),
+], ids=["bs_profiles", "trivial_b_overflow", "ff_trig_recip_sn",
+        "ff_trig_overflow_everywhere", "regauge_overflow"])
+def test_profiles_raising_on_the_diagnostic_grid(argv, exit_code, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == exit_code
+    assert all(line.startswith(("warning: ", "error: "))
+               for line in err.splitlines())
+    if code in (0, 1):
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == "" and err.count("error: ") == 1
+
+
+@pytest.mark.parametrize("sub", ["verify", "classify"])
+@pytest.mark.parametrize("bound", ["1e300", "inf", "nan"])
+def test_max_weight_beyond_the_product_range_exit_2(sub, bound, capsys):
+    doc = ('{"family":"trivial_a","profiles":{"spectral":'
+           '{"preset":"exp_affine","params":[2000,0,0]}}}')
+    code, out, err = run_cli([sub, "--spec", doc, "--samples", "40",
+                              "--max-weight", bound], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: max_weight must be at most 1e+100")
+    assert err.count("\n") == 1
+
+
+def test_sample_plan_bounds_max_weight():
+    SamplePlan(max_weight=1e100)
+    for bad in (1.01e100, np.inf, np.nan):
+        with pytest.raises(InvalidSpec):
+            SamplePlan(max_weight=bad)
+
+
+def test_commands_raise_no_numpy_warnings(capsys):
+    """An overflow is a rejection or a named error, never a warning."""
+    scaled = ["eval", "--spec", json.dumps(spec_to_json(trivial_b_spec())),
+              "--transform", '[{"kind":"scale","g":{"preset":"exp_affine",'
+              '"params":[709,0,0]}}]', "--grid-u", "1:1:1",
+              "--grid-xi", "0.3:0.3:1", "--grid-eta", "0:0:1"]
+    huge = ["verify", "--spec", '{"family":"trivial_a","profiles":{'
+            '"spectral":{"preset":"exp_affine","params":[2000,0,0]}}}',
+            "--samples", "40", "--max-weight", "1e100"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(scaled, capsys)
+        assert code == 3
+        assert err.splitlines()[-1].startswith("error: weights overflow")
+        code, out, err = run_cli(huge, capsys)
+        assert code == 0 and err == ""
+        json.loads(out, parse_constant=_reject_constant)

@@ -179,6 +179,32 @@ def test_validate_degenerate_warning():
                    for d in validate_spec(baxter_elliptic_spec()))
 
 
+def test_validate_profile_raising_on_the_grid_is_a_warning():
+    # 1/sn and cn/sn have a pole at the grid point 0; exp(2000 x)
+    # overflows at the two largest; exp(800) everywhere
+    bs = validate_spec(with_bs_profiles(0.6))
+    assert bs == ["warning: profiles G and H cannot be evaluated at 1 of 11 "
+                  "sampled points: 0 (ZeroDivisionError: complex division "
+                  "by zero)"]
+    trig = validate_spec(FamilySpec(family=FamilyId.FF_TRIG,
+                                    G=ColorProfile("recip_sn", (0.6,))))
+    assert trig[0].startswith("warning: profile G cannot be evaluated at 1 ")
+    assert trig[1].startswith("G must stay in the right half plane")
+    b = validate_spec(FamilySpec(family=FamilyId.TRIVIAL_B,
+                                 F=ColorProfile("exp", (2000, 0))))
+    assert b[0] == ("warning: profile F cannot be evaluated at 2 of 11 "
+                    "sampled points: 0.4, 0.5 (OverflowError: math range "
+                    "error)")
+    assert b[1].startswith("profile F vanishes on the color domain")
+    # no point left to check: the warning alone
+    nowhere = validate_spec(FamilySpec(family=FamilyId.FF_TRIG,
+                                       G=ColorProfile("exp", (0, 800))))
+    assert len(nowhere) == 1
+    assert nowhere[0].startswith("warning: profile G cannot be evaluated at "
+                                 "11 of 11 sampled points: -0.5, -0.4, -0.3, "
+                                 "-0.2, ... (OverflowError")
+
+
 def test_pole_errors():
     with pytest.raises(PoleProximity):
         eval_family(ff_hyperbolic_spec(lam=0.4, mu=1.0, gslope=0.0),

@@ -72,6 +72,26 @@ def test_transform_diagnostics():
     assert transform_diagnostics(dead)
 
 
+def test_transform_diagnostics_of_raising_profiles():
+    from cybe.transforms import transform_diagnostics
+    huge = TransformSpec(kind="regauge", N=ColorProfile("exp", (2000, 0)))
+    assert transform_diagnostics(huge) == [
+        "regauge profile N cannot be evaluated at 2 of 9 sampled points: "
+        "0.375, 0.5 (OverflowError: math range error)",
+        "regauge profile N vanishes on the sampled domain"]
+    nowhere = TransformSpec(kind="regauge", N=ColorProfile("exp", (0, 800)))
+    assert len(transform_diagnostics(nowhere)) == 1
+    g = TransformSpec(kind="scale", g=SpectralProfile("exp_affine",
+                                                      (3000, 0, 0)))
+    assert transform_diagnostics(g)[0].startswith(
+        "scale profile g cannot be evaluated at 25 of 125 sampled points: "
+        "(0.35, -0.5, -0.5), ")
+    f = TransformSpec(kind="recolor", f=ColorProfile("recip_sn", (0.6,)))
+    assert transform_diagnostics(f) == [
+        "recolor map f cannot be evaluated at 1 of 9 sampled points: 0 "
+        "(ZeroDivisionError: complex division by zero)"]
+
+
 def test_zero_divisor():
     fam = make_family(ff_elliptic_spec())
     t = TransformSpec(kind="scale", g=SpectralProfile("const", (0.0,)))

@@ -15,13 +15,16 @@ from cybe import (COMPONENT_IDS, GAUGE_COMPONENT_IDS, NotGauge,
                   gauge_ybe_residual, make_family, matrix_weights,
                   residual_sweep, tensor_embed, to_matrix, unitarity_residual,
                   ybe_defect, ybe_residual, ybe_residuals)
-from cybe.sampling import _BLOCK, _triple_points
+from cybe.sampling import _DRAW_MAX, _triple_points, _triples
 from cybe.weights import gauge_equation_residuals
 
 from conftest import (CANONICAL_SPECS, baxter_elliptic_spec,
                       baxter_trig_spec, ff_elliptic_spec, ff_hyperbolic_spec)
 
 IDENTITY = WeightVector.of(1, 1, 1, 1, 0, 0, 0, 0)
+
+#: a batch size; the sizes around it give partial, full and split batches
+_BLOCK = 128
 
 
 def rand_weights(rng):
@@ -276,16 +279,24 @@ def triple_weights(fam, n, seed):
 
 def assert_matches_oracle(U, W, V):
     """Every entry of the batch result is bitwise the scalar one: the kron
-    ``ybe_defect``, ``component_residuals`` and the ``ybe_residual`` scale."""
+    ``ybe_defect``, ``component_residuals`` and the product of the three
+    ``WeightVector.scale`` values; the one-row ``ybe_residual`` report of
+    each triple equals its row."""
     norm, comp, scale = ybe_residuals(U, W, V)
     assert norm.shape == scale.shape == (len(U),)
     assert comp.shape == (len(U), len(COMPONENT_IDS))
     rows = [tuple(WeightVector(A[b]) for A in (U, W, V)) for b in range(len(U))]
     assert np.array_equal(norm, [np.abs(ybe_defect(*r)).max() for r in rows])
     assert np.array_equal(comp, [np.abs(component_residuals(*r)) for r in rows])
+    assert np.array_equal(scale, [max(wu.scale(), 1e-300)
+                                  * max(ww.scale(), 1e-300)
+                                  * max(wv.scale(), 1e-300)
+                                  for wu, ww, wv in rows])
     reps = [ybe_residual(*r) for r in rows]
     assert np.array_equal(scale, [rep.scale for rep in reps])
     assert np.array_equal(norm, [rep.matrix_norm for rep in reps])
+    assert np.array_equal(comp, [list(rep.component_norms.values())
+                                 for rep in reps])
 
 
 @pytest.mark.parametrize("name", list(oracle_families()))
@@ -327,8 +338,10 @@ def test_residual_sweep_blocks_match_scalar_reports(n):
     fam = make_family(ff_elliptic_spec())
     plan = SamplePlan(n=n, seed=n)
     blocks = list(residual_sweep(fam, plan))
-    assert [len(U) for U, _, _ in blocks] == \
-        [min(_BLOCK, n - i) for i in range(0, n, _BLOCK)]
+    # one residual block per accepted block of the sampler
+    chunks = [len(S) for S, _ in _triples(fam, plan)]
+    assert [len(U) for U, _, _ in blocks] == chunks
+    assert sum(chunks) == n and all(c <= _DRAW_MAX for c in chunks)
     U = np.concatenate([b[0] for b in blocks])
     rel = np.concatenate([b[1] for b in blocks])
     comp = np.concatenate([b[2] for b in blocks])
