@@ -19,16 +19,17 @@ gauge-reduced family.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import CybeError, StepUnstable
-from .families import WeightFamily
+from .families import FamilyId, WeightFamily
+from .numkernel import jacobi_sncndn
 from .sampling import SamplePlan, point_weights, residual_sweep
 from .transforms import gauge_reduce
 from .weights import (WeightVector, baxter_curve_residual,
-                      free_fermion_residual)
+                      free_fermion_residual, vanishing_weights)
 
 
 class Verdict(str, enum.Enum):
@@ -50,16 +51,6 @@ class HamiltonianCoefficients:
     h: float
     fd_error: np.ndarray     # |richardson - raw| per grid point
     analytic: bool
-
-    def at(self, i: int) -> np.ndarray:
-        return self.m[i]
-
-    def column(self, j: int) -> np.ndarray:
-        """All grid samples of m_{j+1}."""
-        return self.m[:, j]
-
-    def mean(self) -> np.ndarray:
-        return self.m.mean(axis=0)
 
 
 def _du(fam, u, xi, eta, h=1e-5):
@@ -88,18 +79,13 @@ def hamiltonian_coeffs(fam: WeightFamily, xi_grid=None, h: float = 1e-5,
     rows, errs = [], []
     analytic = use_analytic and fam.analytic_coeffs(xi_grid[0]) is not None
     for xi in xi_grid:
-        if analytic:
-            rows.append(fam.analytic_coeffs(xi))
-            errs.append(0.0)
-        else:
-            rich, err = _du(fam, 0.0, xi, xi, h)
-            scale = max(1.0, float(np.abs(rich).max()))
-            if err > 1e-4 * scale:
-                raise StepUnstable(
-                    f"Richardson and raw central differences disagree by "
-                    f"{err:.3e} at xi = {xi}; adjust h")
-            rows.append(rich)
-            errs.append(err)
+        m, err = _coeffs_at(fam, xi, h, analytic)
+        if err > 1e-4 * max(1.0, float(np.abs(m).max())):
+            raise StepUnstable(
+                f"Richardson and raw central differences disagree by "
+                f"{err:.3e} at xi = {xi}; adjust h")
+        rows.append(m)
+        errs.append(err)
     return HamiltonianCoefficients(
         xi_grid=xi_grid, m=np.array(rows), h=h,
         fd_error=np.array(errs), analytic=analytic)
@@ -108,8 +94,7 @@ def hamiltonian_coeffs(fam: WeightFamily, xi_grid=None, h: float = 1e-5,
 def invariant_suite(fam: WeightFamily,
                     coeffs: HamiltonianCoefficients) -> dict[str, float]:
     """Named residuals of the coefficient-level propositions."""
-    m1, m4 = coeffs.column(0), coeffs.column(3)
-    m5, m6, m7 = coeffs.column(4), coeffs.column(5), coeffs.column(6)
+    m1, _, _, m4, m5, m6, m7, _ = coeffs.m.T
     delta_sq = (m5 + m6) ** 2 - 4 * m1 ** 2
     return {
         "m1_sq_minus_m4_sq": float(np.abs(m1**2 - m4**2).max()),
@@ -133,16 +118,30 @@ def _d2u(fam, u, xi, eta, h=1e-4):
             + fam.eval(u - h, xi, eta).a) / h**2
 
 
-def _coeff_at(fam: WeightFamily, coeffs: HamiltonianCoefficients,
-              x) -> np.ndarray:
-    """Coefficients at an arbitrary color point: the closed form when the
-    family has one, a fresh finite-difference extraction otherwise (the
-    coefficients vary with color, so grid lookup is not accurate enough)."""
-    if coeffs.analytic:
-        m = fam.analytic_coeffs(x)
-        if m is not None:
-            return m
-    return _du(fam, 0.0, x, x, coeffs.h)[0]
+def _coeffs_at(fam: WeightFamily, x, h: float, analytic: bool):
+    """m_i at color x and the Richardson error of their finite difference:
+    the closed form (error 0) when ``analytic``, a fresh extraction at step
+    h otherwise (the coefficients vary with color, so grid lookup is not
+    accurate enough)."""
+    if analytic:
+        return fam.analytic_coeffs(x), 0.0
+    return _du(fam, 0.0, x, x, h)
+
+
+def _worst(names, points, magnitudes) -> dict[str, float]:
+    """The largest value of each named magnitude over the points, where
+    ``magnitudes(*point)`` gives one value per name; 0.0 without points."""
+    worst = np.zeros(len(names))
+    for point in points:
+        worst = np.maximum(worst, magnitudes(*point))
+    return dict(zip(names, worst.tolist()))
+
+
+def _constants(coeffs: HamiltonianCoefficients):
+    """The measured constants alpha, beta, gamma: m7, m5, m1 averaged over
+    the color grid."""
+    mbar = coeffs.m.mean(axis=0)
+    return mbar[6], mbar[4], mbar[0]
 
 
 def curve_residuals(fam: WeightFamily, coeffs: HamiltonianCoefficients,
@@ -152,57 +151,38 @@ def curve_residuals(fam: WeightFamily, coeffs: HamiltonianCoefficients,
     ``samples`` are (u, xi, eta) points; ``branch`` is "baxter", "ff" or
     "alpha0".  Inapplicable suites are simply absent from the result.
     """
-    out: dict[str, float] = {}
-    mbar = coeffs.mean()
-    alpha, beta, gamma = mbar[6], mbar[4], mbar[0]
-
+    alpha, beta, gamma = _constants(coeffs)
     if branch == "baxter":
-        r_ode5 = r_ode1 = r_curve = 0.0
-        for (u, xi, eta) in samples:
-            w = fam.eval(u, xi, eta)
-            dw = _du(fam, u, xi, eta)[0]
-            c = beta**2 - gamma**2 + alpha**2
-            r_ode5 = max(r_ode5, abs(dw[4]**2 - (beta**2 - c * w.a5**2
-                                                 + alpha**2 * w.a5**4)))
-            r_ode1 = max(r_ode1, abs(dw[0]**2 - (beta**2 - c * w.a1**2
-                                                 + alpha**2 * w.a1**4)))
-            r_curve = max(r_curve, abs(baxter_curve_residual(w, alpha, beta,
-                                                             gamma)))
-        out["ode_a5_square"] = r_ode5
-        out["ode_a1_square"] = r_ode1
-        out["biquadratic_curve"] = r_curve
+        c = beta**2 - gamma**2 + alpha**2
+
+        def magnitudes(u, xi, eta):
+            w, dw = fam.eval(u, xi, eta), _du(fam, u, xi, eta)[0]
+            return (abs(dw[4]**2 - (beta**2 - c*w.a5**2 + alpha**2 * w.a5**4)),
+                    abs(dw[0]**2 - (beta**2 - c*w.a1**2 + alpha**2 * w.a1**4)),
+                    abs(baxter_curve_residual(w, alpha, beta, gamma)))
+        names = ("ode_a5_square", "ode_a1_square", "biquadratic_curve")
     elif branch == "ff":
-        r_ff = r_bilinear = r_quaddiff = r_ode7 = 0.0
-        for (u, xi, eta) in samples:
-            w = fam.eval(u, xi, eta)
-            dw = _du(fam, u, xi, eta)[0]
-            me = _coeff_at(fam, coeffs, eta)
+        def magnitudes(u, xi, eta):
+            w, dw = fam.eval(u, xi, eta), _du(fam, u, xi, eta)[0]
+            me = _coeffs_at(fam, eta, coeffs.h, coeffs.analytic)[0]
             m1e, m5e, m6e = me[0], me[4], me[5]
-            r_ff = max(r_ff, abs(free_fermion_residual(w)))
-            r_bilinear = max(r_bilinear, abs(
-                alpha * (w.a1 * w.a6 + w.a4 * w.a5) - (m5e + m6e) * w.a7))
-            r_quaddiff = max(r_quaddiff, abs(
-                alpha * (w.a1**2 + w.a6**2 - w.a4**2 - w.a5**2)
-                - 4 * m1e * w.a7))
             c = (m5e + m6e) ** 2 - 4 * m1e**2 - 2 * alpha**2
-            r_ode7 = max(r_ode7, abs(dw[6]**2 - (alpha**2 - c * w.a7**2
-                                                 + alpha**2 * w.a7**4)))
-        out["ff_condition"] = r_ff
-        out["coeff_bilinear"] = r_bilinear
-        out["coeff_quadratic_diff"] = r_quaddiff
-        out["ode_a7_square"] = r_ode7
+            return (abs(free_fermion_residual(w)),
+                    abs(alpha*(w.a1*w.a6 + w.a4*w.a5) - (m5e + m6e)*w.a7),
+                    abs(alpha * (w.a1**2 + w.a6**2 - w.a4**2 - w.a5**2)
+                        - 4 * m1e * w.a7),
+                    abs(dw[6]**2 - (alpha**2 - c*w.a7**2 + alpha**2*w.a7**4)))
+        names = ("ff_condition", "coeff_bilinear", "coeff_quadratic_diff",
+                 "ode_a7_square")
     elif branch == "alpha0":
-        r = 0.0
-        for (u, xi, eta) in samples:
-            w = fam.eval(u, xi, eta)
-            d2 = _d2u(fam, u, xi, eta)
-            m5e = _coeff_at(fam, coeffs, eta)[4]
-            for i in (0, 3, 4, 5):
-                r = max(r, abs(d2[i] - m5e**2 * w.a[i]))
-        out["second_order_ode"] = r
+        def magnitudes(u, xi, eta):
+            w, d2 = fam.eval(u, xi, eta), _d2u(fam, u, xi, eta)
+            m5e = _coeffs_at(fam, eta, coeffs.h, coeffs.analytic)[0][4]
+            return max(abs(d2[i] - m5e**2 * w.a[i]) for i in (0, 3, 4, 5))
+        names = ("second_order_ode",)
     else:
         raise ValueError(f"unknown branch {branch!r}")
-    return out
+    return _worst(names, samples, magnitudes)
 
 
 # ---- polynomial identity suites ----
@@ -278,36 +258,30 @@ def elliptic_ff_identities(fam: WeightFamily, samples) -> dict[str, float]:
     """The five sn/cd bilinear identities of the elliptic free-fermion
     family, with coefficient factor 1/lam replacing the unit-constriction
     modulus.  Only meaningful when ``fam.spec`` is FF_ELLIPTIC or FF_TANH."""
-    from .families import FamilyId
-    from .numkernel import jacobi_sncndn
-
     spec = fam.spec
     if spec is None or spec.family not in (FamilyId.FF_ELLIPTIC,
                                            FamilyId.FF_TANH):
         raise ValueError("elliptic_ff_identities needs an elliptic or tanh "
                          "free-fermion family")
-    k = spec.k if spec.family is FamilyId.FF_ELLIPTIC else 1.0
     kap = 1.0 / spec.lam
-    worst = np.zeros(5)
-    for (u, xi, eta) in samples:
+
+    def magnitudes(u, xi, eta):
         w = fam.eval(u, xi, eta)
         z = spec.lam * complex(u) + spec.F(xi) - spec.F(eta)
-        sn, cn, dn = jacobi_sncndn(z, k)
+        sn, cn, dn = jacobi_sncndn(z, spec.ff_modulus)
         cd = cn / dn
-        me = fam.analytic_coeffs(eta)
-        mx = fam.analytic_coeffs(xi)
-        m1e, m5e = me[0], me[4]
-        m1x = mx[0]
+        m1e, m5e = fam.analytic_coeffs(eta)[[0, 4]]
+        m1x = fam.analytic_coeffs(xi)[0]
         u1, u4, u5, u6 = w.a1, w.a4, w.a5, w.a6
-        vals = np.array([
+        return np.abs(np.array([
             cd**2 - sn**2 + 2*m1e*kap*cd*sn + u5**2 - u1**2,
             cd**2 - sn**2 - 2*m1e*kap*cd*sn + u6**2 - u4**2,
             u1*u4 + u5*u6 - cd**2 - sn**2,
             u1*u6 + u4*u5 - 2*m5e*kap*cd*sn,
             cd**2 - sn**2 - 2*m1x*kap*cd*sn + u5**2 - u4**2,
-        ])
-        worst = np.maximum(worst, np.abs(vals))
-    return {f"sn_cd_identity_{i+1}": float(v) for i, v in enumerate(worst)}
+        ]))
+    return _worst([f"sn_cd_identity_{i+1}" for i in range(5)], samples,
+                  magnitudes)
 
 
 def derived_identity_suite(fam: WeightFamily, coeffs: HamiltonianCoefficients,
@@ -319,33 +293,28 @@ def derived_identity_suite(fam: WeightFamily, coeffs: HamiltonianCoefficients,
     the Baxter branch instead satisfies the weight-only cubics and the
     bilinear quartet.
     """
-    w7 = np.zeros(7)
-    w3 = np.zeros(3)
-    wffc = 0.0
-    wq = np.zeros(4)
-    wbx = np.zeros(3)
-    wbil = 0.0
-    for (u, xi, eta) in samples:
-        w = fam.eval(u, xi, eta)
-        m = _coeff_at(fam, coeffs, eta)
-        w7 = np.maximum(w7, np.abs(_suite_universal(w, m)))
-        w3 = np.maximum(w3, np.abs(_suite_reduced(w, m)))
-        if branch == "ff":
-            wffc = max(wffc, abs(free_fermion_residual(w)))
-        elif branch == "baxter":
-            wq = np.maximum(wq, np.abs(_suite_baxter_quartet(w, m)))
-            wbx = np.maximum(wbx, np.abs(_suite_baxter_weights(w)))
-            # alpha a1 a5 = m6 a7: the factored bilinear of this branch
-            wbil = max(wbil, abs(m[6] * w.a1 * w.a5 - m[5] * w.a7))
-    out = {f"universal_{i+1}": float(v) for i, v in enumerate(w7)}
-    out.update({f"reduced_{i+1}": float(v) for i, v in enumerate(w3)})
+    names = ([f"universal_{i+1}" for i in range(7)]
+             + [f"reduced_{i+1}" for i in range(3)])
     if branch == "ff":
-        out["ff_condition"] = float(wffc)
+        names.append("ff_condition")
     elif branch == "baxter":
-        out.update({f"baxter_quartet_{i+1}": float(v) for i, v in enumerate(wq)})
-        out.update({f"baxter_cubic_{i+1}": float(v) for i, v in enumerate(wbx)})
-        out["baxter_bilinear"] = float(wbil)
-    return out
+        names += ([f"baxter_quartet_{i+1}" for i in range(4)]
+                  + [f"baxter_cubic_{i+1}" for i in range(3)]
+                  + ["baxter_bilinear"])
+
+    def magnitudes(u, xi, eta):
+        w = fam.eval(u, xi, eta)
+        m = _coeffs_at(fam, eta, coeffs.h, coeffs.analytic)[0]
+        parts = [np.abs(_suite_universal(w, m)), np.abs(_suite_reduced(w, m))]
+        if branch == "ff":
+            parts.append([abs(free_fermion_residual(w))])
+        elif branch == "baxter":
+            # alpha a1 a5 = m6 a7: the factored bilinear of this branch
+            parts += [np.abs(_suite_baxter_quartet(w, m)),
+                      np.abs(_suite_baxter_weights(w)),
+                      [abs(m[6] * w.a1 * w.a5 - m[5] * w.a7)]]
+        return np.concatenate(parts)
+    return _worst(names, samples, magnitudes)
 
 
 # ---- the verdict pipeline ----
@@ -373,11 +342,11 @@ class ClassifyPlan:
 @dataclass(frozen=True)
 class ClassificationReport:
     verdict: Verdict
-    is_gauge: bool
-    initial_condition_ok: bool
-    initial_condition_residual: float | None
     ybe_median: float
     ybe_max: float
+    is_gauge: bool = False
+    initial_condition_ok: bool = False
+    initial_condition_residual: float | None = None
     ff_condition_median: float | None = None
     baxter_curve_median: float | None = None
     coefficient_invariants: dict[str, float] = field(default_factory=dict)
@@ -385,59 +354,39 @@ class ClassificationReport:
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "is_gauge": self.is_gauge,
-            "initial_condition_ok": self.initial_condition_ok,
-            "initial_condition_residual": self.initial_condition_residual,
-            "ybe_median": self.ybe_median,
-            "ybe_max": self.ybe_max,
-            "ff_condition_median": self.ff_condition_median,
-            "baxter_curve_median": self.baxter_curve_median,
-            "coefficient_invariants": self.coefficient_invariants,
-            "measured_constants": self.measured_constants,
-            "notes": list(self.notes),
-        }
+        return asdict(self) | {"verdict": self.verdict.value,
+                               "notes": list(self.notes)}
 
 
 def _initial_condition_residual(fam: WeightFamily, rng, color_span) -> float:
-    worst = 0.0
     target = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
-    for _ in range(8):
-        xi = rng.uniform(*color_span)
-        try:
-            w = fam.eval(0.0, xi, xi)
-        except CybeError:
-            # families singular at u = 0 exactly: probe the limit
+
+    def distance(xi):
+        # families singular at u = 0 exactly: probe the limit
+        for u in (0.0, 1e-7):
             try:
-                w = fam.eval(1e-7, xi, xi)
+                return np.abs(fam.eval(u, xi, xi).a - target).max()
             except CybeError:
-                continue
-        worst = max(worst, float(np.abs(w.a - target).max()))
-    return worst
+                pass
+        return 0.0
+    points = ((rng.uniform(*color_span),) for _ in range(8))
+    return _worst(["ic"], points, distance)["ic"]
 
 
 def _trivial_shape(fam: WeightFamily, rng, plan) -> Verdict | None:
-    res_a = res_b = 0.0
-    for _ in range(10):
-        u = rng.uniform(*plan.u_span)
-        xi, eta = rng.uniform(*plan.color_span, 2)
+    def residuals(u, xi, eta):
         try:
-            w = fam.eval(u, xi, eta)
+            a = fam.eval(u, xi, eta).a
         except CybeError:
-            continue
-        a = w.a
-        res_a = max(res_a, abs(a[1] - 1), abs(a[2] - 1), abs(a[6] - 1),
-                    abs(a[7] - 1), abs(a[0] - a[3]), abs(a[0] - a[4]),
-                    abs(a[0] - a[5]))
-        res_b = max(res_b, abs(a[1] - 1), abs(a[2] - 1), abs(a[6] - 1j),
-                    abs(a[7] - 1j), abs(a[0] - a[3]), abs(a[0] - a[4]),
-                    abs(a[0] + a[5]))
-    if res_a < 1e-8:
-        return Verdict.TRIVIAL_A
-    if res_b < 1e-8:
-        return Verdict.TRIVIAL_B
-    return None
+            return 0.0, 0.0
+        shared = (abs(a[1] - 1), abs(a[2] - 1), abs(a[0] - a[3]),
+                  abs(a[0] - a[4]))
+        return (max(*shared, abs(a[6] - 1), abs(a[7] - 1), abs(a[0] - a[5])),
+                max(*shared, abs(a[6] - 1j), abs(a[7] - 1j), abs(a[0] + a[5])))
+    points = ((rng.uniform(*plan.u_span), *rng.uniform(*plan.color_span, 2))
+              for _ in range(10))
+    res = _worst([Verdict.TRIVIAL_A, Verdict.TRIVIAL_B], points, residuals)
+    return next((shape for shape, r in res.items() if r < 1e-8), None)
 
 
 def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
@@ -453,40 +402,28 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     rng = np.random.default_rng(plan.seed + 1)
     notes: list[str] = []
 
-    rels = []
-    weight_mags = np.zeros(8)
-    for U, rel, _ in residual_sweep(fam, plan.sample_plan(plan.n_ybe)):
-        rels.append(rel)
-        weight_mags = np.maximum(weight_mags, np.abs(U).max(axis=0))
-    rels = np.concatenate(rels)
-    ybe_median = float(np.median(rels))
-    ybe_max = float(np.max(rels))
-
-    base = dict(ybe_median=ybe_median, ybe_max=ybe_max)
-
-    if ybe_median > plan.tol_solution:
+    blocks = list(residual_sweep(fam, plan.sample_plan(plan.n_ybe)))
+    rels = np.concatenate([rel for _, rel, _ in blocks])
+    base = dict(ybe_median=float(np.median(rels)), ybe_max=float(np.max(rels)))
+    if base["ybe_median"] > plan.tol_solution:
         return ClassificationReport(
-            verdict=Verdict.NOT_A_SOLUTION, is_gauge=False,
-            initial_condition_ok=False, initial_condition_residual=None,
+            Verdict.NOT_A_SOLUTION,
             notes=("matrix identity fails beyond tolerance",), **base)
 
-    dead = [f"a{i+1}" for i in range(8)
-            if weight_mags[i] < 1e-12 * max(weight_mags.max(), 1e-300)]
+    dead = vanishing_weights(
+        np.max([np.abs(U).max(axis=0) for U, _, _ in blocks], axis=0))
     if dead:
         return ClassificationReport(
-            verdict=Verdict.NOT_EIGHT_VERTEX, is_gauge=False,
-            initial_condition_ok=False, initial_condition_residual=None,
-            notes=(f"weights {', '.join(dead)} vanish identically",), **base)
+            Verdict.NOT_EIGHT_VERTEX,
+            notes=(f"weights {dead} vanish identically",), **base)
 
     ic_res = _initial_condition_residual(fam, rng, plan.color_span)
     ic_ok = bool(ic_res <= 1e-8)
-
+    base.update(initial_condition_ok=ic_ok, initial_condition_residual=ic_res)
     if not ic_ok:
         shape = _trivial_shape(fam, rng, plan)
         if shape is not None:
-            return ClassificationReport(
-                verdict=shape, is_gauge=False, initial_condition_ok=False,
-                initial_condition_residual=ic_res, **base)
+            return ClassificationReport(shape, **base)
         notes.append("initial value fails but no trivial shape matches")
 
     c_mid = 0.5 * (plan.color_span[0] + plan.color_span[1])
@@ -506,16 +443,12 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
             notes.append(f"gauge-reduced (residual {cert.gauge_residual:.2e})")
         except CybeError as exc:
             return ClassificationReport(
-                verdict=Verdict.INDETERMINATE, is_gauge=False,
-                initial_condition_ok=ic_ok, initial_condition_residual=ic_res,
+                Verdict.INDETERMINATE,
                 notes=(f"gauge reduction failed: {exc}",), **base)
 
-    coeffs = hamiltonian_coeffs(
-        work, np.linspace(*plan.color_span, _N_GRID),
-        use_analytic=work.spec is not None)
+    coeffs = hamiltonian_coeffs(work, np.linspace(*plan.color_span, _N_GRID))
     inv = invariant_suite(work, coeffs)
-    mbar = coeffs.mean()
-    alpha, beta, gamma = mbar[6], mbar[4], mbar[0]
+    alpha, beta, gamma = _constants(coeffs)
 
     ff_vals, curve_vals = [], []
     for _, (w, _) in point_weights(work, plan.sample_plan(_N_POINTS)):
@@ -544,8 +477,7 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
         notes.append("neither branch condition holds at tolerance")
 
     return ClassificationReport(
-        verdict=verdict, is_gauge=is_gauge, initial_condition_ok=ic_ok,
-        initial_condition_residual=ic_res,
+        verdict, is_gauge=is_gauge,
         ff_condition_median=ff_median, baxter_curve_median=curve_median,
         coefficient_invariants=inv, measured_constants=measured,
         notes=tuple(notes), **base)

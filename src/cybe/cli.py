@@ -203,9 +203,9 @@ def cmd_couplings(args) -> int:
 
     fam = _load_family(args)
     coeffs = hamiltonian_coeffs(fam, np.array([args.xi]), h=args.h)
-    c = couplings_from_coeffs(coeffs.at(0))
+    c = couplings_from_coeffs(coeffs.m[0])
     doc = {"xi": args.xi, "couplings": c.to_json(),
-           "coefficients": [[v.real, v.imag] for v in coeffs.at(0)]}
+           "coefficients": [[v.real, v.imag] for v in coeffs.m[0]]}
     if args.sites:
         op = build_chain(c, args.sites, periodic=args.periodic)
         doc["sites"] = args.sites

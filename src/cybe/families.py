@@ -118,12 +118,18 @@ class FamilySpec:
         object.__setattr__(self, "mu", complex(self.mu))
         for flag in ("s5", "s7", "delta"):
             v = getattr(self, flag)
-            if v not in (1, -1):
+            if isinstance(v, bool) or v not in (1, -1):
                 raise InvalidSpec(f"{flag} must be +1 or -1, got {v!r}")
 
     @property
     def is_gauge(self) -> bool:
         return self.family in GAUGE_FAMILIES
+
+    @property
+    def ff_modulus(self) -> complex:
+        """Modulus of the elliptic free-fermion forms: FF_TANH is
+        FF_ELLIPTIC at k = 1."""
+        return self.k if self.family is FamilyId.FF_ELLIPTIC else 1.0
 
 
 @dataclass(frozen=True)
@@ -249,7 +255,7 @@ def _baxter_trig(spec: FamilySpec):
 def _ff_elliptic(spec: FamilySpec):
     if spec.lam == 0:
         raise InvalidSpec("rate lam must be nonzero")
-    k = spec.k if spec.family is FamilyId.FF_ELLIPTIC else 1.0
+    k = spec.ff_modulus
     lam, F, G, H, delta, s7 = spec.lam, spec.F, spec.G, spec.H, spec.delta, spec.s7
 
     def form(o, u, xi, eta):
@@ -372,7 +378,7 @@ def eval_family(spec: FamilySpec, u, xi, eta) -> WeightVector:
 
 # -------------------- validation --------------------
 
-_COLOR_GRID = tuple(np.linspace(-0.5, 0.5, 11))
+_COLOR_GRID = tuple(np.linspace(-0.5, 0.5, 11).tolist())
 
 
 def _sampled(out: list[str], what: str, fn, points=_COLOR_GRID,
@@ -485,7 +491,6 @@ def _analytic_coeffs(spec: FamilySpec, xi: complex):
         m[4] = m[5] = spec.s5 * spec.lam * cmu / smu
         m[6] = m[7] = spec.s7 * spec.lam * smu / cmu
     elif fam in (FamilyId.FF_ELLIPTIC, FamilyId.FF_TANH):
-        k = spec.k if fam is FamilyId.FF_ELLIPTIC else 1.0
         Gx, Hx = spec.G(xi), spec.H(xi)
         scale = 1.0 + abs(Gx) ** 2 + abs(Hx) ** 2
         m1 = (spec.lam * _root(SCALAR, Hx * Hx, scale)
@@ -493,7 +498,7 @@ def _analytic_coeffs(spec: FamilySpec, xi: complex):
         m5 = spec.lam * spec.delta * _root(SCALAR, Gx * Gx, scale)
         m[0], m[3] = m1, -m1
         m[4] = m[5] = m5
-        m[6] = m[7] = spec.s7 * k * spec.lam
+        m[6] = m[7] = spec.s7 * spec.ff_modulus * spec.lam
     elif fam is FamilyId.FF_TRIG:
         Gx = spec.G(xi)
         m1 = spec.lam * cmath.sqrt(Gx * Gx)

@@ -14,6 +14,7 @@ argument it evaluates whole ``Split`` columns with the same roundings.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -78,7 +79,8 @@ class _Profile:
             if not self.factors:
                 raise InvalidSpec("product profile needs at least one factor")
             fn = _product
-        elif self.preset not in self._PRESETS:
+        elif (not isinstance(self.preset, str)
+              or self.preset not in self._PRESETS):
             raise InvalidSpec(
                 f"unknown {self._KIND} profile preset {self.preset!r}")
         else:
@@ -104,10 +106,15 @@ class _Profile:
 
     @classmethod
     def from_json(cls, doc: dict):
-        _check_keys(doc, {"preset", "params", "factors"}, f"{cls._KIND} profile")
-        factors = tuple(cls.from_json(f) for f in doc.get("factors", []))
-        return cls(doc["preset"], tuple(_cval(p) for p in doc.get("params", [])),
-                   factors)
+        what = f"{cls._KIND} profile"
+        _check_keys(doc, {"preset", "params", "factors"}, what)
+        factors, params = doc.get("factors", []), doc.get("params", [])
+        if not (isinstance(factors, list) and isinstance(params, list)):
+            raise InvalidSpec(f"{what} params and factors must be JSON arrays")
+        factors = tuple(cls.from_json(f) for f in factors)
+        if "preset" not in doc:
+            raise InvalidSpec(f"{what} needs a 'preset' field")
+        return cls(doc["preset"], tuple(_cval(p) for p in params), factors)
 
 
 class ColorProfile(_Profile):
@@ -136,10 +143,12 @@ def _cjson(z: complex) -> list[float]:
 
 
 def _cval(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(v[0], v[1])
+    """A number, or a [re, im] pair of numbers; JSON booleans are not."""
+    parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else [v]
+    if all(isinstance(p, (int, float)) and not isinstance(p, bool)
+           for p in parts):
+        with contextlib.suppress(OverflowError):   # an int beyond float
+            return complex(*parts)
     raise InvalidSpec(f"cannot parse complex value from {v!r}")
 
 

@@ -31,7 +31,7 @@ from .errors import (InvalidSpec, MultiplicativityViolation, NotEightVertex,
 from .families import WeightFamily, _sampled
 from .numkernel import SCALAR
 from .profiles import ColorProfile, SpectralProfile, _check_keys, _cjson, _cval
-from .weights import WeightVector
+from .weights import WeightVector, vanishing_weights
 
 _KINDS = ("swap_23_78", "swap_14_56", "scale", "regauge", "negate_56",
           "rescale_spectral", "recolor")
@@ -291,13 +291,9 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
             u = complex(u_probe) * (0.6 + 0.8 * rng.random())
             samples.append((u, float(xi), float(eta), fam.eval(u, xi, eta)))
 
-    arr = np.array([w.a for *_, w in samples])
-    scale = np.abs(arr).max()
-    low = np.abs(arr).max(axis=0)
-    dead = [i for i in range(8) if low[i] < 1e-12 * max(scale, 1e-300)]
+    dead = vanishing_weights(np.abs([w.a for *_, w in samples]).max(axis=0))
     if dead:
-        names = ", ".join(f"a{i+1}" for i in dead)
-        raise NotEightVertex(f"weights {names} vanish identically on samples")
+        raise NotEightVertex(f"weights {dead} vanish identically on samples")
 
     def ratio(o, w):
         """a3/a2 of the weight columns w."""

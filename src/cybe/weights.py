@@ -324,6 +324,13 @@ def unitarity_defect(w: WeightVector, wr: WeightVector) -> float:
     return float(np.abs(prod).max())
 
 
+def vanishing_weights(mags) -> str:
+    """The weights, as "a2, a7", whose largest sampled magnitude ``mags[i]``
+    is below 1e-12 of the largest of all: they vanish identically."""
+    top = max(mags.max(), 1e-300)
+    return ", ".join(f"a{i+1}" for i in range(8) if mags[i] < 1e-12 * top)
+
+
 def free_fermion_residual(w: WeightVector) -> complex:
     """a1 a4 + a5 a6 - 1 - a7^2 (gauge form of the free-fermion condition)."""
     return w.a1 * w.a4 + w.a5 * w.a6 - 1 - w.a7 ** 2

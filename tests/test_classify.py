@@ -119,9 +119,50 @@ def test_ff_curve_residuals(rng):
 def test_alpha_zero_second_order_ode(rng):
     fam = make_family(ff_hyperbolic_spec(lam=0.8, mu=0.0, gslope=0.2))
     coeffs = hamiltonian_coeffs(fam, grid())
-    assert abs(coeffs.mean()[6]) < 1e-14
+    assert abs(coeffs.m.mean(axis=0)[6]) < 1e-14
     out = curve_residuals(fam, coeffs, sample_pts(rng), "alpha0")
     assert out["second_order_ode"] < 1e-6
+
+
+#: the keys of each suite, in the order they are reported
+CURVE_KEYS = {
+    "baxter": ["ode_a5_square", "ode_a1_square", "biquadratic_curve"],
+    "ff": ["ff_condition", "coeff_bilinear", "coeff_quadratic_diff",
+           "ode_a7_square"],
+    "alpha0": ["second_order_ode"],
+}
+IDENTITY_KEYS = (
+    [f"universal_{i}" for i in range(1, 8)]
+    + [f"reduced_{i}" for i in range(1, 4)])
+BRANCH_KEYS = {
+    "ff": ["ff_condition"],
+    "baxter": ([f"baxter_quartet_{i}" for i in range(1, 5)]
+               + [f"baxter_cubic_{i}" for i in range(1, 4)]
+               + ["baxter_bilinear"]),
+    "other": [],
+}
+
+
+def test_suites_without_samples_report_zeros():
+    fam = make_family(ff_elliptic_spec())
+    coeffs = hamiltonian_coeffs(fam, grid())
+    for branch, keys in CURVE_KEYS.items():
+        out = curve_residuals(fam, coeffs, [], branch)
+        assert list(out) == keys and set(out.values()) == {0.0}
+    for branch, keys in BRANCH_KEYS.items():
+        out = derived_identity_suite(fam, coeffs, [], branch)
+        assert list(out) == IDENTITY_KEYS + keys
+        assert set(out.values()) == {0.0}
+    out = elliptic_ff_identities(fam, [])
+    assert list(out) == [f"sn_cd_identity_{i}" for i in range(1, 6)]
+    assert set(out.values()) == {0.0}
+
+
+def test_curve_residuals_unknown_branch():
+    fam = make_family(ff_elliptic_spec())
+    with pytest.raises(ValueError, match="unknown branch 'ode'"):
+        curve_residuals(fam, hamiltonian_coeffs(fam, grid()),
+                        sample_pts(np.random.default_rng(0)), "ode")
 
 
 def test_derived_identities_baxter(rng):

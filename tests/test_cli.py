@@ -345,6 +345,15 @@ def test_profiles_raising_on_the_diagnostic_grid(argv, exit_code, capsys):
         assert out == "" and err.count("error: ") == 1
 
 
+def test_vanishing_profile_message_names_plain_colors(capsys):
+    code, out, err = run_cli(
+        ["verify", "--spec", '{"family":"trivial_b","profiles":{"F":'
+         '{"preset":"exp","params":[2000,0]}}}'], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: profile F vanishes on the color domain at "
+                   "[-0.5, -0.4, -0.3]\n")
+
+
 @pytest.mark.parametrize("sub", ["verify", "classify"])
 @pytest.mark.parametrize("bound", ["1e300", "inf", "nan"])
 def test_max_weight_beyond_the_product_range_exit_2(sub, bound, capsys):

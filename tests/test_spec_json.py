@@ -1,7 +1,10 @@
 """Property tests: family specs, profiles and transform pipelines survive a
-JSON round trip unchanged, and malformed profiles fail with InvalidSpec
-messages naming the problem."""
+JSON round trip unchanged, malformed profiles fail with InvalidSpec
+messages naming the problem, and any malformed spec or pipeline JSON makes
+the CLI exit 2 with one error line."""
 
+import contextlib
+import io
 import json
 import pickle
 
@@ -12,6 +15,9 @@ from hypothesis import strategies as st
 from cybe import (ColorProfile, FamilyId, FamilySpec, InvalidSpec, Pipeline,
                   SpectralProfile, TransformSpec, spec_from_json,
                   spec_to_json)
+from cybe.cli import main
+
+from conftest import CANONICAL_SPECS, ff_trig_spec
 
 #: documented preset arities, kept here as an independent reference
 COLOR_ARITY = {"constant": 1, "linear": 1, "affine": 2, "cosh": 2, "sinh": 2,
@@ -101,3 +107,146 @@ def test_wrong_parameter_count_message(data, kind):
         cls.from_json({"preset": name, "params": [0.5] * count})
     assert str(info.value) == (f"preset {name!r} takes {arity[name]} "
                                f"parameter(s), got {count}")
+
+
+# ---- malformed documents ----
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=2),
+    max_leaves=4)
+
+
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+NAMES = ({f.value for f in FamilyId} | set(COLOR_ARITY) | set(SPECTRAL_ARITY)
+         | {"product", "swap_23_78", "swap_14_56", "scale", "regauge",
+            "negate_56", "rescale_spectral", "recolor"})
+
+#: slot kind -> JSON values that are not valid there
+BAD = {
+    "complex": json_values.filter(lambda v: not (
+        is_number(v) or isinstance(v, list) and len(v) == 2
+        and all(map(is_number, v)))),
+    "sign": json_values.filter(
+        lambda v: not (is_number(v) and v in (1, -1))),
+    "name": json_values.filter(
+        lambda v: not (isinstance(v, str) and v in NAMES)),
+    "params": json_values.filter(lambda v: not isinstance(v, list)),
+    "object": json_values.filter(lambda v: not isinstance(v, dict)),
+}
+BAD["factors"] = BAD["params"]
+
+#: object kind -> (allowed keys, required key, key -> slot kind of its value)
+OBJECTS = {
+    "spec": ({"family", "k", "lambda", "mu", "signs", "profiles"}, "family",
+             {"family": "name", "signs": "signs", "profiles": "profiles"}),
+    "signs": ({"s5", "s7", "delta"}, None, {}),
+    "profiles": ({"F", "G", "H", "spectral"}, None, {}),
+    "profile": ({"preset", "params", "factors"}, "preset",
+                {"preset": "name", "params": "params", "factors": "factors"}),
+    "transform": ({"kind", "g", "N", "s", "mu", "f"}, "kind",
+                  {"kind": "name", "s": "complex", "mu": "complex"}),
+}
+DEFAULT_SLOT = {"spec": "complex", "signs": "sign", "profiles": "profile",
+                "transform": "profile"}
+
+
+def places(node, kind):
+    """(container, key, slot kind) of every value below a document node,
+    and (node, None, kind) for every object node."""
+    if kind in OBJECTS:
+        yield node, None, kind
+        for key, value in node.items():
+            sub = OBJECTS[kind][2].get(key, DEFAULT_SLOT.get(kind))
+            yield node, key, sub
+            yield from places(value, sub)
+    elif kind in ("params", "factors", "pipeline"):
+        sub = {"params": "complex", "factors": "profile",
+               "pipeline": "transform"}[kind]
+        for i, value in enumerate(node):
+            yield node, i, sub
+            yield from places(value, sub)
+
+
+def malform(data, doc, kind):
+    """One structural fault drawn into a copy of a valid document: a value
+    of the wrong type or range, an unknown key, or a missing required key."""
+    doc = json.loads(json.dumps(doc))
+    node, key, slot = data.draw(st.sampled_from(list(places(doc, kind))))
+    if key is not None:
+        node[key] = data.draw(BAD.get(slot, BAD["object"]))
+        return doc
+    allowed, required, _ = OBJECTS[slot]
+    faults = ["unknown"] + (["missing"] if required else []) + (
+        ["factors"] if slot == "profile" else [])
+    fault = data.draw(st.sampled_from(faults))
+    if fault == "missing":
+        del node[required]
+    elif fault == "factors":
+        node["factors"] = data.draw(BAD["params"])
+    else:
+        name = data.draw(st.text(max_size=6).filter(lambda k: k not in allowed))
+        node[name] = data.draw(json_values)
+    return doc
+
+
+def cli_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+VALID_SPEC = json.dumps(spec_to_json(ff_trig_spec()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), family=st.sampled_from(list(FamilyId)))
+def test_malformed_spec_exits_2(data, family):
+    doc = malform(data, spec_to_json(CANONICAL_SPECS[family]()), "spec")
+    with pytest.raises(InvalidSpec):
+        spec_from_json(doc)
+    code, out, err = cli_error(["verify", "--spec", json.dumps(doc),
+                                "--samples", "2"])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), steps=st.lists(transforms, min_size=1, max_size=3))
+def test_malformed_pipeline_exits_2(data, steps):
+    doc = malform(data, Pipeline(tuple(steps)).to_json(), "pipeline")
+    with pytest.raises(InvalidSpec):
+        Pipeline.from_json(doc)
+    code, out, err = cli_error(["verify", "--spec", VALID_SPEC, "--transform",
+                                json.dumps(doc), "--samples", "2"])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("profile, message", [
+    ({"preset": ["linear"], "params": [1]},
+     "unknown color profile preset ['linear']"),
+    ({"params": [1]}, "color profile needs a 'preset' field"),
+    ({"preset": "linear", "params": 5},
+     "color profile params and factors must be JSON arrays"),
+    ({"preset": "linear", "params": [True]},
+     "cannot parse complex value from True"),
+])
+def test_malformed_profile_message(profile, message):
+    with pytest.raises(InvalidSpec) as info:
+        ColorProfile.from_json(profile)
+    assert str(info.value) == message
+
+
+def test_booleans_are_not_numbers():
+    doc = spec_to_json(ff_trig_spec())
+    with pytest.raises(InvalidSpec, match="cannot parse complex value"):
+        spec_from_json({**doc, "k": True})
+    with pytest.raises(InvalidSpec, match="s5 must be"):
+        spec_from_json({**doc, "signs": {"s5": True}})

@@ -80,7 +80,7 @@ def test_hyperbolic_family_couplings():
     # coefficients (0, 0, 0, 0, lam, -lam, mu, mu)
     lam, mu = 0.9, 0.35
     fam = make_family(ff_hyperbolic_spec(lam=lam, mu=mu))
-    m = hamiltonian_coeffs(fam, np.array([0.2])).at(0)
+    m = hamiltonian_coeffs(fam, np.array([0.2])).m[0]
     c = couplings_from_coeffs(m)
     assert abs(c.jx - mu / 2) < 1e-12
     assert abs(c.jy + mu / 2) < 1e-12
@@ -177,7 +177,7 @@ def test_ff_relation_check_baxter_pattern():
 
 def test_ff_relation_check_trig_family():
     fam = make_family(ff_trig_spec(s5=1, s7=1))
-    m = hamiltonian_coeffs(fam, np.array([0.25])).at(0)
+    m = hamiltonian_coeffs(fam, np.array([0.25])).m[0]
     rep = ff_relation_check(couplings_from_coeffs(m), m)
     # the m-relations hold for this family; the coupling corner needs a
     # non-gauge shift, so it is reported false here
