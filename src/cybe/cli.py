@@ -2,8 +2,7 @@
 
 Output is JSON by default (CSV opt-in for weight tables).  Runs are
 deterministic: identical spec, flags and seed produce byte-identical
-output.  Residual sweeps run in one thread; the YBE_THREADS environment
-variable of earlier versions is no longer read.
+output.  Residual sweeps run in one thread.
 
 Exit codes: 0 success (verify: median within tolerance; classify: a
 solution verdict), 1 verification failure or non-solution verdict,
@@ -81,7 +80,7 @@ def _perturbed(fam: WeightFamily, field: str, delta: complex) -> WeightFamily:
     idx = _FIELD_INDEX[field]
 
     def step(o, base, u, xi, eta):
-        a = base().copy()
+        a = base(u, xi, eta).copy()
         a[..., idx] += delta
         return a
 

@@ -30,13 +30,13 @@ identity initial value bit-exactly at u = 0, eta = xi.  The chosen branch
 combination is validated by the residual suite, not asserted a priori.
 
 Evaluation: each family is one closed form ``form(o, u, xi, eta)`` over an
-operation table of ``numkernel``.  ``WeightFamily.eval`` runs it on Python
-complex numbers (``SCALAR``) and raises at a pole; ``WeightFamily.eval_array``
-runs it on split real/imaginary columns of n points (``Batch``) and returns
-the (n, 8) weights with the mask of the points at which ``eval`` succeeds,
-bitwise equal where it does; a family built with only a scalar evaluator
-is evaluated point by point.  An evaluation that overflows or gives a
-non-finite weight counts as a pole.
+operation table of ``numkernel``, and ``from_form`` builds its evaluators.
+``WeightFamily.eval`` runs it on Python complex numbers (``SCALAR``) and
+raises at a pole; ``eval_array`` runs it on split real/imaginary columns of
+n points (``Batch``) and returns the (n, 8) weights with the mask of the
+points at which ``eval`` succeeds, bitwise equal where it does; a family
+built with only a scalar evaluator is evaluated point by point.  An
+evaluation that overflows or gives a non-finite weight counts as a pole.
 """
 
 from __future__ import annotations
@@ -351,6 +351,23 @@ _BUILDERS = {
 }
 
 
+def from_form(form, label: str, gauge: bool, spec: FamilySpec | None = None,
+              array: bool = True) -> WeightFamily:
+    """The family whose weights are ``form(o, u, xi, eta)`` (eight values,
+    or an array of them on its last axis), run on ``SCALAR`` by ``evaluate``
+    and, if ``array``, on a ``Batch`` by ``batch``.  The point reaches the
+    form as given; tracing names the evaluator by the form's module."""
+    def evaluate(u, xi, eta):
+        return WeightVector(form(SCALAR, u, xi, eta))
+
+    def batch(o, u, xi, eta):
+        return o.pack(form(o, u, xi, eta))
+
+    evaluate.__module__ = form.__module__
+    return WeightFamily(spec=spec, evaluate=evaluate, label=label, gauge=gauge,
+                        batch=batch if array else None)
+
+
 def make_family(spec: FamilySpec) -> WeightFamily:
     """Build the evaluators for a spec.  Raises InvalidSpec on hard errors;
     softer constraint violations are reported by validate_spec."""
@@ -359,17 +376,7 @@ def make_family(spec: FamilySpec) -> WeightFamily:
         if getattr(spec, name) is None:
             raise InvalidSpec(
                 f"family {spec.family.value} requires profile {name}")
-    form = build(spec)
-
-    def evaluate(u, xi, eta):
-        return WeightVector.of(*form(SCALAR, complex(u), complex(xi),
-                                     complex(eta)))
-
-    def batch(o, u, xi, eta):
-        return o.pack(form(o, u, xi, eta))
-
-    return WeightFamily(spec=spec, evaluate=evaluate, label=spec.family.value,
-                        gauge=spec.is_gauge, batch=batch)
+    return from_form(build(spec), spec.family.value, spec.is_gauge, spec)
 
 
 def eval_family(spec: FamilySpec, u, xi, eta) -> WeightVector:

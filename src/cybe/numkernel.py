@@ -224,10 +224,6 @@ class _ScalarOps:
     def columns(a: np.ndarray) -> list:
         return a.tolist()
 
-    @staticmethod
-    def pack(values) -> np.ndarray:
-        return np.array(values, dtype=complex)
-
 
 SCALAR = _ScalarOps()
 
@@ -341,14 +337,14 @@ class Batch:
         return self.complex(x)[:, None]
 
     def pack(self, values) -> np.ndarray:
-        """The (n, 8) weight array of eight values; rows that are not
-        finite are marked, as WeightVector refuses them."""
-        W = np.empty((self.n, 8), dtype=complex)
-        for j, v in enumerate(values):
-            W.real[:, j], W.imag[:, j] = _parts(v)
-        return self.rows(W)
-
-    def rows(self, W: np.ndarray) -> np.ndarray:
+        """The (n, 8) weight array of eight values, or the (n, 8) array
+        itself; rows that are not finite are marked, as WeightVector
+        refuses them."""
+        W = values
+        if not isinstance(W, np.ndarray):
+            W = np.empty((self.n, 8), dtype=complex)
+            for j, v in enumerate(values):
+                W.real[:, j], W.imag[:, j] = _parts(v)
         self._flag(~np.isfinite(W).all(axis=1))
         return W
 

@@ -14,6 +14,7 @@ argument it evaluates whole ``Split`` columns with the same roundings.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -78,18 +79,19 @@ class _Profile:
         if self.preset == "product":
             if not self.factors:
                 raise InvalidSpec("product profile needs at least one factor")
-            fn = _product
+            count, fn = 0, _product
         elif (not isinstance(self.preset, str)
               or self.preset not in self._PRESETS):
             raise InvalidSpec(
                 f"unknown {self._KIND} profile preset {self.preset!r}")
+        elif self.factors:
+            raise InvalidSpec(f"preset {self.preset!r} takes no factors")
         else:
-            count, preset_fn = self._PRESETS[self.preset]
-            if len(self.params) != count:
-                raise InvalidSpec(
-                    f"preset {self.preset!r} takes {count} "
-                    f"parameter(s), got {len(self.params)}")
-            fn = preset_fn
+            count, fn = self._PRESETS[self.preset]
+        if len(self.params) != count:
+            raise InvalidSpec(
+                f"preset {self.preset!r} takes {count} "
+                f"parameter(s), got {len(self.params)}")
         object.__setattr__(self, "_fn", fn)
         # what the function takes after the operations: params or factors
         object.__setattr__(self, "_args",
@@ -143,12 +145,15 @@ def _cjson(z: complex) -> list[float]:
 
 
 def _cval(v) -> complex:
-    """A number, or a [re, im] pair of numbers; JSON booleans are not."""
+    """A finite number, or a [re, im] pair of them; JSON booleans are not."""
     parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else [v]
     if all(isinstance(p, (int, float)) and not isinstance(p, bool)
            for p in parts):
         with contextlib.suppress(OverflowError):   # an int beyond float
-            return complex(*parts)
+            z = complex(*parts)
+            if not cmath.isfinite(z):   # json reads NaN and Infinity
+                raise InvalidSpec(f"numbers must be finite, got {v!r}")
+            return z
     raise InvalidSpec(f"cannot parse complex value from {v!r}")
 
 

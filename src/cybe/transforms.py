@@ -14,13 +14,14 @@ rescale_spectral  evaluate at mu*u
 recolor           evaluate at (f(xi), f(eta))
 
 Transformations act lazily by wrapping the evaluators; payload profiles make
-materializing closed forms impossible in general.  Each wrapper is written
-once over the operation tables of ``numkernel`` and keeps an array
-evaluator when the wrapped family has one.
+materializing closed forms impossible in general.  Every kind is one step
+of ``wrap``, written once over the operation tables of ``numkernel``; the
+wrapper keeps an array evaluator when the wrapped family has one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -28,10 +29,10 @@ import numpy as np
 
 from .errors import (InvalidSpec, MultiplicativityViolation, NotEightVertex,
                      ZeroDivisor)
-from .families import WeightFamily, _sampled
+from .families import WeightFamily, _sampled, from_form
 from .numkernel import SCALAR
 from .profiles import ColorProfile, SpectralProfile, _check_keys, _cjson, _cval
-from .weights import WeightVector, vanishing_weights
+from .weights import vanishing_weights
 
 _KINDS = ("swap_23_78", "swap_14_56", "scale", "regauge", "negate_56",
           "rescale_spectral", "recolor")
@@ -138,66 +139,54 @@ def _nonzero(o, v, what: str):
 
 def wrap(fam: WeightFamily, step, label: str, gauge: bool) -> WeightFamily:
     """The family whose weights at (u, xi, eta) are ``step(o, base, u, xi,
-    eta)``, where ``base()`` gives the weights of ``fam`` at that point as
-    an (8,) array (``o`` = SCALAR) or an (n, 8) array (``o`` a Batch).  The
-    array evaluator exists when ``fam`` has one."""
-    base, base_batch = fam.evaluate, fam.batch
+    eta)``, where ``base(u', xi', eta')`` gives the weights of ``fam`` at a
+    point as an (8,) array (``o`` = SCALAR) or an (n, 8) array (``o`` a
+    Batch).  The array evaluator exists when ``fam`` has one."""
+    evaluate, batch = fam.evaluate, fam.batch
 
-    def ev(u, xi, eta):
-        return WeightVector(step(SCALAR, lambda: base(u, xi, eta).a,
-                                 u, xi, eta))
+    def form(o, u, xi, eta):
+        if o is SCALAR:
+            return step(o, lambda *p: evaluate(*p).a, u, xi, eta)
+        return step(o, functools.partial(batch, o), u, xi, eta)
 
-    def batch(o, u, xi, eta):
-        return o.rows(step(o, lambda: base_batch(o, u, xi, eta), u, xi, eta))
-
-    # the evaluator belongs to the module that defines the step (the cli's
-    # --perturb, or a transform), as per-layer tracing counts it
-    ev.__module__ = step.__module__
-    return WeightFamily(spec=None, evaluate=ev, label=label, gauge=gauge,
-                        batch=None if base_batch is None else batch)
-
-
-def _moved(fam: WeightFamily, args, label: str) -> WeightFamily:
-    """The family evaluated at ``args(o, u, xi, eta)``."""
-    base, base_batch = fam.evaluate, fam.batch
-
-    def ev(u, xi, eta):
-        return base(*args(SCALAR, u, xi, eta))
-
-    def batch(o, u, xi, eta):
-        return base_batch(o, *args(o, u, xi, eta))
-
-    return WeightFamily(spec=None, evaluate=ev, label=label, gauge=fam.gauge,
-                        batch=None if base_batch is None else batch)
+    # per-layer tracing names the evaluator after the module of the step
+    form.__module__ = step.__module__
+    return from_form(form, label, gauge, array=batch is not None)
 
 
 def _step(t: TransformSpec):
-    """The weight map of a swap, scale, regauge or negate_56 transform."""
+    """The weight map of a transform."""
     kind = t.kind
     if kind in _SWAPS:
         perm = _SWAPS[kind]
 
         def step(o, base, u, xi, eta):
-            return base()[..., perm]
+            return base(u, xi, eta)[..., perm]
     elif kind == "scale":
         def step(o, base, u, xi, eta):
             g = _nonzero(o, t.g(u, xi, eta, o), "scale profile g")
-            return base() * o.column(g)
+            return base(u, xi, eta) * o.column(g)
     elif kind == "regauge":
         def step(o, base, u, xi, eta):
-            a = o.columns(base())
+            a = o.columns(base(u, xi, eta))
             nx = _nonzero(o, t.N(xi, o), "regauge profile N")
             ny = _nonzero(o, t.N(eta, o), "regauge profile N")
             a[1] = a[1] * (nx / ny)
             a[2] = a[2] * (ny / nx)
             a[6] = a[6] * (t.s * nx * ny)
             a[7] = o.npdiv(a[7], t.s * nx * ny)
-            return o.pack(a)
-    else:  # negate_56
+            return a
+    elif kind == "negate_56":
         def step(o, base, u, xi, eta):
-            a = base().copy()
+            a = base(u, xi, eta).copy()
             a[..., 4:6] = -a[..., 4:6]
             return a
+    elif kind == "rescale_spectral":
+        def step(o, base, u, xi, eta):
+            return base(t.mu * u, xi, eta)
+    else:  # recolor
+        def step(o, base, u, xi, eta):
+            return base(u, t.f(xi, o), t.f(eta, o))
     return step
 
 
@@ -205,19 +194,9 @@ def apply(t, fam: WeightFamily) -> WeightFamily:
     """Apply a TransformSpec or Pipeline to a family, wrapping its
     evaluators."""
     if isinstance(t, Pipeline):
-        out = fam
-        for step in t.steps:
-            out = apply(step, out)
-        return out
-
-    label = f"{t.kind}({fam.label})"
-    if t.kind == "rescale_spectral":
-        return _moved(fam, lambda o, u, xi, eta: (t.mu * u, xi, eta), label)
-    if t.kind == "recolor":
-        return _moved(fam, lambda o, u, xi, eta: (u, t.f(xi, o), t.f(eta, o)),
-                      label)
-    gauge = fam.gauge and t.kind not in ("scale", "regauge")
-    return wrap(fam, _step(t), label, gauge)
+        return functools.reduce(lambda out, s: apply(s, out), t.steps, fam)
+    return wrap(fam, _step(t), f"{t.kind}({fam.label})",
+                fam.gauge and t.kind not in ("scale", "regauge"))
 
 
 def transform_diagnostics(t: TransformSpec) -> list[str]:
@@ -285,13 +264,13 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
     def draw_color(n):
         return rng.uniform(clo, chi, n)
 
-    samples = []
+    mags = []
     for xi in color_grid:
         for eta in color_grid[::2]:
             u = complex(u_probe) * (0.6 + 0.8 * rng.random())
-            samples.append((u, float(xi), float(eta), fam.eval(u, xi, eta)))
+            mags.append(np.abs(fam.eval(u, xi, eta).a))
 
-    dead = vanishing_weights(np.abs([w.a for *_, w in samples]).max(axis=0))
+    dead = vanishing_weights(np.max(mags, axis=0))
     if dead:
         raise NotEightVertex(f"weights {dead} vanish identically on samples")
 
@@ -325,18 +304,14 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
             nus.append(np.log(complex(val)) / u)
     nu = complex(np.mean(nus)) if nus else 0j
 
-    M_cache: dict[float, complex] = {}
-
+    @functools.cache   # x as float, np.float64 or complex(x, 0): one entry
     def M(x) -> complex:
-        key = float(np.real(x)) if np.imag(x) == 0 else complex(x)
-        if key not in M_cache:
-            M_cache[key] = f_ratio(u_probe, x, anchor)
-        return M_cache[key]
+        return f_ratio(u_probe, x, anchor)
 
-    def sqrtM(o, x):
+    def sqrtM(o, base, x):
         if o is SCALAR:
             return o.npsqrt(M(x))
-        anchored = fam.batch(o, o.lift(u_probe), x, o.lift(anchor))
+        anchored = base(o.lift(u_probe), x, o.lift(anchor))
         return o.npsqrt(ratio(o, o.columns(anchored)))
 
     l_vals = []
@@ -350,13 +325,13 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
     sqrt_l = complex(np.sqrt(l))
 
     def reduced(o, base, u, xi, eta):
-        w = o.columns(base())
+        w = o.columns(base(u, xi, eta))
         a2 = _nonzero(o, w[1], "a2")
-        sqrt_eta, sqrt_xi = sqrtM(o, eta), sqrtM(o, xi)
+        sqrt_eta, sqrt_xi = sqrtM(o, base, eta), sqrtM(o, base, xi)
         r = sqrt_eta / sqrt_xi
         g = r / a2
         my = sqrt_eta ** 2
-        return o.pack([
+        return [
             w[0] * g,
             1.0,
             (w[2] / a2) * r * r,
@@ -365,7 +340,7 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
             w[5] * g,
             w[6] / a2 * sqrt_l * my,
             w[7] / a2 / (sqrt_l * my) * r * r,
-        ])
+        ]
 
     out = wrap(fam, reduced, f"gauge_reduce({fam.label})", gauge=True)
     gauge_res = 0.0

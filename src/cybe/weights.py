@@ -87,21 +87,21 @@ class WeightVector:
                     and abs(self.a[6] - self.a[7]) <= tol)
 
 
+#: (row, col) of a1..a8 in the 4x4 matrix
+_POS = ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (0, 3), (3, 0))
+_ROWS, _COLS = np.array(_POS).T
+
+
 def to_matrix(w: WeightVector) -> np.ndarray:
     """Realize the weight vector as its 4x4 matrix."""
-    a = w.a
     R = np.zeros((4, 4), dtype=complex)
-    R[0, 0], R[1, 1], R[2, 2], R[3, 3] = a[0], a[1], a[2], a[3]
-    R[1, 2], R[2, 1] = a[4], a[5]
-    R[0, 3], R[3, 0] = a[6], a[7]
+    R[_ROWS, _COLS] = w.a
     return R
 
 
 def matrix_weights(R: np.ndarray) -> WeightVector:
     """Inverse of to_matrix: read the eight designated entries."""
-    R = np.asarray(R, dtype=complex)
-    return WeightVector.of(R[0, 0], R[1, 1], R[2, 2], R[3, 3],
-                           R[1, 2], R[2, 1], R[0, 3], R[3, 0])
+    return WeightVector(np.asarray(R, dtype=complex)[_ROWS, _COLS])
 
 
 def tensor_embed(R: np.ndarray, slot: int) -> np.ndarray:
@@ -121,10 +121,6 @@ COMPONENT_IDS = tuple(f"eq{i:02d}" for i in range(1, 29))
 
 #: ids of the components that survive as the 12 gauge equations
 GAUGE_COMPONENT_IDS = COMPONENT_IDS[4:16]
-
-
-#: (row, col) of a1..a8 in the 4x4 matrix, as laid out by to_matrix
-_POS = ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (0, 3), (3, 0))
 
 
 def _embed_index(slot: int):

@@ -11,6 +11,7 @@ import collections
 import dataclasses
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 from cybe import (ColorProfile, CybeError, FamilyId, FamilySpec, Pipeline,
                   PoleProximity, SamplePlan, SamplingExhausted, SpectralProfile,
-                  WeightFamily, apply, gauge_reduce, make_family, sampling,
-                  with_bs_profiles, ybe_residuals)
+                  WeightFamily, WeightVector, apply, gauge_reduce,
+                  make_family, sampling, with_bs_profiles, ybe_residuals)
 from cybe.cli import _perturbed
 from cybe.numkernel import (_NEAR_ONE, SCALAR, Batch, Split, _ladder,
                             jacobi_sncndn)
@@ -532,6 +533,28 @@ def test_user_family_eval_array_is_pointwise_eval():
     for fam in (user, apply(ALL_KINDS, user), _perturbed(user, "a5", 0.1)):
         ok = assert_batch_is_scalar(fam, *points(rng, 200))
         assert ok.any() and not ok.all()
+
+
+def test_real_only_user_family_under_wrappers():
+    """Wrappers pass the evaluation point on as given: a scalar-only family
+    written with ``math`` (real input only) still evaluates under swap,
+    negate, scale, regauge and --perturb, point by point."""
+    def ev(u, xi, eta):
+        e = math.exp(u + xi - eta)
+        return WeightVector.of(e, 1, 1, e, e, -e, 1j, 1j)
+
+    user = WeightFamily(spec=None, evaluate=ev, label="real", gauge=False)
+    swap, negate = ALL_KINDS.steps[0], ALL_KINDS.steps[4]
+    wrapped = [apply(t, user) for t in (swap, negate, *SCALE_REGAUGE.steps)]
+    wrapped.append(_perturbed(apply(SCALE_REGAUGE, user), "a5", 0.1))
+    u, xi, eta = points(np.random.default_rng(6), 50)
+    for fam in wrapped:
+        assert fam.batch is None
+        assert assert_batch_is_scalar(fam, u, xi, eta).all()
+    w = ev(0.1, 0.2, -0.1).a
+    swapped = w[[0, 2, 1, 3, 4, 5, 7, 6]]
+    assert np.array_equal(wrapped[0].eval(0.1, 0.2, -0.1).a, swapped)
+    assert np.array_equal(wrapped[1].eval(0.1, 0.2, -0.1).a[4:6], -w[4:6])
 
 
 def test_block_draws_are_the_uniform_stream():

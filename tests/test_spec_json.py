@@ -6,6 +6,7 @@ the CLI exit 2 with one error line."""
 import contextlib
 import io
 import json
+import math
 import pickle
 
 import pytest
@@ -123,6 +124,10 @@ def is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+#: numbers Python's json reads (NaN, Infinity) that no spec field accepts
+nonfinite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
 NAMES = ({f.value for f in FamilyId} | set(COLOR_ARITY) | set(SPECTRAL_ARITY)
          | {"product", "swap_23_78", "swap_14_56", "scale", "regauge",
             "negate_56", "rescale_spectral", "recolor"})
@@ -131,7 +136,9 @@ NAMES = ({f.value for f in FamilyId} | set(COLOR_ARITY) | set(SPECTRAL_ARITY)
 BAD = {
     "complex": json_values.filter(lambda v: not (
         is_number(v) or isinstance(v, list) and len(v) == 2
-        and all(map(is_number, v)))),
+        and all(map(is_number, v)))) | nonfinite
+    | st.lists(nonfinite | st.just(0.5), min_size=2, max_size=2).filter(
+        lambda p: p != [0.5, 0.5]),
     "sign": json_values.filter(
         lambda v: not (is_number(v) and v in (1, -1))),
     "name": json_values.filter(
@@ -175,7 +182,9 @@ def places(node, kind):
 
 def malform(data, doc, kind):
     """One structural fault drawn into a copy of a valid document: a value
-    of the wrong type or range, an unknown key, or a missing required key."""
+    of the wrong type or range, an unknown key, a missing required key, or
+    the field a profile preset does not take (params of a product, factors
+    of any other preset)."""
     doc = json.loads(json.dumps(doc))
     node, key, slot = data.draw(st.sampled_from(list(places(doc, kind))))
     if key is not None:
@@ -183,12 +192,16 @@ def malform(data, doc, kind):
         return doc
     allowed, required, _ = OBJECTS[slot]
     faults = ["unknown"] + (["missing"] if required else []) + (
-        ["factors"] if slot == "profile" else [])
+        ["factors", "unused"] if slot == "profile" else [])
     fault = data.draw(st.sampled_from(faults))
     if fault == "missing":
         del node[required]
     elif fault == "factors":
         node["factors"] = data.draw(BAD["params"])
+    elif fault == "unused" and node["preset"] == "product":
+        node["params"] = [1.0]
+    elif fault == "unused":
+        node["factors"] = [json.loads(json.dumps(node))]
     else:
         name = data.draw(st.text(max_size=6).filter(lambda k: k not in allowed))
         node[name] = data.draw(json_values)
@@ -237,6 +250,16 @@ def test_malformed_pipeline_exits_2(data, steps):
      "color profile params and factors must be JSON arrays"),
     ({"preset": "linear", "params": [True]},
      "cannot parse complex value from True"),
+    ({"preset": "cosh", "params": [0.8, math.nan]},
+     "numbers must be finite, got nan"),
+    ({"preset": "linear", "params": [[1.0, -math.inf]]},
+     "numbers must be finite, got [1.0, -inf]"),
+    ({"preset": "cosh", "params": [0.8, 0.4],
+      "factors": [{"preset": "constant", "params": [5]}]},
+     "preset 'cosh' takes no factors"),
+    ({"preset": "product", "params": [2],
+      "factors": [{"preset": "cosh", "params": [0.8, 0.4]}]},
+     "preset 'product' takes 0 parameter(s), got 1"),
 ])
 def test_malformed_profile_message(profile, message):
     with pytest.raises(InvalidSpec) as info:
@@ -250,3 +273,20 @@ def test_booleans_are_not_numbers():
         spec_from_json({**doc, "k": True})
     with pytest.raises(InvalidSpec, match="s5 must be"):
         spec_from_json({**doc, "signs": {"s5": True}})
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("spec", {**json.loads(VALID_SPEC), "lambda": math.nan}),
+    ("spec", {**json.loads(VALID_SPEC), "k": math.inf}),
+    ("transform", [{"kind": "rescale_spectral", "mu": [1.0, math.nan]}]),
+    ("transform", [{"kind": "regauge", "s": -math.inf,
+                    "N": {"preset": "exp", "params": [1, 0]}}]),
+])
+def test_nonfinite_numbers_exit_2(field, doc):
+    """Python's json reads NaN and Infinity; no spec number may be one."""
+    argv = (["verify", "--spec", json.dumps(doc)] if field == "spec" else
+            ["verify", "--spec", VALID_SPEC, "--transform", json.dumps(doc)])
+    code, out, err = cli_error(argv + ["--samples", "20"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: numbers must be finite") and \
+        len(err.splitlines()) == 1

@@ -5,16 +5,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cybe import (ColorProfile, InvalidSpec, MultiplicativityViolation,
-                  NotEightVertex, Pipeline, SpectralProfile, TransformSpec,
-                  WeightVector, ZeroDivisor, apply, compose, gauge_reduce,
-                  make_family, ybe_residual)
+from cybe import (ColorProfile, CybeError, InvalidSpec,
+                  MultiplicativityViolation, NotEightVertex, Pipeline,
+                  SamplePlan, SpectralProfile, TransformSpec, WeightVector,
+                  ZeroDivisor, apply, compose, gauge_reduce, make_family,
+                  ybe_residual)
 from cybe.families import WeightFamily, bazhanov_stroganov
+from cybe.sampling import residual_sweep
 
 from conftest import (CANONICAL_SPECS, baxter_elliptic_spec,
                       ff_elliptic_spec)
-from test_families import ALL_IDS, IDENTITY, family_relative_residual
+from test_families import (ALL_IDS, GAUGE_IDS, IDENTITY,
+                           family_relative_residual)
 
 
 def sample_points(rng, n=12):
@@ -232,6 +237,31 @@ def test_gauge_reduce_rejects_non_solution():
     fam = WeightFamily(spec=None, evaluate=ev, label="broken", gauge=False)
     with pytest.raises(MultiplicativityViolation):
         gauge_reduce(fam)
+
+
+@settings(max_examples=25, deadline=None)
+@given(fid=st.sampled_from(GAUGE_IDS), a=st.floats(-1.0, 1.0),
+       b=st.floats(1.0, 14.0), c=st.floats(-0.2, 0.2),
+       g=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+       s=st.floats(0.5, 2.0) | st.floats(-2.0, -0.5))
+def test_gauge_reduce_across_the_branch_cut(fid, a, b, c, g, s):
+    """Scale+regauge pipelines whose N = exp((a+ib)x + c) has a phase that
+    crosses the negative real axis on the color domain, where the principal
+    sqrt(M) changes sign: the reduced family is a solution, or gauge_reduce
+    raises a named error; never a silently wrong family."""
+    N = ColorProfile("exp", (complex(a, b), c))
+    pipe = Pipeline((
+        TransformSpec(kind="scale", g=SpectralProfile("exp_affine", tuple(g))),
+        TransformSpec(kind="regauge", N=N, s=s)))
+    try:
+        red, cert = gauge_reduce(apply(pipe,
+                                       make_family(CANONICAL_SPECS[fid]())))
+    except CybeError:
+        return
+    assert cert.gauge_residual < 1e-9
+    rels = np.concatenate([rel for _, rel, _ in
+                           residual_sweep(red, SamplePlan(n=60, seed=1))])
+    assert np.median(rels) <= 1e-9
 
 
 def test_cocycle_property_of_solutions(rng):
