@@ -18,7 +18,7 @@ from .families import (FamilyId, FamilySpec, WeightFamily,
 from .numkernel import elliptic_exp, jacobi_cd, jacobi_sncndn
 from .profiles import ColorProfile, SpectralProfile
 from .sampling import (SamplePlan, draw_points, draw_triples, point_weights,
-                       residual_sweep)
+                       residual_sweep, unitarity_sweep)
 from .spinchain import (ChainOperator, CouplingConstants, build_chain,
                         couplings_from_coeffs, cyclic_shift,
                         ff_relation_check)
@@ -28,7 +28,8 @@ from .weights import (COMPONENT_IDS, GAUGE_COMPONENT_IDS, ResidualReport,
                       WeightVector, baxter_curve_residual,
                       component_residuals, free_fermion_residual,
                       gauge_ybe_residual, matrix_weights, tensor_embed,
-                      to_matrix, unitarity_defect, unitarity_residual,
-                      ybe_defect, ybe_residual, ybe_residuals)
+                      to_matrix, unitarity_defect, unitarity_defects,
+                      unitarity_residual, ybe_defect, ybe_residual,
+                      ybe_residuals)
 
 __version__ = "0.1.0"

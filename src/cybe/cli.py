@@ -6,7 +6,9 @@ output.  Residual sweeps run in one thread.
 
 Exit codes: 0 success (verify: median within tolerance; classify: a
 solution verdict), 1 verification failure or non-solution verdict,
-2 invalid spec / size limit, 3 pole or overflow at a requested point,
+2 invalid spec / size limit / malformed flag (--samples below 1,
+--tol negative or non-finite, a non-finite --u-span, --color-span or
+--perturb DELTA), 3 pole or overflow at a requested point,
 4 NOT_EIGHT_VERTEX, 5 INDETERMINATE, 6 pole-free sampling exhausted
 (widen the spans or relax --max-weight).
 """
@@ -17,6 +19,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,9 +29,9 @@ from .errors import (CybeError, InvalidSpec, PoleProximity,
                      SamplingExhausted, SizeLimit)
 from .families import (WeightFamily, make_family, spec_from_json,
                        validate_spec)
-from .sampling import SamplePlan, point_weights, residual_sweep
+from .sampling import SamplePlan, residual_sweep, unitarity_sweep
 from .transforms import Pipeline, apply, transform_diagnostics, wrap
-from .weights import COMPONENT_IDS, unitarity_defect
+from .weights import COMPONENT_IDS
 
 _EXIT_VERDICT = {
     Verdict.BAXTER: 0, Verdict.FREE_FERMION: 0,
@@ -67,7 +70,8 @@ def _load_family(args) -> WeightFamily:
         fam = apply(pipe, fam)
     if getattr(args, "perturb", None):
         field, delta = args.perturb
-        fam = _perturbed(fam, field, complex(float(delta)))
+        delta = _finite("--perturb DELTA", delta)
+        fam = _perturbed(fam, field, complex(delta))
     return fam
 
 
@@ -139,13 +143,28 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _require_samples(args) -> None:
+def _finite(flag: str, value) -> float:
+    """The flag's value as a finite float, else InvalidSpec."""
+    try:
+        x = float(value)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise InvalidSpec(f"{flag} must be a finite number, got {value!r}")
+    return x
+
+
+def _require_sweep_flags(args) -> None:
     if args.samples < 1:
         raise InvalidSpec(f"--samples must be at least 1, got {args.samples}")
+    if _finite("--tol", args.tol) < 0:
+        raise InvalidSpec(f"--tol must be at least 0, got {args.tol!r}")
+    _finite("--u-span", args.u_span)
+    _finite("--color-span", args.color_span)
 
 
 def cmd_verify(args) -> int:
-    _require_samples(args)
+    _require_sweep_flags(args)
     fam = _load_family(args)
     plan = SamplePlan(n=args.samples, seed=args.seed,
                       u_span=(-args.u_span, args.u_span),
@@ -163,9 +182,9 @@ def cmd_verify(args) -> int:
 
     unit = None
     if fam.gauge:
-        pts = point_weights(fam, dataclasses.replace(
+        blocks = unitarity_sweep(fam, dataclasses.replace(
             plan, n=min(args.samples, 50)))
-        unit = max(unitarity_defect(w, wr) for _, (w, wr) in pts)
+        unit = max(float(d.max()) for d in blocks)
 
     ok = bool(np.median(rels) <= args.tol)
     _emit({
@@ -185,7 +204,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _require_samples(args)
+    _require_sweep_flags(args)
     fam = _load_family(args)
     plan = ClassifyPlan(n_ybe=args.samples, seed=args.seed,
                         tol_solution=args.tol,

@@ -18,7 +18,9 @@ samples still needed at the acceptance rate seen so far, at most
 Each point is evaluated once: the sampler hands on the weights it computed,
 so ``residual_sweep`` and ``point_weights`` consumers never evaluate the
 family again.  ``residual_sweep`` computes the residuals of each block of
-accepted triples with one batched ``ybe_residuals`` call.
+accepted triples with one batched ``ybe_residuals`` call, and
+``unitarity_sweep`` the unitarity defects of each block of accepted points
+with one ``unitarity_defects`` call.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from math import ceil
 import numpy as np
 
 from .errors import InvalidSpec, SamplingExhausted
-from .weights import WeightVector, ybe_residuals
+from .weights import WeightVector, unitarity_defects, ybe_residuals
 
 _MAX_ATTEMPT_FACTOR = 200
 
@@ -143,3 +145,12 @@ def residual_sweep(fam, plan: SamplePlan):
     for _, (U, W, V) in _triples(fam, plan):
         norm, comp, scale = ybe_residuals(U, W, V)
         yield U, norm / scale, comp
+
+
+def unitarity_sweep(fam, plan: SamplePlan):
+    """Yield, for each block of the ``plan.n`` pole-free points that the
+    sampler accepts at once, the unitarity defects (B,) of its points, each
+    bitwise ``unitarity_defect`` of the point's weights.  A point that is
+    not gauge-normalized raises NotGauge before the next block is drawn."""
+    for _, (W, Wr) in _points(fam, plan):
+        yield unitarity_defects(W, Wr)

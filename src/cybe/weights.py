@@ -26,12 +26,16 @@ arrays.  The embeddings R (x) E and E (x) R are built by scattering the
 eight weights into (B, 8, 8) zeros with constant index arrays, and the two
 sides of the identity are stacked ``np.matmul`` products in the same
 (A @ B) @ C order as the kron form ``ybe_defect``, which stays as the
-oracle; the max-abs defect is bitwise the same.  The 28 components of a
-batch are evaluated on separate real and imaginary float columns
-(``numkernel.Split``): numpy's SIMD complex-array multiply may fuse
-multiply-adds and then differs in the last bit from the scalar product,
-while the split form rounds every product and sum exactly as the scalar
-complex arithmetic of ``component_residuals`` does.
+oracle; the max-abs defect is bitwise the same.  The 28 components are
+written once, as a term table: per equation, up to four signed products
+(f1, f2, f3) of the 24 weight columns of U|W|V.  The real and imaginary
+columns of a batch are gathered once and the table is evaluated in four
+term steps on (28, B) float arrays, each product unfused (numpy's SIMD
+complex-array multiply may fuse multiply-adds and then differs in the last
+bit), so every component rounds exactly as the scalar complex arithmetic
+of the written equations does; ``component_residuals`` is the one-row
+case.  ``unitarity_defects`` does the unitarity check of B points with
+stacked 4x4 products; ``unitarity_defect`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .numkernel import Split
 GAUGE_TOL = 1e-10
 
 _E2 = np.eye(2, dtype=complex)
-_E4 = np.eye(4, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,17 @@ class WeightVector:
         return float(np.abs(self.a).max())
 
     def is_gauge(self, tol: float = GAUGE_TOL) -> bool:
-        return bool(abs(self.a[1] - 1) <= tol and abs(self.a[2] - 1) <= tol
-                    and abs(self.a[6] - self.a[7]) <= tol)
+        return bool(_gauge_rows(self.a[None], tol)[0])
+
+
+def _gauge_rows(A: np.ndarray, tol: float = GAUGE_TOL) -> np.ndarray:
+    """Whether each row of the (B, 8) array A has a2 = a3 = 1, a7 = a8
+    within tol.  np.hypot is Python's complex abs bit for bit (np.abs of a
+    complex array is not)."""
+    def mag(z):
+        return np.hypot(z.real, z.imag)
+    return ((mag(A[:, 1] - 1) <= tol) & (mag(A[:, 2] - 1) <= tol)
+            & (mag(A[:, 6] - A[:, 7]) <= tol))
 
 
 #: (row, col) of a1..a8 in the 4x4 matrix
@@ -147,55 +159,99 @@ def _embedded(A: np.ndarray, slot: int) -> np.ndarray:
     return M.reshape(-1, 8, 8)
 
 
+#: the gathered column that holds zeros, for padding the quartets
+_ZERO_COL = 24
+
+
+def _term_table():
+    """Factor columns (4, 3, 28) and signs (4, 28, 1) of the four term steps
+    of the 28 equations, for the gathered columns of ``_components``."""
+    u1, u2, u3, u4, u5, u6, u7, u8 = range(0, 8)
+    w1, w2, w3, w4, w5, w6, w7, w8 = range(8, 16)
+    v1, v2, v3, v4, v5, v6, v7, v8 = range(16, 24)
+    # eq = sum(lhs) - sum(rhs), each product (f1, f2, f3) taken as (f1*f2)*f3
+    equations = (
+        ([(u7, w3, v8)], [(u8, w2, v7)]),
+        ([(u7, w8, v3)], [(u8, w7, v2)]),
+        ([(u2, w3, v2)], [(u3, w2, v3)]),
+        ([(u2, w8, v7)], [(u3, w7, v8)]),
+
+        ([(u1, w5, v2), (u7, w8, v6)], [(v2, w1, u5), (v5, w2, u3)]),
+        ([(u1, w1, v7), (u7, w3, v4)], [(v7, w5, u5), (v1, w7, u3)]),
+        ([(u2, w6, v1), (u5, w7, v8)], [(v6, w1, u2), (v3, w2, u6)]),
+        ([(u1, w2, v1), (u7, w4, v8)], [(v2, w1, u2), (v5, w2, u6)]),
+        ([(u1, w7, v5), (u7, w6, v3)], [(v7, w5, u2), (v1, w7, u6)]),
+        ([(u1, w7, v2), (u7, w6, v6)], [(v1, w1, u7), (v7, w2, u4)]),
+
+        ([(u4, w6, v2), (u7, w8, v5)], [(v2, w4, u6), (v6, w2, u3)]),
+        ([(u4, w4, v7), (u7, w3, v1)], [(v7, w6, u6), (v4, w7, u3)]),
+        ([(u2, w5, v4), (u6, w7, v8)], [(v5, w4, u2), (v3, w2, u5)]),
+        ([(u4, w2, v4), (u7, w1, v8)], [(v2, w4, u2), (v6, w2, u5)]),
+        ([(u4, w7, v6), (u7, w5, v3)], [(v7, w6, u2), (v4, w7, u5)]),
+        ([(u4, w7, v2), (u7, w5, v5)], [(v4, w4, u7), (v7, w2, u1)]),
+
+        ([(u1, w5, v3), (u8, w7, v6)], [(v3, w1, u5), (v5, w3, u2)]),
+        ([(u1, w1, v8), (u8, w2, v4)], [(v8, w5, u5), (v1, w8, u2)]),
+        ([(u3, w6, v1), (u5, w8, v7)], [(v6, w1, u3), (v2, w3, u6)]),
+        ([(u1, w3, v1), (u8, w4, v7)], [(v3, w1, u3), (v5, w3, u6)]),
+        ([(u1, w8, v5), (u8, w6, v2)], [(v8, w5, u3), (v1, w8, u6)]),
+        ([(u1, w8, v3), (u8, w6, v6)], [(v1, w1, u8), (v8, w3, u4)]),
+
+        ([(u4, w6, v3), (u8, w7, v5)], [(v3, w4, u6), (v6, w3, u2)]),
+        ([(u4, w4, v8), (u8, w2, v1)], [(v8, w6, u6), (v4, w8, u2)]),
+        ([(u3, w5, v4), (u6, w8, v7)], [(v5, w4, u3), (v2, w3, u5)]),
+        ([(u4, w3, v4), (u8, w1, v7)], [(v3, w4, u3), (v6, w3, u5)]),
+        ([(u4, w8, v6), (u8, w5, v2)], [(v8, w6, u3), (v4, w8, u5)]),
+        ([(u4, w8, v3), (u8, w5, v5)], [(v4, w4, u8), (v8, w3, u1)]),
+    )
+    # a quartet side is padded with a zero product taken with sign -1:
+    # adding -0.0 leaves every value, signed zeros included, as it is
+    pad = (_ZERO_COL,) * 3
+    factors = [lhs + [pad] * (2 - len(lhs)) + rhs + [pad] * (2 - len(rhs))
+               for lhs, rhs in equations]
+    signs = [[1.0] * len(lhs) + [-1.0] * (4 - len(lhs))
+             for lhs, _ in equations]
+    return (np.array(factors).transpose(1, 2, 0),
+            np.array(signs).T[:, :, None])
+
+
+_FACTORS, _SIGNS = _term_table()
+
+
+def _components(U: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The 28 equations, (B, 28) complex, of B triples given as (B, 8)
+    weight arrays.
+
+    The real and imaginary columns of U|W|V are gathered once; each term
+    step forms one product per equation on (28, B) float arrays, unfused
+    (re = ar*br - ai*bi, im = ar*bi + ai*br) as CPython's complex product
+    rounds, and the terms are summed left to right.
+    """
+    B = len(U)
+    cols = np.concatenate((U, W, V, np.zeros((B, 1))), axis=1).T
+    re, im = cols.real.copy(), cols.imag.copy()
+    # -0.0 + t is t for every t, so the sum starts from -0.0
+    acc_re = np.full((len(COMPONENT_IDS), B), -0.0)
+    acc_im = acc_re.copy()
+    for (f1, f2, f3), sign in zip(_FACTORS, _SIGNS):
+        ar, ai, br, bi = re[f1], im[f1], re[f2], im[f2]
+        pr, pi = ar*br - ai*bi, ar*bi + ai*br
+        cr, ci = re[f3], im[f3]
+        acc_re += sign * (pr*cr - pi*ci)
+        acc_im += sign * (pr*ci + pi*cr)
+    out = np.empty((B, len(COMPONENT_IDS)), dtype=complex)
+    out.real, out.imag = acc_re.T, acc_im.T
+    return out
+
+
 def component_residuals(wu: WeightVector, ww: WeightVector,
                         wv: WeightVector) -> np.ndarray:
     """The 28 scalar equations; zero exactly when the matrix identity holds.
 
     Argument pattern: wu at (u,xi,eta), ww at (u+v,xi,lam), wv at (v,eta,lam).
+    The one-row case of ``_components``.
     """
-    return np.array(_components(wu.a, ww.a, wv.a))
-
-
-def _components(u, w, v) -> list:
-    """The 28 equations in COMPONENT_IDS order on three sequences of eight
-    numbers (complex scalars or ``Split`` columns)."""
-    u1, u2, u3, u4, u5, u6, u7, u8 = u
-    w1, w2, w3, w4, w5, w6, w7, w8 = w
-    v1, v2, v3, v4, v5, v6, v7, v8 = v
-    return [
-        u7*w3*v8 - u8*w2*v7,
-        u7*w8*v3 - u8*w7*v2,
-        u2*w3*v2 - u3*w2*v3,
-        u2*w8*v7 - u3*w7*v8,
-
-        u1*w5*v2 + u7*w8*v6 - v2*w1*u5 - v5*w2*u3,
-        u1*w1*v7 + u7*w3*v4 - v7*w5*u5 - v1*w7*u3,
-        u2*w6*v1 + u5*w7*v8 - v6*w1*u2 - v3*w2*u6,
-        u1*w2*v1 + u7*w4*v8 - v2*w1*u2 - v5*w2*u6,
-        u1*w7*v5 + u7*w6*v3 - v7*w5*u2 - v1*w7*u6,
-        u1*w7*v2 + u7*w6*v6 - v1*w1*u7 - v7*w2*u4,
-
-        u4*w6*v2 + u7*w8*v5 - v2*w4*u6 - v6*w2*u3,
-        u4*w4*v7 + u7*w3*v1 - v7*w6*u6 - v4*w7*u3,
-        u2*w5*v4 + u6*w7*v8 - v5*w4*u2 - v3*w2*u5,
-        u4*w2*v4 + u7*w1*v8 - v2*w4*u2 - v6*w2*u5,
-        u4*w7*v6 + u7*w5*v3 - v7*w6*u2 - v4*w7*u5,
-        u4*w7*v2 + u7*w5*v5 - v4*w4*u7 - v7*w2*u1,
-
-        u1*w5*v3 + u8*w7*v6 - v3*w1*u5 - v5*w3*u2,
-        u1*w1*v8 + u8*w2*v4 - v8*w5*u5 - v1*w8*u2,
-        u3*w6*v1 + u5*w8*v7 - v6*w1*u3 - v2*w3*u6,
-        u1*w3*v1 + u8*w4*v7 - v3*w1*u3 - v5*w3*u6,
-        u1*w8*v5 + u8*w6*v2 - v8*w5*u3 - v1*w8*u6,
-        u1*w8*v3 + u8*w6*v6 - v1*w1*u8 - v8*w3*u4,
-
-        u4*w6*v3 + u8*w7*v5 - v3*w4*u6 - v6*w3*u2,
-        u4*w4*v8 + u8*w2*v1 - v8*w6*u6 - v4*w8*u2,
-        u3*w5*v4 + u6*w8*v7 - v5*w4*u3 - v2*w3*u5,
-        u4*w3*v4 + u8*w1*v7 - v3*w4*u3 - v6*w3*u5,
-        u4*w8*v6 + u8*w5*v2 - v8*w6*u3 - v4*w8*u5,
-        u4*w8*v3 + u8*w5*v5 - v4*w4*u8 - v8*w3*u1,
-    ]
+    return _components(wu.a[None], ww.a[None], wv.a[None])[0]
 
 
 @dataclass(frozen=True)
@@ -250,10 +306,9 @@ def ybe_residuals(U: np.ndarray, W: np.ndarray, V: np.ndarray):
     """The ``ybe_residual`` fields of B triples at once, from (B, 8) weight
     arrays with the same argument pattern as rows: matrix_norm (B,),
     |components| (B, 28), bitwise ``component_residuals``, and scale (B,)."""
-    parts = _components(*([Split.of(c) for c in A.T] for A in (U, W, V)))
     # np.abs of a complex array, as in the scalar path: np.hypot on the
     # float parts rounds differently
-    comp = np.abs(np.stack([c.complex() for c in parts], axis=1))
+    comp = np.abs(_components(U, W, V))
     su, sw, sv = (np.maximum(np.abs(A).max(axis=1), 1e-300)
                   for A in (U, W, V))
     lhs = _embedded(U, 12) @ _embedded(W, 23) @ _embedded(V, 12)
@@ -313,11 +368,33 @@ def unitarity_residual(evaluate, u, xi, eta) -> float:
 
 def unitarity_defect(w: WeightVector, wr: WeightVector) -> float:
     """``unitarity_residual`` from the weights w at (u,xi,eta) and wr at
-    (-u,eta,xi)."""
-    _require_gauge(w, "unitarity_residual")
-    _require_gauge(wr, "unitarity_residual")
-    prod = to_matrix(w) @ to_matrix(wr) - (1 - w.a5 * w.a6) * _E4
-    return float(np.abs(prod).max())
+    (-u,eta,xi); the one-row case of ``unitarity_defects``."""
+    return float(unitarity_defects(w.a[None], wr.a[None])[0])
+
+
+_DIAG = np.arange(4)
+
+
+def unitarity_defects(W: np.ndarray, Wr: np.ndarray) -> np.ndarray:
+    """``unitarity_defect`` of each row pair of the (B, 8) weight arrays W
+    at (u,xi,eta) and Wr at (-u,eta,xi), from stacked 4x4 products.
+
+    Raises NotGauge, with the message of the per-point check, at the first
+    row pair that is not gauge-normalized.
+    """
+    ok = _gauge_rows(W) & _gauge_rows(Wr)
+    if not ok.all():
+        first = int(np.argmin(ok))
+        for A in (W, Wr):
+            _require_gauge(WeightVector(A[first]), "unitarity_residual")
+    M, Mr = (np.zeros((len(A), 4, 4), dtype=complex) for A in (W, Wr))
+    M[:, _ROWS, _COLS], Mr[:, _ROWS, _COLS] = W, Wr
+    prod = M @ Mr
+    # 1 - a5*a6 rounded as Python's complex arithmetic does; subtracting
+    # its multiple of E off the diagonal only changed the sign of zeros
+    prod[:, _DIAG, _DIAG] -= (1 - Split.of(W[:, 4]) * Split.of(W[:, 5])
+                              ).complex()[:, None]
+    return np.abs(prod).max(axis=(1, 2))
 
 
 def vanishing_weights(mags) -> str:

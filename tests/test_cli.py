@@ -367,6 +367,42 @@ def test_max_weight_beyond_the_product_range_exit_2(sub, bound, capsys):
     assert err.count("\n") == 1
 
 
+_FF_TRIG = ('{"family":"ff_trig","profiles":{"G":{"preset":"cosh",'
+            '"params":[0.8,0.4]}}}')
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--tol", "nan"], "--tol must be a finite number, got nan"),
+    (["verify", "--tol", "inf"], "--tol must be a finite number, got inf"),
+    (["verify", "--tol=-1e-9"], "--tol must be at least 0, got -1e-09"),
+    (["classify", "--tol", "nan"], "--tol must be a finite number, got nan"),
+    (["verify", "--u-span", "nan"],
+     "--u-span must be a finite number, got nan"),
+    (["classify", "--color-span", "inf"],
+     "--color-span must be a finite number, got inf"),
+    (["verify", "--perturb", "a1", "nan"],
+     "--perturb DELTA must be a finite number, got 'nan'"),
+    (["eval", "--perturb", "a1", "inf", "--grid-u", "0:0:1"],
+     "--perturb DELTA must be a finite number, got 'inf'"),
+    (["verify", "--perturb", "a1", "0.1x"],
+     "--perturb DELTA must be a finite number, got '0.1x'"),
+], ids=["verify_tol_nan", "verify_tol_inf", "verify_tol_negative",
+        "classify_tol_nan", "u_span_nan", "color_span_inf", "perturb_nan",
+        "eval_perturb_inf", "perturb_not_a_number"])
+def test_malformed_flag_exit_2(argv, message, capsys):
+    code, out, err = run_cli(argv + ["--spec", _FF_TRIG, "--samples", "20"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_zero_tolerance_is_a_valid_flag(capsys):
+    code, out, err = run_cli(["verify", "--spec", _FF_TRIG, "--samples", "20",
+                              "--tol", "0"], capsys)
+    assert code in (0, 1) and err == ""
+    assert json.loads(out, parse_constant=_reject_constant)["tolerance"] == 0
+
+
 def test_sample_plan_bounds_max_weight():
     SamplePlan(max_weight=1e100)
     for bad in (1.01e100, np.inf, np.nan):

@@ -9,17 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cybe import (COMPONENT_IDS, GAUGE_COMPONENT_IDS, NotGauge,
-                  Pipeline, PoleProximity, SamplePlan, WeightFamily,
-                  WeightVector, apply, baxter_curve_residual,
+                  Pipeline, PoleProximity, SamplePlan, SamplingExhausted,
+                  WeightFamily, WeightVector, apply, baxter_curve_residual,
                   component_residuals, draw_triples, free_fermion_residual,
-                  gauge_ybe_residual, make_family, matrix_weights,
-                  residual_sweep, tensor_embed, to_matrix, unitarity_residual,
-                  ybe_defect, ybe_residual, ybe_residuals)
-from cybe.sampling import _DRAW_MAX, _triple_points, _triples
-from cybe.weights import gauge_equation_residuals
+                  gauge_reduce, gauge_ybe_residual, make_family,
+                  matrix_weights, residual_sweep, tensor_embed, to_matrix,
+                  unitarity_defect, unitarity_defects, unitarity_residual,
+                  unitarity_sweep, ybe_defect, ybe_residual, ybe_residuals)
+from cybe.sampling import _DRAW_MAX, _points, _triple_points, _triples
+from cybe.weights import GAUGE_TOL, gauge_equation_residuals
 
 from conftest import (CANONICAL_SPECS, baxter_elliptic_spec,
-                      baxter_trig_spec, ff_elliptic_spec, ff_hyperbolic_spec)
+                      baxter_trig_spec, ff_elliptic_spec, ff_hyperbolic_spec,
+                      ff_tanh_spec)
 
 IDENTITY = WeightVector.of(1, 1, 1, 1, 0, 0, 0, 0)
 
@@ -379,3 +381,133 @@ def test_residual_sweep_evaluates_each_point_once():
     rejected = [p for p in calls if p not in accepted]
     assert len(calls) == 3 * plan.n + len(rejected)
     assert any(p[0] > 0.25 for p in rejected)
+
+
+# ---- the batched unitarity pass against the per-point oracle ----
+
+def unitarity_oracle(w: WeightVector, wr: WeightVector) -> float:
+    """The per-point unitarity defect as first written: both gauge checks
+    on complex scalars, then R(u) R(-u) - (1 - a5 a6) E on 4x4 matrices."""
+    for x in (w, wr):
+        if not (abs(x.a[1] - 1) <= GAUGE_TOL and abs(x.a[2] - 1) <= GAUGE_TOL
+                and abs(x.a[6] - x.a[7]) <= GAUGE_TOL):
+            raise NotGauge(
+                f"unitarity_residual: weights are not gauge-normalized "
+                f"(|a2-1|={abs(x.a2-1):.2e}, |a3-1|={abs(x.a3-1):.2e}, "
+                f"|a7-a8|={abs(x.a7-x.a8):.2e})")
+    prod = (to_matrix(w) @ to_matrix(wr)
+            - (1 - w.a5 * w.a6) * np.eye(4, dtype=complex))
+    return float(np.abs(prod).max())
+
+
+def gauge_families():
+    fams = {f.value: make_family(spec())
+            for f, spec in CANONICAL_SPECS.items()}
+    fams = {name: fam for name, fam in fams.items() if fam.gauge}
+    fams["gauge_reduce(scale_regauge)"] = gauge_reduce(
+        apply(SCALE_REGAUGE, fams["ff_tanh"]))[0]
+    return fams
+
+
+@pytest.mark.parametrize("name", list(gauge_families()))
+def test_unitarity_defects_are_the_per_point_defects(name):
+    """Blocks of 256 and 44 points: every batch entry is bitwise the one-row
+    ``unitarity_defect`` and the scalar oracle of its point."""
+    fam = gauge_families()[name]
+    blocks = [pair for _, pair in _points(fam, SamplePlan(n=300, seed=4))]
+    assert [len(W) for W, _ in blocks] == [_DRAW_MAX, 300 - _DRAW_MAX]
+    for W, Wr in blocks:
+        got = unitarity_defects(W, Wr)
+        rows = [(WeightVector(a), WeightVector(b)) for a, b in zip(W, Wr)]
+        assert np.array_equal(got, [unitarity_defect(*r) for r in rows])
+        assert np.array_equal(got, [unitarity_oracle(*r) for r in rows])
+        assert got.max() < 1e-12
+    swept = list(unitarity_sweep(fam, SamplePlan(n=300, seed=4)))
+    assert np.array_equal(np.concatenate(swept),
+                          np.concatenate([unitarity_defects(*p)
+                                          for p in blocks]))
+
+
+def first_not_gauge(W, Wr) -> str | None:
+    """The message of the first NotGauge the per-point oracle raises."""
+    for a, b in zip(W, Wr):
+        try:
+            unitarity_oracle(WeightVector(a), WeightVector(b))
+        except NotGauge as exc:
+            return str(exc)
+    return None
+
+
+def test_unitarity_defects_raise_at_the_first_non_gauge_point():
+    """Row 3 breaks the gauge at the partner point only, row 5 at both; the
+    message is the per-point one of row 3's partner."""
+    fam = make_family(ff_tanh_spec())
+    (_, (W, Wr)), = _points(fam, SamplePlan(n=8, seed=1))
+    W, Wr = W.copy(), Wr.copy()
+    Wr[3, 6] += 3e-3
+    W[5, 1] += 0.25
+    Wr[5, 2] -= 0.5
+    want = first_not_gauge(W, Wr)
+    assert want == ("unitarity_residual: weights are not gauge-normalized "
+                    "(|a2-1|=0.00e+00, |a3-1|=0.00e+00, |a7-a8|=3.00e-03)")
+    with pytest.raises(NotGauge) as exc:
+        unitarity_defects(W, Wr)
+    assert str(exc.value) == want
+    with pytest.raises(NotGauge) as exc:
+        unitarity_defect(WeightVector(W[5]), WeightVector(Wr[5]))
+    assert str(exc.value) == first_not_gauge(W[5:], Wr[5:])
+
+
+def test_non_gauge_family_raises_the_per_point_message():
+    """A family declared gauge whose weights leave the gauge for u > 0.1."""
+    base = make_family(ff_elliptic_spec())
+
+    def ev(u, xi, eta):
+        a = base.eval(u, xi, eta).a.copy()
+        if u > 0.1:
+            a[1] += 0.1 * u
+        return WeightVector(a)
+
+    fam = WeightFamily(spec=None, evaluate=ev, label="leaves_gauge",
+                       gauge=True)
+    plan = SamplePlan(n=50, seed=7)
+    (_, (W, Wr)), = _points(fam, plan)
+    want = first_not_gauge(W, Wr)
+    assert want is not None and want.startswith(
+        "unitarity_residual: weights are not gauge-normalized (|a2-1|=")
+    with pytest.raises(NotGauge) as exc:
+        list(unitarity_sweep(fam, plan))
+    assert str(exc.value) == want
+
+
+def test_non_gauge_point_raises_before_the_next_block_is_drawn():
+    """Only the first block of 10 + 10 // 4 + 4 = 16 candidates evaluates
+    without a pole, and it holds fewer than 10 accepted points; every later
+    block is rejected whole, so sampling would be exhausted."""
+    base = make_family(ff_tanh_spec())
+    first_block = 2 * 16   # a point and its unitarity partner per candidate
+
+    def family(shift):
+        calls = []
+
+        def ev(u, xi, eta):
+            calls.append(u)
+            if len(calls) > first_block or abs(xi) < 0.2:
+                raise PoleProximity("no weights here")
+            a = base.eval(u, xi, eta).a.copy()
+            a[1] += shift
+            return WeightVector(a)
+
+        fam = WeightFamily(spec=None, evaluate=ev, label="one_block",
+                           gauge=True)
+        return fam, calls
+
+    plan = SamplePlan(n=10)
+    fam, calls = family(0.0)
+    with pytest.raises(SamplingExhausted):
+        list(unitarity_sweep(fam, plan))
+    assert len(calls) > first_block
+    fam, calls = family(0.5)
+    with pytest.raises(NotGauge):
+        list(unitarity_sweep(fam, plan))
+    assert len(calls) == first_block
