@@ -53,13 +53,19 @@ class HamiltonianCoefficients:
     analytic: bool
 
 
-def _du(fam, u, xi, eta, h=1e-5):
-    """Central difference with one Richardson level for d/du a(u,xi,eta):
-    the extrapolated value and its distance from the raw difference."""
-    raw = (fam.eval(u + h, xi, eta).a - fam.eval(u - h, xi, eta).a) / (2 * h)
-    fine = (fam.eval(u + h/2, xi, eta).a - fam.eval(u - h/2, xi, eta).a) / h
+def _richardson(w, h):
+    """Central difference with one Richardson level from the weights w at
+    u + h, u - h, u + h/2 and u - h/2: the extrapolated value of d/du a and
+    its distance from the raw difference."""
+    raw = (w[0] - w[1]) / (2 * h)
+    fine = (w[2] - w[3]) / h
     rich = (4 * fine - raw) / 3
     return rich, float(np.abs(rich - raw).max())
+
+
+def _du(fam, u, xi, eta, h=1e-5):
+    return _richardson([fam.eval(p, xi, eta).a
+                        for p in (u + h, u - h, u + h/2, u - h/2)], h)
 
 
 def hamiltonian_coeffs(fam: WeightFamily, xi_grid=None, h: float = 1e-5,
@@ -78,8 +84,17 @@ def hamiltonian_coeffs(fam: WeightFamily, xi_grid=None, h: float = 1e-5,
 
     rows, errs = [], []
     analytic = use_analytic and fam.analytic_coeffs(xi_grid[0]) is not None
-    for xi in xi_grid:
-        m, err = _coeffs_at(fam, xi, h, analytic)
+    if not analytic:
+        # the stencil points u = +-h, +-h/2 at xi = eta = x of every x
+        steps, n = (h, -h, h / 2, -h / 2), len(xi_grid)
+        x = np.tile(xi_grid, 4)
+        S, ok = fam.eval_array(np.repeat(steps, n), x, x)
+        S, ok = S.reshape(4, n, 8), ok.reshape(4, n)
+    for i, xi in enumerate(xi_grid):
+        # a stencil point marked in S raises its own error in its turn
+        m, err = _coeffs_at(fam, xi, h, True) if analytic else _richardson(
+            [S[j, i] if ok[j, i] else fam.eval(d, xi, xi).a
+             for j, d in enumerate(steps)], h)
         if err > 1e-4 * max(1.0, float(np.abs(m).max())):
             raise StepUnstable(
                 f"Richardson and raw central differences disagree by "

@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -264,10 +265,22 @@ def _add_grid_parser(sub, name, help_text):
     p.set_defaults(fn=cmd_eval)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse taking -1e-3 for a value as it takes -0.001, and raising a
+    malformed command line as InvalidSpec: one error: line, exit 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        raise InvalidSpec(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cybe",
         description="eight-vertex families of the colored Yang-Baxter "
                     "equation: evaluation, verification, classification, "
@@ -300,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # an overflow is a rejection or a named error, never a numpy warning
         with np.errstate(all="ignore"):
             return args.fn(args)

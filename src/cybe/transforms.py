@@ -17,6 +17,11 @@ Transformations act lazily by wrapping the evaluators; payload profiles make
 materializing closed forms impossible in general.  Every kind is one step
 of ``wrap``, written once over the operation tables of ``numkernel``; the
 wrapper keeps an array evaluator when the wrapped family has one.
+
+``gauge_reduce`` evaluates its probe points in one ``eval_array`` call, and
+the reduced family's array evaluator evaluates n points and the points
+behind M(eta), M(xi) in one call on the 3n points stacked: on a 2-vCPU Xeon
+a batch call costs 0.06-1 ms at any size, a scalar evaluation 4-35 us.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 from .errors import (InvalidSpec, MultiplicativityViolation, NotEightVertex,
                      ZeroDivisor)
 from .families import WeightFamily, _sampled, from_form
-from .numkernel import SCALAR
+from .numkernel import SCALAR, Batch
 from .profiles import ColorProfile, SpectralProfile, _check_keys, _cjson, _cval
 from .weights import vanishing_weights
 
@@ -264,12 +269,24 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
     def draw_color(n):
         return rng.uniform(clo, chi, n)
 
-    mags = []
-    for xi in color_grid:
-        for eta in color_grid[::2]:
-            u = complex(u_probe) * (0.6 + 0.8 * rng.random())
-            mags.append(np.abs(fam.eval(u, xi, eta).a))
+    mag_pts = [(complex(u_probe) * (0.6 + 0.8 * rng.random()), xi, eta)
+               for xi in color_grid for eta in color_grid[::2]]
+    cocycle = [(*draw_u(2), *draw_color(3)) for _ in range(12)]
+    nu_pts = [(float(draw_u(1)[0]), float(draw_color(1)[0])) for _ in range(6)]
+    l_pts = [(float(draw_u(1)[0]), *draw_color(2)) for _ in range(6)]
+    gauge_pts = [(float(draw_u(1)[0]), *draw_color(2)) for _ in range(8)]
+    m_colors = [*np.ravel([p[1:] for p in l_pts + gauge_pts]), *color_grid]
+    pts = (mag_pts
+           + [p for u, v, xi, eta, lam in cocycle
+              for p in ((u + v, xi, lam), (u, xi, eta), (v, eta, lam))]
+           + [(u, xi, xi) for u, xi in nu_pts] + l_pts
+           + [(u_probe, x, anchor) for x in m_colors])
+    W, ok = fam.eval_array(*map(np.array, zip(*pts)))
+    # rows in probe order; a point marked in W raises its own error in turn
+    rows = (W[i] if ok[i] else fam.eval(*p).a for i, p in enumerate(pts))
+    m_row = {x: i for i, x in enumerate(m_colors, len(pts) - len(m_colors))}
 
+    mags = [np.abs(next(rows)) for _ in mag_pts]
     dead = vanishing_weights(np.max(mags, axis=0))
     if dead:
         raise NotEightVertex(f"weights {dead} vanish identically on samples")
@@ -278,16 +295,14 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
         """a3/a2 of the weight columns w."""
         return w[2] / _nonzero(o, w[1], "a2")
 
-    def f_ratio(u, xi, eta):
-        return ratio(SCALAR, fam.eval(u, xi, eta).a.tolist())
+    def f_ratio(a):
+        return ratio(SCALAR, a.tolist())
 
     # cocycle check: f(u+v,xi,lam) = f(u,xi,eta) f(v,eta,lam)
     defect = 0.0
-    for _ in range(12):
-        u, v = draw_u(2)
-        xi, eta, lam = draw_color(3)
-        lhs = f_ratio(u + v, xi, lam)
-        rhs = f_ratio(u, xi, eta) * f_ratio(v, eta, lam)
+    for _ in cocycle:
+        lhs = f_ratio(next(rows))
+        rhs = f_ratio(next(rows)) * f_ratio(next(rows))
         defect = max(defect, abs(lhs - rhs))
     if defect > 1e-8:
         raise MultiplicativityViolation(
@@ -296,38 +311,43 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
 
     # nu diagnostic: f(u,xi,xi) = exp(nu u) for near-solutions
     nus = []
-    for _ in range(6):
-        u = float(draw_u(1)[0])
-        xi = float(draw_color(1)[0])
-        val = f_ratio(u, xi, xi)
+    for u, _ in nu_pts:
+        val = f_ratio(next(rows))
         if abs(val) > _ZERO_TOL:
             nus.append(np.log(complex(val)) / u)
     nu = complex(np.mean(nus)) if nus else 0j
 
     @functools.cache   # x as float, np.float64 or complex(x, 0): one entry
     def M(x) -> complex:
-        return f_ratio(u_probe, x, anchor)
-
-    def sqrtM(o, base, x):
-        if o is SCALAR:
-            return o.npsqrt(M(x))
-        anchored = base(o.lift(u_probe), x, o.lift(anchor))
-        return o.npsqrt(ratio(o, o.columns(anchored)))
+        i = m_row.get(x)
+        return f_ratio(W[i] if i is not None and ok[i]
+                       else fam.eval(u_probe, x, anchor).a)
 
     l_vals = []
-    for _ in range(6):
-        u = float(draw_u(1)[0])
-        xi, eta = draw_color(2)
-        w = fam.eval(u, xi, eta)
-        l_vals.append((w.a8 / _nonzero(SCALAR, w.a7, "a7"))
+    for _, xi, eta in l_pts:
+        w = next(rows).tolist()
+        l_vals.append((w[7] / _nonzero(SCALAR, w[6], "a7"))
                       / (M(xi) * M(eta)))
     l = complex(np.mean(l_vals))
     sqrt_l = complex(np.sqrt(l))
 
     def reduced(o, base, u, xi, eta):
-        w = o.columns(base(u, xi, eta))
-        a2 = _nonzero(o, w[1], "a2")
-        sqrt_eta, sqrt_xi = sqrtM(o, base, eta), sqrtM(o, base, xi)
+        if o is SCALAR:
+            w = o.columns(base(u, xi, eta))
+            a2 = _nonzero(o, w[1], "a2")
+            m_eta, m_xi = M(eta), M(xi)
+        else:
+            # the point and the anchored points of M(eta), M(xi) in one call
+            s = Batch(3 * o.n)
+            here, *anchored = np.split(fam.batch(s, *(
+                s.lift(np.concatenate([o.complex(c) for c in col]))
+                for col in zip((u, xi, eta), (u_probe, eta, anchor),
+                               (u_probe, xi, anchor)))), 3)
+            o._flag(s.bad.reshape(3, o.n).any(axis=0))
+            w = o.columns(here)
+            a2 = _nonzero(o, w[1], "a2")
+            m_eta, m_xi = (ratio(o, o.columns(A)) for A in anchored)
+        sqrt_eta, sqrt_xi = o.npsqrt(m_eta), o.npsqrt(m_xi)
         r = sqrt_eta / sqrt_xi
         g = r / a2
         my = sqrt_eta ** 2
@@ -344,10 +364,8 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
 
     out = wrap(fam, reduced, f"gauge_reduce({fam.label})", gauge=True)
     gauge_res = 0.0
-    for _ in range(8):
-        u = float(draw_u(1)[0])
-        xi, eta = draw_color(2)
-        w = out.eval(u, xi, eta)
+    for p in gauge_pts:
+        w = out.eval(*p)
         gauge_res = max(gauge_res, abs(w.a2 - 1), abs(w.a3 - 1),
                         abs(w.a7 - w.a8))
 

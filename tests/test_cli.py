@@ -396,6 +396,42 @@ def test_malformed_flag_exit_2(argv, message, capsys):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("exponent, fixed", [
+    (["verify", "--spec", _FF_TRIG, "--samples", "20", "--perturb", "a7",
+      "-1e-3"], ["verify", "--spec", _FF_TRIG, "--samples", "20",
+                 "--perturb", "a7", "-0.001"]),
+    (["couplings", "--spec", _FF_TRIG, "--xi", "-1E-1"],
+     ["couplings", "--spec", _FF_TRIG, "--xi", "-0.1"]),
+    (["classify", "--spec", _FF_TRIG, "--samples", "20", "--perturb", "a1",
+      "-.5e-2"], ["classify", "--spec", _FF_TRIG, "--samples", "20",
+                  "--perturb", "a1", "-0.005"]),
+], ids=["verify_perturb", "couplings_xi", "classify_perturb"])
+def test_negative_exponent_form_is_a_value(exponent, fixed, capsys):
+    """argparse's own pattern takes -1e-3 for an option, not a number."""
+    got = run_cli(exponent, capsys)
+    assert got[0] != 2 and got[2] == ""
+    assert got == run_cli(fixed, capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["nope"], "argument command: invalid choice: 'nope' (choose from "
+     "'eval', 'verify', 'classify', 'transform', 'couplings')"),
+    (["verify"], "the following arguments are required: --spec"),
+    (["verify", "--spec", _FF_TRIG, "--samples", "x"],
+     "argument --samples: invalid int value: 'x'"),
+    (["verify", "--spec", _FF_TRIG, "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["classify", "--spec", _FF_TRIG, "--perturb", "a7"],
+     "argument --perturb: expected 2 arguments"),
+    (["verify", "--spec", _FF_TRIG, "--tol", "-inf"],
+     "argument --tol: expected one argument"),
+], ids=["no_command", "unknown_command", "missing_spec", "samples_not_int",
+        "unknown_flag", "perturb_one_value", "tol_negative_inf"])
+def test_parse_errors_are_one_error_line(argv, message, capsys):
+    assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+
 def test_zero_tolerance_is_a_valid_flag(capsys):
     code, out, err = run_cli(["verify", "--spec", _FF_TRIG, "--samples", "20",
                               "--tol", "0"], capsys)
