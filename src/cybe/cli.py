@@ -266,12 +266,14 @@ def _add_grid_parser(sub, name, help_text):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse taking -1e-3 for a value as it takes -0.001, and raising a
-    malformed command line as InvalidSpec: one error: line, exit 2."""
+    """argparse taking -1e-3 and -inf for values as it takes -0.001, and
+    raising a malformed command line as InvalidSpec: one error: line, exit
+    2."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(
+            r"-\.?\d|-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise InvalidSpec(message)

@@ -20,7 +20,9 @@ so ``residual_sweep`` and ``point_weights`` consumers never evaluate the
 family again.  ``residual_sweep`` computes the residuals of each block of
 accepted triples with one batched ``ybe_residuals`` call, and
 ``unitarity_sweep`` the unitarity defects of each block of accepted points
-with one ``unitarity_defects`` call.
+with one ``unitarity_defects`` call.  Both are elementwise column
+arithmetic with no matrix product, so a block's values do not depend on
+its size or on the BLAS build.
 """
 
 from __future__ import annotations

@@ -21,21 +21,21 @@ sextets duplicate the first two, leaving the 12 gauge equations.
 Tensor index convention: row-major pairing, first factor is the slower
 index, so (R (x) E)[(i,a),(j,b)] = R[i,j] * delta[a,b].
 
-Residuals of many triples at once (``ybe_residuals``) take (B, 8) weight
-arrays.  The embeddings R (x) E and E (x) R are built by scattering the
-eight weights into (B, 8, 8) zeros with constant index arrays, and the two
-sides of the identity are stacked ``np.matmul`` products in the same
-(A @ B) @ C order as the kron form ``ybe_defect``, which stays as the
-oracle; the max-abs defect is bitwise the same.  The 28 components are
-written once, as a term table: per equation, up to four signed products
-(f1, f2, f3) of the 24 weight columns of U|W|V.  The real and imaginary
-columns of a batch are gathered once and the table is evaluated in four
-term steps on (28, B) float arrays, each product unfused (numpy's SIMD
-complex-array multiply may fuse multiply-adds and then differs in the last
-bit), so every component rounds exactly as the scalar complex arithmetic
-of the written equations does; ``component_residuals`` is the one-row
-case.  ``unitarity_defects`` does the unitarity check of B points with
-stacked 4x4 products; ``unitarity_defect`` is its one-row case.
+The 28 equations are exactly the nonzero entries of the 8x8 defect, so
+every residual is computed from them: the max-abs defect ``matrix_norm`` is
+the largest component magnitude.  ``ybe_residuals`` takes (B, 8) weight
+arrays.  The 28 components are written once, as a term table: per
+equation, up to four signed products (f1, f2, f3) of the 24 weight columns
+of U|W|V.  The real and imaginary columns of a batch are gathered once and
+the table is evaluated in four term steps on (28, B) float arrays, each
+product unfused (numpy's SIMD complex-array multiply may fuse multiply-adds
+and then differs in the last bit), so every component rounds exactly as
+the scalar complex arithmetic of the written equations does;
+``component_residuals`` is the one-row case.  ``unitarity_defects`` writes
+out the 8 nonzero entries of R(u) R(-u) - (1 - a5 a6) E and evaluates them
+on ``numkernel.Split`` columns; ``unitarity_defect`` is its one-row case.
+Neither path multiplies matrices, so no value depends on the BLAS build.
+The kron form ``ybe_defect`` is the public matrix form of the identity.
 """
 
 from __future__ import annotations
@@ -133,30 +133,6 @@ COMPONENT_IDS = tuple(f"eq{i:02d}" for i in range(1, 29))
 
 #: ids of the components that survive as the 12 gauge equations
 GAUGE_COMPONENT_IDS = COMPONENT_IDS[4:16]
-
-
-def _embed_index(slot: int):
-    """Flat (row*8 + col) targets and weight indices of the 16 nonzero
-    entries of tensor_embed(R, slot)."""
-    flat, src = [], []
-    for k, (i, j) in enumerate(_POS):
-        for a in range(2):
-            r, c = (2*i + a, 2*j + a) if slot == 12 else (4*a + i, 4*a + j)
-            flat.append(8*r + c)
-            src.append(k)
-    return np.array(flat), np.array(src)
-
-
-_EMBED = {slot: _embed_index(slot) for slot in (12, 23)}
-
-
-def _embedded(A: np.ndarray, slot: int) -> np.ndarray:
-    """tensor_embed(to_matrix(w), slot) for each row w of the (B, 8) array A,
-    as a (B, 8, 8) stack."""
-    flat, src = _EMBED[slot]
-    M = np.zeros((len(A), 64), dtype=complex)
-    M[:, flat] = A[:, src]
-    return M.reshape(-1, 8, 8)
 
 
 #: the gathered column that holds zeros, for padding the quartets
@@ -258,10 +234,11 @@ def component_residuals(wu: WeightVector, ww: WeightVector,
 class ResidualReport:
     """Defect norms of the matrix identity for one argument triple.
 
-    matrix_norm and max_component are raw; ``relative`` divides by the
-    product of the three per-matrix max entry magnitudes, which is exactly
-    invariant under the scaling symmetry (each side of the identity is
-    trilinear in the three weight vectors).
+    matrix_norm, the max-abs entry of the matrix defect, is max_component,
+    the largest of the 28 equations; both are raw.  ``relative`` divides by
+    the product of the three per-matrix max entry magnitudes, which is
+    exactly invariant under the scaling symmetry (each side of the identity
+    is trilinear in the three weight vectors).
     """
 
     matrix_norm: float
@@ -273,14 +250,9 @@ class ResidualReport:
     def relative(self) -> float:
         return self.matrix_norm / self.scale
 
-    @property
-    def consistency(self) -> float:
-        """|matrix_norm - max_component|; the 28 equations are exactly the
-        nonzero entries of the matrix defect."""
-        return abs(self.matrix_norm - self.max_component)
-
 
 def ybe_defect(wu: WeightVector, ww: WeightVector, wv: WeightVector) -> np.ndarray:
+    """The 8x8 defect LHS - RHS of the matrix identity, in kron form."""
     Ru = to_matrix(wu)
     Rw = to_matrix(ww)
     Rv = to_matrix(wv)
@@ -304,16 +276,15 @@ def ybe_residual(wu: WeightVector, ww: WeightVector,
 
 def ybe_residuals(U: np.ndarray, W: np.ndarray, V: np.ndarray):
     """The ``ybe_residual`` fields of B triples at once, from (B, 8) weight
-    arrays with the same argument pattern as rows: matrix_norm (B,),
-    |components| (B, 28), bitwise ``component_residuals``, and scale (B,)."""
+    arrays with the same argument pattern as rows: matrix_norm (B,), the
+    largest of the |components| (B, 28), which are bitwise
+    ``component_residuals``, and scale (B,)."""
     # np.abs of a complex array, as in the scalar path: np.hypot on the
     # float parts rounds differently
     comp = np.abs(_components(U, W, V))
     su, sw, sv = (np.maximum(np.abs(A).max(axis=1), 1e-300)
                   for A in (U, W, V))
-    lhs = _embedded(U, 12) @ _embedded(W, 23) @ _embedded(V, 12)
-    rhs = _embedded(V, 23) @ _embedded(W, 12) @ _embedded(U, 23)
-    return np.abs(lhs - rhs).max(axis=(1, 2)), comp, su * sw * sv
+    return comp.max(axis=1), comp, su * sw * sv
 
 
 def _require_gauge(w: WeightVector, where: str) -> None:
@@ -372,12 +343,9 @@ def unitarity_defect(w: WeightVector, wr: WeightVector) -> float:
     return float(unitarity_defects(w.a[None], wr.a[None])[0])
 
 
-_DIAG = np.arange(4)
-
-
 def unitarity_defects(W: np.ndarray, Wr: np.ndarray) -> np.ndarray:
     """``unitarity_defect`` of each row pair of the (B, 8) weight arrays W
-    at (u,xi,eta) and Wr at (-u,eta,xi), from stacked 4x4 products.
+    at (u,xi,eta) and Wr at (-u,eta,xi).
 
     Raises NotGauge, with the message of the per-point check, at the first
     row pair that is not gauge-normalized.
@@ -387,14 +355,18 @@ def unitarity_defects(W: np.ndarray, Wr: np.ndarray) -> np.ndarray:
         first = int(np.argmin(ok))
         for A in (W, Wr):
             _require_gauge(WeightVector(A[first]), "unitarity_residual")
-    M, Mr = (np.zeros((len(A), 4, 4), dtype=complex) for A in (W, Wr))
-    M[:, _ROWS, _COLS], Mr[:, _ROWS, _COLS] = W, Wr
-    prod = M @ Mr
-    # 1 - a5*a6 rounded as Python's complex arithmetic does; subtracting
-    # its multiple of E off the diagonal only changed the sign of zeros
-    prod[:, _DIAG, _DIAG] -= (1 - Split.of(W[:, 4]) * Split.of(W[:, 5])
-                              ).complex()[:, None]
-    return np.abs(prod).max(axis=(1, 2))
+    a1, a2, a3, a4, a5, a6, a7, a8 = (Split.of(col) for col in W.T)
+    b1, b2, b3, b4, b5, b6, b7, b8 = (Split.of(col) for col in Wr.T)
+    c = 1 - a5*a6
+    # R is two 2x2 blocks, [[a1, a7], [a8, a4]] on (11, 22) and
+    # [[a2, a5], [a6, a3]] on (12, 21); these are the 8 entries of
+    # R(u) R(-u) - c E that are not structurally zero
+    entries = (a1*b1 + a7*b8 - c, a1*b7 + a7*b4,
+               a8*b1 + a4*b8, a8*b7 + a4*b4 - c,
+               a2*b2 + a5*b6 - c, a2*b5 + a5*b3,
+               a6*b2 + a3*b6, a6*b5 + a3*b3 - c)
+    # np.hypot is Python's complex abs bit for bit
+    return np.max([np.hypot(e.re, e.im) for e in entries], axis=0)
 
 
 def vanishing_weights(mags) -> str:

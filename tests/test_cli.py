@@ -386,9 +386,19 @@ _FF_TRIG = ('{"family":"ff_trig","profiles":{"G":{"preset":"cosh",'
      "--perturb DELTA must be a finite number, got 'inf'"),
     (["verify", "--perturb", "a1", "0.1x"],
      "--perturb DELTA must be a finite number, got '0.1x'"),
+    # a negative non-finite value in its own argument is a value too
+    (["verify", "--tol", "-inf"], "--tol must be a finite number, got -inf"),
+    (["classify", "--tol", "-Infinity"],
+     "--tol must be a finite number, got -inf"),
+    (["verify", "--u-span", "-INF"],
+     "--u-span must be a finite number, got -inf"),
+    (["verify", "--perturb", "a7", "-nan"],
+     "--perturb DELTA must be a finite number, got '-nan'"),
 ], ids=["verify_tol_nan", "verify_tol_inf", "verify_tol_negative",
         "classify_tol_nan", "u_span_nan", "color_span_inf", "perturb_nan",
-        "eval_perturb_inf", "perturb_not_a_number"])
+        "eval_perturb_inf", "perturb_not_a_number", "tol_negative_inf",
+        "classify_tol_negative_infinity", "u_span_negative_inf",
+        "perturb_negative_nan"])
 def test_malformed_flag_exit_2(argv, message, capsys):
     code, out, err = run_cli(argv + ["--spec", _FF_TRIG, "--samples", "20"],
                              capsys)
@@ -424,10 +434,10 @@ def test_negative_exponent_form_is_a_value(exponent, fixed, capsys):
      "unrecognized arguments: --bogus"),
     (["classify", "--spec", _FF_TRIG, "--perturb", "a7"],
      "argument --perturb: expected 2 arguments"),
-    (["verify", "--spec", _FF_TRIG, "--tol", "-inf"],
+    (["verify", "--spec", _FF_TRIG, "--tol", "-info"],
      "argument --tol: expected one argument"),
 ], ids=["no_command", "unknown_command", "missing_spec", "samples_not_int",
-        "unknown_flag", "perturb_one_value", "tol_negative_inf"])
+        "unknown_flag", "perturb_one_value", "tol_not_a_value"])
 def test_parse_errors_are_one_error_line(argv, message, capsys):
     assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
 

@@ -6,6 +6,9 @@ Expected outputs live in data/golden_cli.json.  After an intended output
 change, re-record the affected entries by name:
 
     PYTHONPATH=src python tests/test_golden_cli.py NAME [NAME ...]
+
+The verify and classify entries are also replayed under other OpenBLAS
+kernels: no printed number may depend on the BLAS build.
 """
 
 import contextlib
@@ -13,10 +16,13 @@ import io
 import json
 import os
 import pathlib
+import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import cybe
 from cybe.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data" / "golden_cli.json"
@@ -38,6 +44,45 @@ def test_golden(case, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
     assert run(case["argv"]) == (case["exit"], case["stdout"],
                                  case["stderr"])
+
+
+def _dynamic_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernels at run
+    time, so OPENBLAS_CORETYPE selects them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+_NUMERIC = [c for c in CASES if c["argv"][0] in ("verify", "classify")]
+
+_REPLAY = f"""
+import json, sys
+sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})
+from test_golden_cli import _NUMERIC, run
+print(json.dumps([run(c["argv"]) for c in _NUMERIC]))
+"""
+
+
+@pytest.mark.skipif(not _dynamic_openblas(),
+                    reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH")
+@pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+def test_golden_bytes_do_not_depend_on_the_blas_kernel(coretype):
+    """Prescott has no AVX and Haswell fuses multiply-adds: a product left
+    to BLAS rounds differently under each."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(pathlib.Path(cybe.__file__).parents[1]),
+                   os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _REPLAY], env=env,
+                          capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout)
+    differ = [c["name"] for c, g in zip(_NUMERIC, got)
+              if tuple(g) != (c["exit"], c["stdout"], c["stderr"])]
+    assert differ == []
 
 
 if __name__ == "__main__":

@@ -25,6 +25,13 @@ from conftest import (CANONICAL_SPECS, baxter_elliptic_spec,
 
 IDENTITY = WeightVector.of(1, 1, 1, 1, 0, 0, 0, 0)
 
+EPS = np.finfo(float).eps
+
+#: how far, in EPS times the scale of the inputs, the residuals may round
+#: away from the matrix-product oracles; the largest gap seen on 10^6
+#: random rows is 5.6 (components) and 4.2 (unitarity)
+ORACLE_EPS = 8
+
 #: a batch size; the sizes around it give partial, full and split batches
 _BLOCK = 128
 
@@ -102,7 +109,8 @@ def test_component_equations_match_matrix_defect(rng):
     for _ in range(40):
         wu, ww, wv = (rand_weights(rng) for _ in range(3))
         rep = ybe_residual(wu, ww, wv)
-        assert rep.consistency < 1e-12 * max(1.0, rep.scale)
+        kron = np.abs(ybe_defect(wu, ww, wv)).max()
+        assert abs(rep.matrix_norm - kron) < 1e-12 * max(1.0, rep.scale)
 
 
 def test_solution_family_residual(rng):
@@ -245,8 +253,7 @@ def test_residual_report_consistency_property(seed):
     wu, ww, wv = (WeightVector(r.normal(size=8) + 1j * r.normal(size=8))
                   for _ in range(3))
     rep = ybe_residual(wu, ww, wv)
-    assert rep.consistency < 1e-12 * max(1.0, rep.scale)
-    assert rep.max_component <= rep.matrix_norm + 1e-12 * max(1.0, rep.scale)
+    assert rep.matrix_norm == rep.max_component
 
 
 # ---- the batched residual path against the scalar oracles ----
@@ -280,16 +287,19 @@ def triple_weights(fam, n, seed):
 
 
 def assert_matches_oracle(U, W, V):
-    """Every entry of the batch result is bitwise the scalar one: the kron
-    ``ybe_defect``, ``component_residuals`` and the product of the three
-    ``WeightVector.scale`` values; the one-row ``ybe_residual`` report of
-    each triple equals its row."""
+    """Every entry of the batch result is bitwise the scalar one:
+    ``component_residuals``, their maximum as the norm, and the product of
+    the three ``WeightVector.scale`` values; the one-row ``ybe_residual``
+    report of each triple equals its row.  The norm is the max-abs entry of
+    the kron ``ybe_defect`` up to rounding: within ORACLE_EPS * EPS * scale."""
     norm, comp, scale = ybe_residuals(U, W, V)
     assert norm.shape == scale.shape == (len(U),)
     assert comp.shape == (len(U), len(COMPONENT_IDS))
     rows = [tuple(WeightVector(A[b]) for A in (U, W, V)) for b in range(len(U))]
-    assert np.array_equal(norm, [np.abs(ybe_defect(*r)).max() for r in rows])
     assert np.array_equal(comp, [np.abs(component_residuals(*r)) for r in rows])
+    assert np.array_equal(norm, comp.max(axis=1))
+    kron = np.array([np.abs(ybe_defect(*r)).max() for r in rows])
+    assert (np.abs(norm - kron) <= ORACLE_EPS * EPS * scale).all()
     assert np.array_equal(scale, [max(wu.scale(), 1e-300)
                                   * max(ww.scale(), 1e-300)
                                   * max(wv.scale(), 1e-300)
@@ -387,7 +397,8 @@ def test_residual_sweep_evaluates_each_point_once():
 
 def unitarity_oracle(w: WeightVector, wr: WeightVector) -> float:
     """The per-point unitarity defect as first written: both gauge checks
-    on complex scalars, then R(u) R(-u) - (1 - a5 a6) E on 4x4 matrices."""
+    on complex scalars, then R(u) R(-u) - (1 - a5 a6) E on 4x4 matrices.
+    Its rounding depends on the BLAS kernel."""
     for x in (w, wr):
         if not (abs(x.a[1] - 1) <= GAUGE_TOL and abs(x.a[2] - 1) <= GAUGE_TOL
                 and abs(x.a[6] - x.a[7]) <= GAUGE_TOL):
@@ -398,6 +409,20 @@ def unitarity_oracle(w: WeightVector, wr: WeightVector) -> float:
     prod = (to_matrix(w) @ to_matrix(wr)
             - (1 - w.a5 * w.a6) * np.eye(4, dtype=complex))
     return float(np.abs(prod).max())
+
+
+def unitarity_entries_oracle(w: WeightVector, wr: WeightVector) -> float:
+    """The max-abs of the 8 entries of R(u) R(-u) - (1 - a5 a6) E that are
+    not structurally zero, in Python complex scalars."""
+    a1, a2, a3, a4, a5, a6, a7, a8 = (w[i] for i in range(8))
+    b1, b2, b3, b4, b5, b6, b7, b8 = (wr[i] for i in range(8))
+    c = 1 - a5*a6
+    prod = {(0, 0): a1*b1 + a7*b8, (0, 3): a1*b7 + a7*b4,
+            (3, 0): a8*b1 + a4*b8, (3, 3): a8*b7 + a4*b4,
+            (1, 1): a2*b2 + a5*b6, (1, 2): a2*b5 + a5*b3,
+            (2, 1): a6*b2 + a3*b6, (2, 2): a6*b5 + a3*b3}
+    return max(abs(z - c) if i == j else abs(z)
+               for (i, j), z in prod.items())
 
 
 def gauge_families():
@@ -412,7 +437,8 @@ def gauge_families():
 @pytest.mark.parametrize("name", list(gauge_families()))
 def test_unitarity_defects_are_the_per_point_defects(name):
     """Blocks of 256 and 44 points: every batch entry is bitwise the one-row
-    ``unitarity_defect`` and the scalar oracle of its point."""
+    ``unitarity_defect`` and the per-entry scalar oracle of its point, and
+    within ORACLE_EPS * EPS * scale of the 4x4 matrix oracle."""
     fam = gauge_families()[name]
     blocks = [pair for _, pair in _points(fam, SamplePlan(n=300, seed=4))]
     assert [len(W) for W, _ in blocks] == [_DRAW_MAX, 300 - _DRAW_MAX]
@@ -420,7 +446,14 @@ def test_unitarity_defects_are_the_per_point_defects(name):
         got = unitarity_defects(W, Wr)
         rows = [(WeightVector(a), WeightVector(b)) for a, b in zip(W, Wr)]
         assert np.array_equal(got, [unitarity_defect(*r) for r in rows])
-        assert np.array_equal(got, [unitarity_oracle(*r) for r in rows])
+        assert np.array_equal(got, [unitarity_entries_oracle(*r)
+                                    for r in rows])
+        # the entries are sums of products of one weight of each point,
+        # and 1 - a5 a6
+        scale = np.maximum(1, np.maximum(np.abs(W).max(axis=1),
+                                         np.abs(Wr).max(axis=1))) ** 2
+        matmul = np.array([unitarity_oracle(*r) for r in rows])
+        assert (np.abs(got - matmul) <= ORACLE_EPS * EPS * scale).all()
         assert got.max() < 1e-12
     swept = list(unitarity_sweep(fam, SamplePlan(n=300, seed=4)))
     assert np.array_equal(np.concatenate(swept),
