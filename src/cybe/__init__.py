@@ -17,8 +17,8 @@ from .families import (FamilyId, FamilySpec, WeightFamily,
                        with_murakami_profiles)
 from .numkernel import elliptic_exp, jacobi_cd, jacobi_sncndn
 from .profiles import ColorProfile, SpectralProfile
-from .sampling import (SamplePlan, draw_points, draw_triples, point_weights,
-                       residual_sweep, unitarity_sweep)
+from .sampling import (SamplePlan, draw_points, draw_triples, residual_sweep,
+                       unitarity_sweep)
 from .spinchain import (ChainOperator, CouplingConstants, build_chain,
                         couplings_from_coeffs, cyclic_shift,
                         ff_relation_check)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import CybeError, StepUnstable
 from .families import FamilyId, WeightFamily
-from .numkernel import jacobi_sncndn
-from .sampling import SamplePlan, point_weights, residual_sweep
+from .numkernel import Split, jacobi_sncndn
+from .sampling import SamplePlan, _points, residual_sweep
 from .transforms import gauge_reduce
 from .weights import (WeightVector, baxter_curve_residual,
                       free_fermion_residual, vanishing_weights)
@@ -68,8 +68,8 @@ def _du(fam, u, xi, eta, h=1e-5):
                         for p in (u + h, u - h, u + h/2, u - h/2)], h)
 
 
-def hamiltonian_coeffs(fam: WeightFamily, xi_grid=None, h: float = 1e-5,
-                       use_analytic: bool = True) -> HamiltonianCoefficients:
+def hamiltonian_coeffs(fam: WeightFamily, xi_grid=None,
+                       h: float = 1e-5) -> HamiltonianCoefficients:
     """Extract m_i over a color grid.
 
     Analytic values are substituted when the family supplies them (every
@@ -83,7 +83,7 @@ def hamiltonian_coeffs(fam: WeightFamily, xi_grid=None, h: float = 1e-5,
     xi_grid = np.asarray(xi_grid, dtype=float)
 
     rows, errs = [], []
-    analytic = use_analytic and fam.analytic_coeffs(xi_grid[0]) is not None
+    analytic = fam.analytic_coeffs(xi_grid[0]) is not None
     if not analytic:
         # the stencil points u = +-h, +-h/2 at xi = eta = x of every x
         steps, n = (h, -h, h / 2, -h / 2), len(xi_grid)
@@ -226,12 +226,12 @@ def _suite_universal(w: WeightVector, m) -> np.ndarray:
 
 
 def _suite_reduced(w: WeightVector, m) -> np.ndarray:
-    """Three further eliminations valid on both branches."""
+    """Two further eliminations valid on both branches, reported as
+    reduced_2 and reduced_3: the first of the three, reduced_1, was
+    universal_4 written out again."""
     u1, u4, u5, u6, u7 = w.a1, w.a4, w.a5, w.a6, w.a7
-    m1, m4, m5, m6, m7 = m[0], m[3], m[4], m[5], m[6]
+    m4, m5, m6, m7 = m[3], m[4], m[5], m[6]
     return np.array([
-        -m5*u1*u4 + m1*u1*u5 + m4*u1*u5 + m7*u1*u6*u7 + m7*u4*u5*u7
-            - m5*u5*u6 - m6*u7**2 + m5,
         -m7*u1**3*u5 + m7*u1*u4**2*u5 + 2*m5*u1*u4*u7 + m7*u1*u5**3
             - m7*u1*u5*u6**2 - 4*m4*u1*u5*u7 - 2*m7*u1*u6*u7**2
             - 2*m7*u4*u5*u7**2 + 2*m5*u5*u6*u7 + 2*m6*u7**3 - 2*m5*u7,
@@ -303,13 +303,13 @@ def derived_identity_suite(fam: WeightFamily, coeffs: HamiltonianCoefficients,
                            samples, branch: str) -> dict[str, float]:
     """Numeric residuals of the elimination-output polynomial identities.
 
-    The universal seven and the reduced three hold for every gauge solution.
+    The universal seven and the reduced two hold for every gauge solution.
     The free-fermion branch additionally satisfies the quadratic condition;
     the Baxter branch instead satisfies the weight-only cubics and the
     bilinear quartet.
     """
     names = ([f"universal_{i+1}" for i in range(7)]
-             + [f"reduced_{i+1}" for i in range(3)])
+             + ["reduced_2", "reduced_3"])
     if branch == "ff":
         names.append("ff_condition")
     elif branch == "baxter":
@@ -465,12 +465,15 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     inv = invariant_suite(work, coeffs)
     alpha, beta, gamma = _constants(coeffs)
 
-    ff_vals, curve_vals = [], []
-    for _, (w, _) in point_weights(work, plan.sample_plan(_N_POINTS)):
-        ff_vals.append(abs(free_fermion_residual(w)))
-        curve_vals.append(abs(baxter_curve_residual(w, alpha, beta, gamma)))
-    ff_median = float(np.median(ff_vals))
-    curve_median = float(np.median(curve_vals))
+    # both conditions at once on the Split columns of the sampled weights,
+    # rounding as point by point; np.hypot is Python's complex abs
+    W = np.concatenate([W for _, (W, _) in _points(
+        work, plan.sample_plan(_N_POINTS))])
+    w = [Split.of(col) for col in W.T]
+    ff, curve = (free_fermion_residual(w),
+                 baxter_curve_residual(w, alpha, beta, gamma))
+    ff_median = float(np.median(np.hypot(ff.re, ff.im)))
+    curve_median = float(np.median(np.hypot(curve.re, curve.im)))
 
     measured = {
         "alpha": [alpha.real, alpha.imag],

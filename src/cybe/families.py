@@ -29,6 +29,11 @@ clamped to exactly zero inside a roundoff window so gauge families meet the
 identity initial value bit-exactly at u = 0, eta = xi.  The chosen branch
 combination is validated by the residual suite, not asserted a priori.
 
+Constraints: a family's builder alone decides whether a spec can be built
+and raises InvalidSpec if not; ``validate_spec`` runs that build and adds
+only the profile constraints sampled on the color domain and the elliptic
+Baxter degeneracy warning.  Fields a family does not read are ignored.
+
 Evaluation: each family is one closed form ``form(o, u, xi, eta)`` over an
 operation table of ``numkernel``, and ``from_form`` builds its evaluators.
 ``WeightFamily.eval`` runs it on Python complex numbers (``SCALAR``) and
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BranchAmbiguityWarning, CybeError, InvalidSpec,
-                     PoleProximity)
+                     ModulusOutOfRange, PoleProximity)
 from .numkernel import SCALAR, Batch, elliptic_exp, jacobi_sncndn
 from .profiles import ColorProfile, SpectralProfile, _check_keys, _cjson, _cval
 from .weights import WeightVector
@@ -93,11 +98,8 @@ _ZERO = ColorProfile("constant", (0,))
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parameters of one closed-form family.
-
-    Unused fields for a given family are ignored by ``eval`` but flagged by
-    ``validate_spec`` when they violate that family's constraints.
-    """
+    """Parameters of one closed-form family; the fields a family does not
+    read are ignored."""
 
     family: FamilyId
     k: complex = 0.5
@@ -212,10 +214,21 @@ def _ff_coefficients(o, Gx, Gy, Hx, Hy, delta):
 # Each builder checks the spec and returns the closed form
 # (o, u, xi, eta) -> the eight weights, over the operations o of numkernel.
 
+def _sn(mu, k) -> complex:
+    """sn(mu) at modulus k; a modulus the kernel does not take, and a
+    lattice pole or an overflow at mu, are spec errors."""
+    try:
+        return jacobi_sncndn(mu, k)[0]
+    except ModulusOutOfRange as exc:
+        raise InvalidSpec(f"modulus k unusable: {exc}") from None
+    except (PoleProximity, ArithmeticError, ValueError) as exc:
+        raise InvalidSpec(f"mu unusable: {exc}") from None
+
+
 def _baxter_elliptic(spec: FamilySpec):
     if spec.lam == 0 or spec.mu == 0:
         raise InvalidSpec("rates lam and mu must be nonzero")
-    snmu = jacobi_sncndn(spec.mu, spec.k)[0]
+    snmu = _sn(spec.mu, spec.k)
     if abs(snmu) < _DENOM_TOL:
         raise InvalidSpec("sn(mu) vanishes; shift mu divides the closed form")
     k, lam, F, s5, s7 = spec.k, spec.lam, spec.F, spec.s5, spec.s7
@@ -256,6 +269,7 @@ def _ff_elliptic(spec: FamilySpec):
     if spec.lam == 0:
         raise InvalidSpec("rate lam must be nonzero")
     k = spec.ff_modulus
+    _sn(0.0, k)   # rejects a modulus the kernel does not take
     lam, F, G, H, delta, s7 = spec.lam, spec.F, spec.G, spec.H, spec.delta, spec.s7
 
     def form(o, u, xi, eta):
@@ -368,15 +382,20 @@ def from_form(form, label: str, gauge: bool, spec: FamilySpec | None = None,
                         batch=batch if array else None)
 
 
-def make_family(spec: FamilySpec) -> WeightFamily:
-    """Build the evaluators for a spec.  Raises InvalidSpec on hard errors;
-    softer constraint violations are reported by validate_spec."""
+def _build(spec: FamilySpec):
+    """The closed form of a spec; InvalidSpec if it cannot be built."""
     build, required = _BUILDERS[spec.family]
     for name in required:
         if getattr(spec, name) is None:
             raise InvalidSpec(
                 f"family {spec.family.value} requires profile {name}")
-    return from_form(build(spec), spec.family.value, spec.is_gauge, spec)
+    return build(spec)
+
+
+def make_family(spec: FamilySpec) -> WeightFamily:
+    """Build the evaluators for a spec.  Raises InvalidSpec when the spec
+    cannot be built; validate_spec adds the sampled profile checks."""
+    return from_form(_build(spec), spec.family.value, spec.is_gauge, spec)
 
 
 def eval_family(spec: FamilySpec, u, xi, eta) -> WeightVector:
@@ -412,71 +431,42 @@ def _sampled(out: list[str], what: str, fn, points=_COLOR_GRID,
 
 
 def validate_spec(spec: FamilySpec) -> list[str]:
-    """Diagnostics list; empty iff the spec satisfies its family constraints
-    on the sampled color domain.  Soft warnings are prefixed 'warning:'."""
+    """Diagnostics list; empty iff the spec can be built and satisfies its
+    family constraints on the sampled color domain.  A spec that cannot be
+    built gets the one message ``make_family`` raises; soft warnings are
+    prefixed 'warning:'."""
+    try:
+        _build(spec)
+    except InvalidSpec as exc:
+        return [str(exc)]
     out: list[str] = []
     fam = spec.family
-    if fam in (FamilyId.BAXTER_ELLIPTIC, FamilyId.BAXTER_TRIG):
-        if spec.lam == 0:
-            out.append("lam = 0: family degenerates to a constant")
-        if spec.mu == 0:
-            out.append("mu = 0: the closed form divides by sn(mu)"
-                       if fam is FamilyId.BAXTER_ELLIPTIC
-                       else "mu = 0: the closed form divides by tan(mu)")
-        if fam is FamilyId.BAXTER_ELLIPTIC and spec.lam != 0 and spec.mu != 0:
-            try:
-                snmu, cnmu, dnmu = jacobi_sncndn(spec.mu, spec.k)
-            except Exception as exc:  # pole or bad modulus
-                out.append(f"mu unusable: {exc}")
-            else:
-                if abs(snmu) < _DENOM_TOL:
-                    out.append("sn(mu) = 0: the closed form divides by sn(mu)")
-                else:
-                    alpha = spec.k * spec.lam * snmu
-                    beta = spec.lam / snmu
-                    gamma = spec.lam * cnmu * dnmu / snmu
-                    scale = max(abs(alpha), abs(beta), abs(gamma))
-                    degenerate = min(
-                        abs(beta + sa * alpha + sg * gamma)
-                        for sa in (1, -1) for sg in (1, -1))
-                    if degenerate < 1e-8 * scale:
-                        out.append("warning: beta +- alpha +- gamma ~ 0; the "
-                                   "elliptic form degenerates, use the trig family")
+    if fam is FamilyId.BAXTER_ELLIPTIC:
+        # alpha, beta, gamma are m7, m5, m1 up to the signs s7 and s5
+        alpha, beta, gamma = _analytic_coeffs(spec, 0j)[[6, 4, 0]]
+        degenerate = min(abs(beta + sa * alpha + sg * gamma)
+                         for sa in (1, -1) for sg in (1, -1))
+        if degenerate < 1e-8 * max(abs(alpha), abs(beta), abs(gamma)):
+            out.append("warning: beta +- alpha +- gamma ~ 0; the "
+                       "elliptic form degenerates, use the trig family")
     elif fam in (FamilyId.FF_ELLIPTIC, FamilyId.FF_TANH):
-        if spec.G is None or spec.H is None:
-            out.append("profiles G and H are required")
-        else:
-            worst = max(_sampled(out, "profiles G and H", lambda x: abs(
-                spec.G(x) ** 2 - spec.H(x) ** 2 - 1)).values(), default=0.0)
-            if worst > 1e-10:
-                out.append(f"G^2 - H^2 = 1 fails on the color domain "
-                           f"(worst |G^2-H^2-1| = {worst:.3e})")
-        if spec.lam == 0:
-            out.append("lam = 0: family degenerates to a constant")
+        worst = max(_sampled(out, "profiles G and H", lambda x: abs(
+            spec.G(x) ** 2 - spec.H(x) ** 2 - 1)).values(), default=0.0)
+        if worst > 1e-10:
+            out.append(f"G^2 - H^2 = 1 fails on the color domain "
+                       f"(worst |G^2-H^2-1| = {worst:.3e})")
     elif fam is FamilyId.FF_TRIG:
-        if spec.G is None:
-            out.append("profile G is required")
-        else:
-            worst = max(_sampled(out, "profile G", lambda x: abs(
-                cmath.sqrt(spec.G(x) ** 2) - spec.G(x))).values(), default=0.0)
-            if worst > 1e-10:
-                out.append("G must stay in the right half plane "
-                           "(principal sqrt(G^2) must equal G)")
-        if spec.lam == 0:
-            out.append("lam = 0: family degenerates to a constant")
-    elif fam is FamilyId.FF_HYPERBOLIC:
-        if spec.lam == 0 and spec.mu == 0:
-            out.append("lam and mu must not vanish simultaneously")
-        if spec.G is None:
-            out.append("profile G is required")
-    elif fam is FamilyId.TRIVIAL_A:
-        if spec.spectral is None:
-            out.append("a spectral profile is required")
+        worst = max(_sampled(out, "profile G", lambda x: abs(
+            cmath.sqrt(spec.G(x) ** 2) - spec.G(x))).values(), default=0.0)
+        if worst > 1e-10:
+            out.append("G must stay in the right half plane "
+                       "(principal sqrt(G^2) must equal G)")
     elif fam is FamilyId.TRIVIAL_B:
         zeros = [x for x, v in _sampled(out, "profile F", lambda x: abs(
             spec.F(x))).items() if v < _DENOM_TOL]
         if zeros:
-            out.append(f"profile F vanishes on the color domain at {zeros[:3]}")
+            out.append(f"profile F vanishes on the color domain at "
+                       f"{zeros[:3]}")
     return out
 
 

@@ -16,8 +16,8 @@ samples still needed at the acceptance rate seen so far, at most
 ``_DRAW_MAX`` candidates, which bounds memory.
 
 Each point is evaluated once: the sampler hands on the weights it computed,
-so ``residual_sweep`` and ``point_weights`` consumers never evaluate the
-family again.  ``residual_sweep`` computes the residuals of each block of
+so the sweeps and classify's branch stage never evaluate the family
+again.  ``residual_sweep`` computes the residuals of each block of
 accepted triples with one batched ``ybe_residuals`` call, and
 ``unitarity_sweep`` the unitarity defects of each block of accepted points
 with one ``unitarity_defects`` call.  Both are elementwise column
@@ -33,7 +33,7 @@ from math import ceil
 import numpy as np
 
 from .errors import InvalidSpec, SamplingExhausted
-from .weights import WeightVector, unitarity_defects, ybe_residuals
+from .weights import unitarity_defects, ybe_residuals
 
 _MAX_ATTEMPT_FACTOR = 200
 
@@ -119,14 +119,6 @@ def _points(fam, plan: SamplePlan):
     return _draw(fam, plan, spans, _point_pair)
 
 
-def point_weights(fam, plan: SamplePlan):
-    """Yield ((u, xi, eta), (w, wr)) for ``plan.n`` points whose weights w
-    at (u, xi, eta) and wr at (-u, eta, xi) are pole-free."""
-    for S, (W, Wr) in _points(fam, plan):
-        for row, a, ar in zip(S, W, Wr):
-            yield tuple(row), (WeightVector(a), WeightVector(ar))
-
-
 def draw_triples(fam, plan: SamplePlan):
     """Return ``plan.n`` tuples (u, v, xi, eta, lam) whose three evaluation
     points (u,xi,eta), (u+v,xi,lam), (v,eta,lam) are pole-free."""
@@ -145,8 +137,8 @@ def residual_sweep(fam, plan: SamplePlan):
     absolute components (B, 28), each entry bitwise equal to the
     ``ybe_residual`` report of its triple."""
     for _, (U, W, V) in _triples(fam, plan):
-        norm, comp, scale = ybe_residuals(U, W, V)
-        yield U, norm / scale, comp
+        comp, scale = ybe_residuals(U, W, V)
+        yield U, comp.max(axis=1) / scale, comp
 
 
 def unitarity_sweep(fam, plan: SamplePlan):

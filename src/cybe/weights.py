@@ -234,8 +234,8 @@ def component_residuals(wu: WeightVector, ww: WeightVector,
 class ResidualReport:
     """Defect norms of the matrix identity for one argument triple.
 
-    matrix_norm, the max-abs entry of the matrix defect, is max_component,
-    the largest of the 28 equations; both are raw.  ``relative`` divides by
+    matrix_norm, the max-abs entry of the matrix defect, is the largest of
+    the 28 equations, raw like them.  ``relative`` divides by
     the product of the three per-matrix max entry magnitudes, which is
     exactly invariant under the scaling symmetry (each side of the identity
     is trilinear in the three weight vectors).
@@ -243,7 +243,6 @@ class ResidualReport:
 
     matrix_norm: float
     component_norms: dict[str, float]
-    max_component: float
     scale: float
 
     @property
@@ -265,26 +264,25 @@ def ybe_residual(wu: WeightVector, ww: WeightVector,
                  wv: WeightVector) -> ResidualReport:
     """Full defect report; caller supplies the (u,xi,eta)/(u+v,xi,lam)/
     (v,eta,lam) argument pattern.  The one-row case of ``ybe_residuals``."""
-    norm, comp, scale = ybe_residuals(wu.a[None], ww.a[None], wv.a[None])
+    comp, scale = ybe_residuals(wu.a[None], ww.a[None], wv.a[None])
     return ResidualReport(
-        matrix_norm=float(norm[0]),
+        matrix_norm=float(comp[0].max()),
         component_norms=dict(zip(COMPONENT_IDS, comp[0].tolist())),
-        max_component=float(comp[0].max()),
         scale=float(scale[0]),
     )
 
 
 def ybe_residuals(U: np.ndarray, W: np.ndarray, V: np.ndarray):
     """The ``ybe_residual`` fields of B triples at once, from (B, 8) weight
-    arrays with the same argument pattern as rows: matrix_norm (B,), the
-    largest of the |components| (B, 28), which are bitwise
-    ``component_residuals``, and scale (B,)."""
+    arrays with the same argument pattern as rows: the |components|
+    (B, 28), which are bitwise ``component_residuals`` and whose row
+    maximum is matrix_norm, and scale (B,)."""
     # np.abs of a complex array, as in the scalar path: np.hypot on the
     # float parts rounds differently
     comp = np.abs(_components(U, W, V))
     su, sw, sv = (np.maximum(np.abs(A).max(axis=1), 1e-300)
                   for A in (U, W, V))
-    return comp.max(axis=1), comp, su * sw * sv
+    return comp, su * sw * sv
 
 
 def _require_gauge(w: WeightVector, where: str) -> None:
@@ -376,14 +374,17 @@ def vanishing_weights(mags) -> str:
     return ", ".join(f"a{i+1}" for i in range(8) if mags[i] < 1e-12 * top)
 
 
-def free_fermion_residual(w: WeightVector) -> complex:
-    """a1 a4 + a5 a6 - 1 - a7^2 (gauge form of the free-fermion condition)."""
-    return w.a1 * w.a4 + w.a5 * w.a6 - 1 - w.a7 ** 2
+def free_fermion_residual(w) -> complex:
+    """a1 a4 + a5 a6 - 1 - a7^2 (gauge form of the free-fermion condition)
+    of a WeightVector, or per point of the eight ``Split`` columns w of a
+    weight array, with the same rounding."""
+    return w[0] * w[3] + w[4] * w[5] - 1 - w[6] ** 2
 
 
-def baxter_curve_residual(w: WeightVector, alpha: complex, beta: complex,
+def baxter_curve_residual(w, alpha: complex, beta: complex,
                           gamma: complex) -> complex:
-    """Biquadratic curve in (a1, a5) for the branch with a1=a4, a5=a6."""
-    x, y = w.a1, w.a5
+    """Biquadratic curve in (a1, a5) for the branch with a1=a4, a5=a6, of
+    weights w as in ``free_fermion_residual``."""
+    x, y = w[0], w[4]
     return (alpha**2 * x**2 * y**2 - beta**2 * y**2 - beta**2 * x**2
             + 2 * beta * gamma * x * y + beta**2)

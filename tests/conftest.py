@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,14 @@ def trivial_a_spec(a=1.0, b=1.0):
 def trivial_b_spec(a=0.4, b=0.5):
     return FamilySpec(family=FamilyId.TRIVIAL_B,
                       F=ColorProfile("exp", (a, b)))
+
+
+def quarter_period_prime(k: float) -> float:
+    """K'(k) = pi / (2 agm(1, k)) for 0 < k < 1: sn has a pole at i K'."""
+    a, b = 1.0, k
+    for _ in range(8):   # the AGM converges quadratically
+        a, b = (a + b) / 2, math.sqrt(a * b)
+    return math.pi / (2 * a)
 
 
 CANONICAL_SPECS = {

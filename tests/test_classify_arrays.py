@@ -7,6 +7,7 @@ its check needs it.  Values must be equal bit for bit, and a failing point
 must raise the oracle's error: the first one in the oracle's evaluation
 order, with its message."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -26,6 +27,12 @@ from test_batch_eval import (ALL_KINDS, SCALE_REGAUGE, assert_batch_is_scalar,
 from test_families import GAUGE_IDS
 
 
+def fd_coeffs(fam, xi_grid, h=1e-5):
+    """The finite-difference ``hamiltonian_coeffs`` of a family: without
+    its spec a family has no closed-form coefficients."""
+    return hamiltonian_coeffs(dataclasses.replace(fam, spec=None), xi_grid, h)
+
+
 # ---- oracles ----
 
 def oracle_du(fam, u, xi, eta, h=1e-5):
@@ -36,8 +43,8 @@ def oracle_du(fam, u, xi, eta, h=1e-5):
 
 
 def oracle_fd_coeffs(fam, xi_grid, h=1e-5):
-    """(m, fd_error) of ``hamiltonian_coeffs(..., use_analytic=False)``,
-    one grid point and one stencil point at a time."""
+    """(m, fd_error) of ``fd_coeffs``, one grid point and one stencil
+    point at a time."""
     rows, errs = [], []
     for xi in xi_grid:
         m, err = oracle_du(fam, 0.0, xi, xi, h)
@@ -238,8 +245,7 @@ def test_fd_coefficients_equal_the_oracle(name):
     fam = VARIANTS[name]
     for h in (1e-5, 1e-3):
         assert_same_coeffs(
-            outcome(lambda: hamiltonian_coeffs(fam, GRID, h=h,
-                                               use_analytic=False)),
+            outcome(lambda: fd_coeffs(fam, GRID, h)),
             outcome(lambda: oracle_fd_coeffs(fam, GRID, h)))
 
 
@@ -252,7 +258,7 @@ def test_gauge_reduction_equals_the_oracle(name):
         red, cert = gauge_reduce(fam, seed=seed, **PROBE)
         assert repr(cert) == repr(oracle_certificate(fam, seed=seed,
                                                      **PROBE))
-    assert_same_coeffs(hamiltonian_coeffs(red, GRID, use_analytic=False),
+    assert_same_coeffs(fd_coeffs(red, GRID),
                        oracle_fd_coeffs(red, GRID))
 
 
@@ -339,5 +345,4 @@ def test_planted_grid_failures_raise_the_oracles_error(plant, error):
     fam = planted(VARIANTS["all_kinds(ff_trig)"], **plant)
     want = outcome(lambda: oracle_fd_coeffs(fam, GRID))
     assert want[0] is error
-    assert outcome(lambda: hamiltonian_coeffs(fam, GRID,
-                                              use_analytic=False)) == want
+    assert outcome(lambda: fd_coeffs(fam, GRID)) == want

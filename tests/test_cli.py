@@ -12,7 +12,8 @@ from cybe import InvalidSpec, SamplePlan, spec_to_json
 from cybe.cli import build_parser, main
 
 from conftest import (baxter_elliptic_spec, ff_elliptic_spec,
-                      ff_tanh_spec, trivial_a_spec, trivial_b_spec)
+                      ff_tanh_spec, quarter_period_prime, trivial_a_spec,
+                      trivial_b_spec)
 
 
 def run_cli(args, capsys):
@@ -473,3 +474,18 @@ def test_commands_raise_no_numpy_warnings(capsys):
         code, out, err = run_cli(huge, capsys)
         assert code == 0 and err == ""
         json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("sub", ["verify", "classify", "eval"])
+@pytest.mark.parametrize("spec, error", [
+    (ff_elliptic_spec(k=1.5), "error: modulus k unusable: |k| = 1.5 "),
+    (ff_elliptic_spec(k=2j), "error: modulus k unusable: |k| = 2 "),
+    (baxter_elliptic_spec(k=0.5, mu=1j * quarter_period_prime(0.5)),
+     "error: mu unusable: z = 2.156515647499643"),
+    (baxter_elliptic_spec(mu=800j), "error: mu unusable: math range error"),
+], ids=["ff_k_real", "ff_k_imag", "baxter_mu_pole", "baxter_mu_overflow"])
+def test_unbuildable_spec_exit_2(sub, spec, error, capsys):
+    code, out, err = run_cli([sub, "--spec", json.dumps(spec_to_json(spec)),
+                              "--samples", "20"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(error) and err.count("\n") == 1

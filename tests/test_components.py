@@ -72,7 +72,7 @@ def assert_gathered_is_oracle(U, W, V):
     for b in range(len(U)):
         row = component_residuals(*(WeightVector(A[b]) for A in (U, W, V)))
         assert np.array_equal(bits(row), bits(got[b]))
-    _, comp, _ = ybe_residuals(U, W, V)
+    comp, _ = ybe_residuals(U, W, V)
     assert np.array_equal(comp, np.abs(want))
 
 

@@ -2,6 +2,8 @@
 solution residuals across all sign assignments, degeneration, the two
 literature reductions, validation, and JSON round-trips."""
 
+import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -16,8 +18,8 @@ from cybe import (ColorProfile, FamilyId, FamilySpec, InvalidSpec,
 
 from conftest import (CANONICAL_SPECS, baxter_elliptic_spec,
                       baxter_trig_spec, ff_elliptic_spec, ff_tanh_spec,
-                      ff_hyperbolic_spec, random_spec, trivial_a_spec,
-                      trivial_b_spec)
+                      ff_hyperbolic_spec, ff_trig_spec, quarter_period_prime,
+                      random_spec, trivial_a_spec, trivial_b_spec)
 
 GAUGE_IDS = [FamilyId.BAXTER_ELLIPTIC, FamilyId.BAXTER_TRIG,
              FamilyId.FF_ELLIPTIC, FamilyId.FF_TANH, FamilyId.FF_TRIG,
@@ -168,6 +170,70 @@ def test_validate_zero_rate():
     with pytest.raises(InvalidSpec):
         make_family(baxter_elliptic_spec(mu=0.0))
     assert any("mu" in d for d in validate_spec(baxter_elliptic_spec(mu=0.0)))
+
+
+#: edge values of the spec fields; None keeps the canonical value
+EDGES = {
+    "lam": (None, 0.0),
+    "mu": (None, 0.0, np.pi, 1j * quarter_period_prime(0.5), 800j),
+    "k": (None, 0.5, 1.5, 2j),
+    "missing": (None, "G", "H", "spectral"),
+}
+
+
+def edge_specs():
+    """Every family at every combination of the edge values."""
+    for fid, *values in itertools.product(ALL_IDS, *EDGES.values()):
+        changes = {n: v for n, v in zip(EDGES, values) if v is not None}
+        if "missing" in changes:
+            changes[changes.pop("missing")] = None
+        yield dataclasses.replace(CANONICAL_SPECS[fid](), **changes)
+
+
+def build_error(spec):
+    """The message of the InvalidSpec ``make_family`` raises, else None."""
+    try:
+        make_family(spec)
+    except InvalidSpec as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_spec_reports_exactly_the_build_error():
+    """The canonical profiles hold their sampled constraints, so a spec's
+    hard diagnostics are the build error alone, or nothing."""
+    built = set()
+    for spec in edge_specs():
+        error = build_error(spec)
+        hard = [d for d in validate_spec(spec) if not d.startswith("warning:")]
+        assert hard == ([] if error is None else [error]), spec
+        built.add(error is None)
+    assert built == {True, False}
+
+
+@pytest.mark.parametrize("spec, error", [
+    (ff_elliptic_spec(k=1.5), "modulus k unusable: |k| = 1.5 exceeds"),
+    (ff_elliptic_spec(k=2j), "modulus k unusable: |k| = 2 exceeds"),
+    (baxter_elliptic_spec(k=1.5), "modulus k unusable: |k| = 1.5 exceeds"),
+    (baxter_elliptic_spec(k=0.5, mu=1j * quarter_period_prime(0.5)),
+     "mu unusable: z = 2.156515647499643"),
+    (baxter_elliptic_spec(mu=800j), "mu unusable: math range error"),
+    (baxter_trig_spec(mu=np.pi), "tan(mu) vanishes"),
+    (ff_elliptic_spec(lam=0), "rate lam must be nonzero"),
+    (dataclasses.replace(ff_tanh_spec(), H=None),
+     "family ff_tanh requires profile H"),
+], ids=["ff_k_real", "ff_k_imag", "baxter_k", "baxter_mu_pole",
+        "baxter_mu_overflow", "trig_mu_pi", "ff_lam_zero", "tanh_no_H"])
+def test_unbuildable_specs_are_invalid(spec, error):
+    assert build_error(spec).startswith(error)
+
+
+def test_families_ignore_fields_they_do_not_read(rng):
+    for spec in (baxter_trig_spec(), ff_tanh_spec(), ff_trig_spec(),
+                 ff_hyperbolic_spec(), trivial_b_spec()):
+        spec = dataclasses.replace(spec, k=1.5)
+        assert validate_spec(spec) == []
+        assert family_relative_residual(make_family(spec), rng, n=5) < 1e-9
 
 
 def test_validate_degenerate_warning():
