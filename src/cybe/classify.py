@@ -11,9 +11,9 @@ first-order square ODEs and a biquadratic curve in (a1, a5) with constants
 alpha = m7, beta = m5, gamma = m1) and the free-fermion branch
 (a1 a4 + a5 a6 = 1 + a7^2, bilinear coefficient relations and a quartic
 first-order ODE for a7).  The verdict pipeline tests the matrix identity
-first, then eight-vertex-ness, then the identity initial value (whose
-failure routes to the trivial shapes), then the branch conditions on the
-gauge-reduced family.
+first, then eight-vertex-ness, then, on the gauge-reduced family, the
+identity initial value (whose failure routes to the trivial shapes) and
+the branch conditions.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ import numpy as np
 from .errors import CybeError, StepUnstable
 from .families import FamilyId, WeightFamily
 from .numkernel import Split, jacobi_sncndn
-from .sampling import SamplePlan, _points, residual_sweep
+from .sampling import SamplePlan, _point, _points, residual_sweep
 from .transforms import gauge_reduce
-from .weights import (WeightVector, baxter_curve_residual,
+from .weights import (WeightVector, _gauge_rows, baxter_curve_residual,
                       free_fermion_residual, vanishing_weights)
 
 
@@ -373,7 +373,9 @@ class ClassificationReport:
                                "notes": list(self.notes)}
 
 
-def _initial_condition_residual(fam: WeightFamily, rng, color_span) -> float:
+def _initial_condition_residual(fam: WeightFamily, plan) -> float:
+    """Largest distance from the identity initial value at 8 colors."""
+    rng = np.random.default_rng(plan.seed + 1)
     target = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
 
     def distance(xi):
@@ -384,24 +386,18 @@ def _initial_condition_residual(fam: WeightFamily, rng, color_span) -> float:
             except CybeError:
                 pass
         return 0.0
-    points = ((rng.uniform(*color_span),) for _ in range(8))
+    points = ((rng.uniform(*plan.color_span),) for _ in range(8))
     return _worst(["ic"], points, distance)["ic"]
 
 
-def _trivial_shape(fam: WeightFamily, rng, plan) -> Verdict | None:
-    def residuals(u, xi, eta):
-        try:
-            a = fam.eval(u, xi, eta).a
-        except CybeError:
-            return 0.0, 0.0
-        shared = (abs(a[1] - 1), abs(a[2] - 1), abs(a[0] - a[3]),
-                  abs(a[0] - a[4]))
-        return (max(*shared, abs(a[6] - 1), abs(a[7] - 1), abs(a[0] - a[5])),
-                max(*shared, abs(a[6] - 1j), abs(a[7] - 1j), abs(a[0] + a[5])))
-    points = ((rng.uniform(*plan.u_span), *rng.uniform(*plan.color_span, 2))
-              for _ in range(10))
-    res = _worst([Verdict.TRIVIAL_A, Verdict.TRIVIAL_B], points, residuals)
-    return next((shape for shape, r in res.items() if r < 1e-8), None)
+def _trivial_shape(U: np.ndarray) -> Verdict | None:
+    """The trivial shape all rows of the weights U have within 1e-8."""
+    a1, a2, a3, a4, a5, a6, a7, a8 = U.T
+    shared = [a2 - 1, a3 - 1, a1 - a4, a1 - a5]
+    shapes = {Verdict.TRIVIAL_A: shared + [a7 - 1, a8 - 1, a1 - a6],
+              Verdict.TRIVIAL_B: shared + [a7 - 1j, a8 - 1j, a1 + a6]}
+    return next((shape for shape, diffs in shapes.items()
+                 if np.abs(diffs).max() < 1e-8), None)
 
 
 def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
@@ -409,15 +405,16 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     """Decide the solution type of a weight family.
 
     Pipeline: matrix-identity residuals (median over a pole-free plan),
-    eight-vertex check, identity initial value with trivial-shape matching,
-    gauge reduction when needed, then the free-fermion condition versus the
-    biquadratic curve with measured constants.
+    eight-vertex check, then on the gauge form (reduced when the sweep's
+    weights are not gauge): the identity initial value, whose failure
+    routes to the trivial shapes, and the free-fermion condition versus
+    the biquadratic curve with measured constants.
     """
     plan = plan or ClassifyPlan()
-    rng = np.random.default_rng(plan.seed + 1)
     notes: list[str] = []
 
     blocks = list(residual_sweep(fam, plan.sample_plan(plan.n_ybe)))
+    U = np.concatenate([U for U, _, _ in blocks])
     rels = np.concatenate([rel for _, rel, _ in blocks])
     base = dict(ybe_median=float(np.median(rels)), ybe_max=float(np.max(rels)))
     if base["ybe_median"] > plan.tol_solution:
@@ -425,30 +422,19 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
             Verdict.NOT_A_SOLUTION,
             notes=("matrix identity fails beyond tolerance",), **base)
 
-    dead = vanishing_weights(
-        np.max([np.abs(U).max(axis=0) for U, _, _ in blocks], axis=0))
+    dead = vanishing_weights(np.abs(U).max(axis=0))
     if dead:
         return ClassificationReport(
             Verdict.NOT_EIGHT_VERTEX,
             notes=(f"weights {dead} vanish identically",), **base)
 
-    ic_res = _initial_condition_residual(fam, rng, plan.color_span)
-    ic_ok = bool(ic_res <= 1e-8)
-    base.update(initial_condition_ok=ic_ok, initial_condition_residual=ic_res)
-    if not ic_ok:
-        shape = _trivial_shape(fam, rng, plan)
-        if shape is not None:
-            return ClassificationReport(shape, **base)
-        notes.append("initial value fails but no trivial shape matches")
-
-    c_mid = 0.5 * (plan.color_span[0] + plan.color_span[1])
-    c_half = 0.5 * (plan.color_span[1] - plan.color_span[0])
-    u_probe = (0.5 * (plan.u_span[0] + plan.u_span[1])
-               + 0.4 * (plan.u_span[1] - plan.u_span[0]) / 2)
-    gauge_probe = fam.eval(u_probe, c_mid + 0.2 * c_half, c_mid - 0.2 * c_half)
-    is_gauge = gauge_probe.is_gauge()
+    base["is_gauge"] = bool(_gauge_rows(U).all())
     work = fam
-    if not is_gauge:
+    if not base["is_gauge"]:
+        c_mid = 0.5 * (plan.color_span[0] + plan.color_span[1])
+        c_half = 0.5 * (plan.color_span[1] - plan.color_span[0])
+        u_probe = (0.5 * (plan.u_span[0] + plan.u_span[1])
+                   + 0.4 * (plan.u_span[1] - plan.u_span[0]) / 2)
         try:
             work, cert = gauge_reduce(
                 fam, anchor=c_mid, u_probe=u_probe,
@@ -461,14 +447,22 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
                 Verdict.INDETERMINATE,
                 notes=(f"gauge reduction failed: {exc}",), **base)
 
+    ic_res = _initial_condition_residual(work, plan)
+    ic_ok = bool(ic_res <= 1e-8)
+    base.update(initial_condition_ok=ic_ok, initial_condition_residual=ic_res)
+    if not ic_ok:
+        if (shape := _trivial_shape(U)) is not None:
+            return ClassificationReport(shape, **base)
+        notes.append("initial value fails but no trivial shape matches")
+
     coeffs = hamiltonian_coeffs(work, np.linspace(*plan.color_span, _N_GRID))
     inv = invariant_suite(work, coeffs)
     alpha, beta, gamma = _constants(coeffs)
 
     # both conditions at once on the Split columns of the sampled weights,
     # rounding as point by point; np.hypot is Python's complex abs
-    W = np.concatenate([W for _, (W, _) in _points(
-        work, plan.sample_plan(_N_POINTS))])
+    W = np.concatenate([W for _, (W,) in _points(
+        work, plan.sample_plan(_N_POINTS), _point)])
     w = [Split.of(col) for col in W.T]
     ff, curve = (free_fermion_residual(w),
                  baxter_curve_residual(w, alpha, beta, gamma))
@@ -495,7 +489,6 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
         notes.append("neither branch condition holds at tolerance")
 
     return ClassificationReport(
-        verdict, is_gauge=is_gauge,
-        ff_condition_median=ff_median, baxter_curve_median=curve_median,
+        verdict, ff_condition_median=ff_median, baxter_curve_median=curve_median,
         coefficient_invariants=inv, measured_constants=measured,
         notes=tuple(notes), **base)

@@ -56,12 +56,13 @@ def _load_json_arg(value: str):
         return json.load(fh)
 
 
-def _load_family(args) -> WeightFamily:
-    doc = _load_json_arg(args.spec)
-    spec = spec_from_json(doc)
-    diags = [d for d in validate_spec(spec) if not d.startswith("warning:")]
-    if diags:
-        raise InvalidSpec("; ".join(diags))
+def _load_family(args, color_span=(-0.5, 0.5)) -> WeightFamily:
+    spec = spec_from_json(_load_json_arg(args.spec))
+    diags = validate_spec(spec, color_span)
+    if errors := [d for d in diags if not d.startswith("warning:")]:
+        raise InvalidSpec("; ".join(errors))
+    for diag in diags:
+        print(diag, file=sys.stderr)
     fam = make_family(spec)
     if getattr(args, "transform", None):
         pipe = Pipeline.from_json(_load_json_arg(args.transform))
@@ -166,10 +167,10 @@ def _require_sweep_flags(args) -> None:
 
 def cmd_verify(args) -> int:
     _require_sweep_flags(args)
-    fam = _load_family(args)
+    span = (-args.color_span, args.color_span)
+    fam = _load_family(args, span)
     plan = SamplePlan(n=args.samples, seed=args.seed,
-                      u_span=(-args.u_span, args.u_span),
-                      color_span=(-args.color_span, args.color_span),
+                      u_span=(-args.u_span, args.u_span), color_span=span,
                       max_weight=args.max_weight)
     rels = []
     worst = np.zeros(len(COMPONENT_IDS))
@@ -206,11 +207,11 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     _require_sweep_flags(args)
-    fam = _load_family(args)
+    span = (-args.color_span, args.color_span)
+    fam = _load_family(args, span)
     plan = ClassifyPlan(n_ybe=args.samples, seed=args.seed,
                         tol_solution=args.tol,
-                        u_span=(-args.u_span, args.u_span),
-                        color_span=(-args.color_span, args.color_span),
+                        u_span=(-args.u_span, args.u_span), color_span=span,
                         max_weight=args.max_weight)
     report = classify(fam, plan)
     _emit(report.to_json(), args)

@@ -404,10 +404,7 @@ def eval_family(spec: FamilySpec, u, xi, eta) -> WeightVector:
 
 # -------------------- validation --------------------
 
-_COLOR_GRID = tuple(np.linspace(-0.5, 0.5, 11).tolist())
-
-
-def _sampled(out: list[str], what: str, fn, points=_COLOR_GRID,
+def _sampled(out: list[str], what: str, fn, points,
              prefix: str = "warning: ") -> dict:
     """``fn(p)`` at each grid point p where it evaluates, keyed by p.  The
     points where it raises (a pole, an overflow or a domain error) become
@@ -430,16 +427,17 @@ def _sampled(out: list[str], what: str, fn, points=_COLOR_GRID,
     return values
 
 
-def validate_spec(spec: FamilySpec) -> list[str]:
+def validate_spec(spec: FamilySpec, color_span=(-0.5, 0.5)) -> list[str]:
     """Diagnostics list; empty iff the spec can be built and satisfies its
-    family constraints on the sampled color domain.  A spec that cannot be
-    built gets the one message ``make_family`` raises; soft warnings are
-    prefixed 'warning:'."""
+    family constraints on 11 colors spread over ``color_span``.  A spec
+    that cannot be built gets the one message ``make_family`` raises; soft
+    warnings are prefixed 'warning:'."""
     try:
         _build(spec)
     except InvalidSpec as exc:
         return [str(exc)]
     out: list[str] = []
+    grid = tuple(np.linspace(*color_span, 11).tolist())
     fam = spec.family
     if fam is FamilyId.BAXTER_ELLIPTIC:
         # alpha, beta, gamma are m7, m5, m1 up to the signs s7 and s5
@@ -451,19 +449,21 @@ def validate_spec(spec: FamilySpec) -> list[str]:
                        "elliptic form degenerates, use the trig family")
     elif fam in (FamilyId.FF_ELLIPTIC, FamilyId.FF_TANH):
         worst = max(_sampled(out, "profiles G and H", lambda x: abs(
-            spec.G(x) ** 2 - spec.H(x) ** 2 - 1)).values(), default=0.0)
+            spec.G(x) ** 2 - spec.H(x) ** 2 - 1), grid).values(),
+            default=0.0)
         if worst > 1e-10:
             out.append(f"G^2 - H^2 = 1 fails on the color domain "
                        f"(worst |G^2-H^2-1| = {worst:.3e})")
     elif fam is FamilyId.FF_TRIG:
         worst = max(_sampled(out, "profile G", lambda x: abs(
-            cmath.sqrt(spec.G(x) ** 2) - spec.G(x))).values(), default=0.0)
+            cmath.sqrt(spec.G(x) ** 2) - spec.G(x)), grid).values(),
+            default=0.0)
         if worst > 1e-10:
             out.append("G must stay in the right half plane "
                        "(principal sqrt(G^2) must equal G)")
     elif fam is FamilyId.TRIVIAL_B:
         zeros = [x for x, v in _sampled(out, "profile F", lambda x: abs(
-            spec.F(x))).items() if v < _DENOM_TOL]
+            spec.F(x)), grid).items() if v < _DENOM_TOL]
         if zeros:
             out.append(f"profile F vanishes on the color domain at "
                        f"{zeros[:3]}")

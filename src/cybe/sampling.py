@@ -109,14 +109,20 @@ def _point_pair(u, xi, eta):
     return (u, xi, eta), (-u, eta, xi)
 
 
+def _point(u, xi, eta):
+    """A point alone."""
+    return (u, xi, eta),
+
+
 def _triples(fam, plan: SamplePlan):
     spans = (plan.u_span,) * 2 + (plan.color_span,) * 3
     return _draw(fam, plan, spans, _triple_points)
 
 
-def _points(fam, plan: SamplePlan):
+def _points(fam, plan: SamplePlan, pattern=_point_pair):
+    """Pole-free points (u, xi, eta), each with the points of ``pattern``."""
     spans = (plan.u_span,) + (plan.color_span,) * 2
-    return _draw(fam, plan, spans, _point_pair)
+    return _draw(fam, plan, spans, pattern)
 
 
 def draw_triples(fam, plan: SamplePlan):

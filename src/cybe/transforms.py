@@ -39,8 +39,21 @@ from .numkernel import SCALAR, Batch
 from .profiles import ColorProfile, SpectralProfile, _check_keys, _cjson, _cval
 from .weights import vanishing_weights
 
-_KINDS = ("swap_23_78", "swap_14_56", "scale", "regauge", "negate_56",
-          "rescale_spectral", "recolor")
+#: kind -> {payload field it takes: the message when the field is missing
+#: (profiles g, N, f) or zero (numbers s, mu, which default to 1)}
+_PAYLOAD = {
+    "swap_23_78": {}, "swap_14_56": {}, "negate_56": {},
+    "scale": {"g": "scale transform needs a profile g"},
+    "regauge": {"N": "regauge transform needs a profile N",
+                "s": "regauge constant s must be nonzero"},
+    "rescale_spectral": {"mu": "spectral rescale mu must be nonzero"},
+    "recolor": {"f": "recolor transform needs a profile f"},
+}
+_NUMBERS = ("s", "mu")
+
+#: payload field -> its parser from JSON
+_FIELDS = {"g": SpectralProfile.from_json, "N": ColorProfile.from_json,
+           "s": _cval, "mu": _cval, "f": ColorProfile.from_json}
 
 _ZERO_TOL = 1e-12
 
@@ -57,57 +70,46 @@ _DIAG_US = np.linspace(-0.35, 0.35, 5)
 
 @dataclass(frozen=True)
 class TransformSpec:
+    """A transform kind and the payload fields ``_PAYLOAD`` gives it."""
+
     kind: str
     g: SpectralProfile | None = None
     N: ColorProfile | None = None
-    s: complex = 1.0
-    mu: complex = 1.0
+    s: complex | None = None
+    mu: complex | None = None
     f: ColorProfile | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not (isinstance(self.kind, str) and self.kind in _PAYLOAD):
             raise InvalidSpec(f"unknown transform kind {self.kind!r}")
-        object.__setattr__(self, "s", complex(self.s))
-        object.__setattr__(self, "mu", complex(self.mu))
-        if self.kind == "scale" and self.g is None:
-            raise InvalidSpec("scale transform needs a profile g")
-        if self.kind == "regauge":
-            if self.N is None:
-                raise InvalidSpec("regauge transform needs a profile N")
-            if self.s == 0:
-                raise InvalidSpec("regauge constant s must be nonzero")
-        if self.kind == "rescale_spectral" and self.mu == 0:
-            raise InvalidSpec("spectral rescale mu must be nonzero")
-        if self.kind == "recolor" and self.f is None:
-            raise InvalidSpec("recolor transform needs a profile f")
+        takes = _PAYLOAD[self.kind]
+        for name in _FIELDS:
+            value = getattr(self, name)
+            if name not in takes:
+                if value is not None:
+                    raise InvalidSpec(
+                        f"{self.kind} transform takes no field {name}")
+            elif name in _NUMBERS:
+                value = complex(1.0 if value is None else value)
+                object.__setattr__(self, name, value)
+                if value == 0:
+                    raise InvalidSpec(takes[name])
+            elif value is None:
+                raise InvalidSpec(takes[name])
 
     def to_json(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.g is not None:
-            doc["g"] = self.g.to_json()
-        if self.N is not None:
-            doc["N"] = self.N.to_json()
-        if self.f is not None:
-            doc["f"] = self.f.to_json()
-        if self.kind == "regauge":
-            doc["s"] = _cjson(self.s)
-        if self.kind == "rescale_spectral":
-            doc["mu"] = _cjson(self.mu)
-        return doc
+        return {"kind": self.kind} | {
+            name: _cjson(getattr(self, name)) if name in _NUMBERS
+            else getattr(self, name).to_json() for name in _PAYLOAD[self.kind]}
 
     @classmethod
     def from_json(cls, doc: dict) -> "TransformSpec":
-        _check_keys(doc, {"kind", "g", "N", "s", "mu", "f"}, "transform")
+        _check_keys(doc, {"kind", *_FIELDS}, "transform")
         if "kind" not in doc:
             raise InvalidSpec("transform needs a 'kind' field")
-        return cls(
-            kind=doc["kind"],
-            g=SpectralProfile.from_json(doc["g"]) if "g" in doc else None,
-            N=ColorProfile.from_json(doc["N"]) if "N" in doc else None,
-            s=_cval(doc.get("s", 1.0)),
-            mu=_cval(doc.get("mu", 1.0)),
-            f=ColorProfile.from_json(doc["f"]) if "f" in doc else None,
-        )
+        return cls(doc["kind"], **{name: _FIELDS[name](value)
+                                   for name, value in doc.items()
+                                   if name != "kind"})
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 and the verdict pipeline across every built-in family."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from cybe import (ClassifyPlan, SpectralProfile, StepUnstable, TransformSpec,
                   Verdict, WeightVector, apply, classify, curve_residuals,
                   derived_identity_suite, hamiltonian_coeffs,
                   invariant_suite, jacobi_sncndn, make_family)
-from cybe.classify import elliptic_ff_identities
+from cybe.classify import _N_POINTS, elliptic_ff_identities
 from cybe.families import FAMILY_CLASS, FamilyId, WeightFamily
 
 from conftest import (CANONICAL_SPECS, baxter_elliptic_spec,
                       ff_elliptic_spec, ff_hyperbolic_spec, ff_trig_spec,
                       random_spec)
+from test_batch_eval import SCALE_REGAUGE
 from test_families import ALL_IDS, GAUGE_IDS
 
 
@@ -218,6 +220,72 @@ def test_classify_designated_verdicts(fid):
     rep = classify(fam, ClassifyPlan(n_ybe=40, seed=3))
     assert rep.verdict.value == FAMILY_CLASS[fid]
     assert rep.ybe_median < 1e-10
+    assert rep.is_gauge
+
+
+@pytest.mark.parametrize("fid", GAUGE_IDS)
+def test_classify_scale_regauge_meets_the_initial_value(fid):
+    """The initial value is checked on the gauge-reduced form."""
+    fam = apply(SCALE_REGAUGE, make_family(CANONICAL_SPECS[fid]()))
+    rep = classify(fam, ClassifyPlan(n_ybe=40, seed=3))
+    assert rep.verdict.value == FAMILY_CLASS[fid]
+    assert not rep.is_gauge
+    assert rep.initial_condition_ok and rep.initial_condition_residual < 1e-8
+    assert [n.split(" ")[0] for n in rep.notes] == ["gauge-reduced"]
+
+
+CLASSIFY_PY = sys.modules["cybe.classify"].__file__
+SAMPLING_PY = sys.modules["cybe.sampling"].__file__
+
+
+def _callers(module_file):
+    """Names of the functions of a module on the caller's call stack."""
+    frame, names = sys._getframe(2), []
+    while frame is not None:
+        if frame.f_code.co_filename == module_file:
+            names.append(frame.f_code.co_name)
+        frame = frame.f_back
+    return names
+
+
+@pytest.mark.parametrize("fid", ALL_IDS)
+def test_classify_evaluates_points_only_for_the_initial_value(
+        fid, monkeypatch):
+    """Every other stage of a gauge family reads the sweep's weights or
+    analytic coefficients."""
+    fam = make_family(CANONICAL_SPECS[fid]())
+    calls = []
+    scalar = WeightFamily.eval
+
+    def recording(self, u, xi, eta):
+        if self is fam:
+            calls.append(_callers(CLASSIFY_PY))
+        return scalar(self, u, xi, eta)
+    monkeypatch.setattr(WeightFamily, "eval", recording)
+    classify(fam, ClassifyPlan(n_ybe=40, seed=3))
+    assert 8 <= len(calls) <= 16
+    assert all(c[0] == "distance" and "_initial_condition_residual" in c
+               for c in calls)
+
+
+@pytest.mark.parametrize("fid", GAUGE_IDS)
+def test_branch_stage_samples_single_points(fid, monkeypatch):
+    """The branch conditions read one point per sample: no unitarity
+    partner (-u, eta, xi) is evaluated beside it."""
+    fam = make_family(CANONICAL_SPECS[fid]())
+    branch = []
+    batched = WeightFamily.eval_array
+
+    def recording(self, u, xi, eta):
+        stack = _callers(SAMPLING_PY)
+        if "_draw" in stack and "residual_sweep" not in stack:
+            branch.append(list(zip(u, xi, eta)))
+        return batched(self, u, xi, eta)
+    monkeypatch.setattr(WeightFamily, "eval_array", recording)
+    classify(fam, ClassifyPlan(n_ybe=40, seed=3))
+    assert branch and sum(map(len, branch)) >= _N_POINTS
+    for points in branch:
+        assert not set(points) & {(-u, eta, xi) for u, xi, eta in points}
 
 
 def test_classify_random_parameterizations(rng):

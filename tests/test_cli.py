@@ -346,6 +346,29 @@ def test_profiles_raising_on_the_diagnostic_grid(argv, exit_code, capsys):
         assert out == "" and err.count("error: ") == 1
 
 
+def test_spec_warnings_are_printed(capsys):
+    code, out, err = run_cli(["verify", "--spec", _BS, "--samples", "5"],
+                             capsys)
+    assert code == 1
+    assert err == ("warning: profiles G and H cannot be evaluated at 1 of 11 "
+                   "sampled points: 0 (ZeroDivisionError: complex division "
+                   "by zero)\n")
+
+
+@pytest.mark.parametrize("sub", ["verify", "classify"])
+def test_spec_is_validated_on_the_command_color_span(sub, capsys):
+    """G = x + 0.7 leaves the right half plane below x = -0.7: valid on the
+    default span, invalid on (-1, 1)."""
+    spec = ('{"family":"ff_trig","profiles":{"G":{"preset":"affine",'
+            '"params":[1,0.7]}}}')
+    argv = [sub, "--samples", "200", "--spec", spec]
+    code, out, err = run_cli(argv + ["--color-span", "1.0"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: G must stay in the right half plane (principal "
+                   "sqrt(G^2) must equal G)\n")
+    assert run_cli(argv, capsys)[0] == 0
+
+
 def test_vanishing_profile_message_names_plain_colors(capsys):
     code, out, err = run_cli(
         ["verify", "--spec", '{"family":"trivial_b","profiles":{"F":'

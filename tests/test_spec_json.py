@@ -180,24 +180,39 @@ def places(node, kind):
             yield from places(value, sub)
 
 
+#: transform kind -> the payload fields it takes
+TRANSFORM_FIELDS = {"swap_23_78": set(), "swap_14_56": set(),
+                    "negate_56": set(), "scale": {"g"}, "regauge": {"N", "s"},
+                    "rescale_spectral": {"mu"}, "recolor": {"f"}}
+
+#: a valid value of each transform payload field
+PAYLOAD = {"g": {"preset": "const", "params": [2.0]},
+           "N": {"preset": "constant", "params": [1.0]},
+           "f": {"preset": "linear", "params": [1.0]}, "s": 1.0, "mu": 2.0}
+
+
 def malform(data, doc, kind):
     """One structural fault drawn into a copy of a valid document: a value
     of the wrong type or range, an unknown key, a missing required key, or
-    the field a profile preset does not take (params of a product, factors
-    of any other preset)."""
+    a field its object does not use (params of a product, factors of any
+    other preset, a valid payload field the transform kind does not take)."""
     doc = json.loads(json.dumps(doc))
     node, key, slot = data.draw(st.sampled_from(list(places(doc, kind))))
     if key is not None:
         node[key] = data.draw(BAD.get(slot, BAD["object"]))
         return doc
     allowed, required, _ = OBJECTS[slot]
-    faults = ["unknown"] + (["missing"] if required else []) + (
-        ["factors", "unused"] if slot == "profile" else [])
+    faults = ["unknown"] + (["missing"] if required else []) + {
+        "profile": ["factors", "unused"], "transform": ["unused"]}.get(slot, [])
     fault = data.draw(st.sampled_from(faults))
     if fault == "missing":
         del node[required]
     elif fault == "factors":
         node["factors"] = data.draw(BAD["params"])
+    elif fault == "unused" and slot == "transform":
+        name = data.draw(st.sampled_from(
+            sorted(set(PAYLOAD) - TRANSFORM_FIELDS[node["kind"]])))
+        node[name] = PAYLOAD[name]
     elif fault == "unused" and node["preset"] == "product":
         node["params"] = [1.0]
     elif fault == "unused":

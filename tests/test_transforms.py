@@ -62,6 +62,12 @@ def test_invalid_transform_specs():
         TransformSpec(kind="rescale_spectral", mu=0.0)
     with pytest.raises(InvalidSpec):
         TransformSpec(kind="warp")
+    with pytest.raises(InvalidSpec, match="swap_23_78 transform takes no "
+                                          "field s"):
+        TransformSpec(kind="swap_23_78", s=7)
+    with pytest.raises(InvalidSpec, match="scale transform takes no field N"):
+        TransformSpec(kind="scale", g=SpectralProfile("const", (1.0,)),
+                      N=ColorProfile("constant", (2.0,)))
 
 
 def test_transform_diagnostics():
