@@ -5,13 +5,15 @@ nearest-neighbour chain Hamiltonian
              + h/2 (Z_j + Z_{j+1})
 
 with Jx = (m5+m6+m7+m8)/4, Jy = (m5+m6-m7-m8)/4, Jz = (m1-m3+m4-m2)/4 and
-h = (m1-m3-m4+m2)/4.  Site 1 is the slowest tensor index.  H is filled bond
-by bond in O(n 2^n): ZZ and field on the diagonal, XX + YY as one bit-flip
-scatter.  It is still dense on output, 16 4^n bytes (268 MB at n = 12).
+h = (m1-m3-m4+m2)/4.  Site 1 is the slowest tensor index.  The chain is
+stored as its bonds in O(n 2^n): ZZ and field on the diagonal, and per bond
+the XX + YY amplitudes of one bit flip.  The dense matrix, 16 4^n bytes,
+is built only when ``ChainOperator.matrix`` is read (a matrix dump).
 """
 
 from __future__ import annotations
 
+import functools
 import gzip
 from dataclasses import dataclass
 
@@ -41,16 +43,35 @@ class CouplingConstants:
 
 @dataclass(frozen=True)
 class ChainOperator:
+    """H as its diagonal and, per bond, the mask of the two bits its XX + YY
+    flips with the amplitude of each flip: H[idx ^ mask, idx] = amplitudes."""
+
     n: int
     periodic: bool
-    matrix: np.ndarray
+    diag: np.ndarray
+    bonds: tuple[tuple[int, np.ndarray], ...]
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense 2^n x 2^n matrix, built on first access."""
+        dim = 2 ** self.n
+        idx = np.arange(dim)
+        H = np.zeros((dim, dim), dtype=complex)
+        for mask, amplitudes in self.bonds:
+            H[idx ^ mask, idx] += amplitudes
+        H.reshape(-1)[::dim + 1] = self.diag
+        return H
 
     def hermiticity_defect(self) -> float:
-        """max |M - M^H|, over tiles of one triangle since |D_ij| = |D_ji|."""
-        M, t = self.matrix, 256
-        return float(np.max([
-            np.abs(M[i:i + t, k:k + t] - M[k:k + t, i:i + t].conj().T).max()
-            for i in range(0, len(M), t) for k in range(i, len(M), t)]))
+        """max |H - H^H|: on the diagonal, and on each bit flip, where bonds
+        that flip the same bits (n = 2, periodic) add up."""
+        flips = {}
+        for mask, amplitudes in self.bonds:
+            flips[mask] = flips.get(mask, 0) + amplitudes
+        idx = np.arange(len(self.diag))
+        return float(np.max([np.abs(self.diag - self.diag.conj()).max()] + [
+            np.abs(v - v[idx ^ mask].conj()).max()
+            for mask, v in flips.items()]))
 
 
 def couplings_from_coeffs(m) -> CouplingConstants:
@@ -69,7 +90,7 @@ def couplings_from_coeffs(m) -> CouplingConstants:
 
 def build_chain(c: CouplingConstants, n: int, periodic: bool = False
                 ) -> ChainOperator:
-    """Dense 2^n x 2^n chain Hamiltonian; Hermitian for real couplings.
+    """The chain Hamiltonian by bonds; Hermitian for real couplings.
     With z_j = 1 - 2 bit_j, XX + YY of bond (a, b) sends idx to
     idx ^ mask_ab with amplitude Jx - Jy z_a z_b."""
     if not 2 <= n <= MAX_SITES:
@@ -78,16 +99,17 @@ def build_chain(c: CouplingConstants, n: int, periodic: bool = False
     idx = np.arange(dim)
     bit = 1 << np.arange(n - 1, -1, -1)
     z = 1 - 2 * ((idx & bit[:, None]) != 0)
-    H = np.zeros((dim, dim), dtype=complex)
-    diag = H.reshape(-1)[::dim + 1]  # a view: writes land in H
-    # bond by bond, XX + YY then ZZ then field: the roundings of the plain
-    # sum of Pauli products, to which H is bitwise equal for n > 2
+    diag = np.zeros(dim, dtype=complex)
+    bonds = []
+    # bond by bond, ZZ then field: the roundings of the plain sum of Pauli
+    # products, to which the matrix is bitwise equal for n > 2
     for a, b in [(j, (j + 1) % n) for j in range(n if periodic else n - 1)]:
         zz = z[a] * z[b]
-        H[idx ^ (bit[a] | bit[b]), idx] += c.jx - c.jy * zz
+        bonds.append((int(bit[a] | bit[b]), c.jx - c.jy * zz))
         diag += c.jz * zz
         diag += 0.5 * c.h * (z[a] + z[b])
-    return ChainOperator(n=n, periodic=periodic, matrix=H)
+    return ChainOperator(n=n, periodic=periodic, diag=diag,
+                         bonds=tuple(bonds))
 
 
 def cyclic_shift(n: int) -> np.ndarray:
