@@ -8,7 +8,7 @@ from .classify import (ClassificationReport, ClassifyPlan,
                        hamiltonian_coeffs, invariant_suite)
 from .errors import (BranchAmbiguityWarning, CybeError, InvalidSpec,
                      ModulusOutOfRange, MultiplicativityViolation,
-                     NotEightVertex, NotGauge, PoleProximity,
+                     NonFiniteOutput, NotEightVertex, NotGauge, PoleProximity,
                      SamplingExhausted, SizeLimit, StepUnstable, ZeroDivisor)
 from .families import (FamilyId, FamilySpec, WeightFamily,
                        bazhanov_stroganov, bs_scale, eval_family,

@@ -10,7 +10,8 @@ solution verdict), 1 verification failure or non-solution verdict,
 --tol negative or non-finite, a non-finite --u-span, --color-span or
 --perturb DELTA), 3 pole or overflow at a requested point,
 4 NOT_EIGHT_VERTEX, 5 INDETERMINATE, 6 pole-free sampling exhausted
-(widen the spans or relax --max-weight).
+(widen the spans or relax --max-weight), 7 a non-finite number in a JSON
+result (nothing is printed).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import sys
 import numpy as np
 
 from .classify import ClassifyPlan, Verdict, classify, hamiltonian_coeffs
-from .errors import (CybeError, InvalidSpec, PoleProximity,
-                     SamplingExhausted, SizeLimit)
+from .errors import (CybeError, InvalidSpec, NonFiniteOutput,
+                     PoleProximity, SamplingExhausted, SizeLimit)
 from .families import (WeightFamily, make_family, spec_from_json,
                        validate_spec)
 from .sampling import SamplePlan, residual_sweep, unitarity_sweep
@@ -44,7 +45,8 @@ _EXIT_VERDICT = {
 #: exit code of the first matching error class
 _EXIT_ERROR = (
     ((InvalidSpec, SizeLimit, json.JSONDecodeError, OSError), 2),
-    (PoleProximity, 3), (SamplingExhausted, 6), (CybeError, 1),
+    (PoleProximity, 3), (SamplingExhausted, 6), (NonFiniteOutput, 7),
+    (CybeError, 1),
 )
 
 
@@ -101,8 +103,27 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _non_finite(doc, path=""):
+    """The path of the first NaN or infinity in a JSON document, or None."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, (list, tuple)) else ())
+    for key, value in items:
+        found = _non_finite(value, f"{path}/{key}")
+        if found is not None:
+            return found
+    return None
+
+
 def _emit(doc, args) -> None:
-    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
+    """Strict JSON: a NaN or infinity is NonFiniteOutput, not printed."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NonFiniteOutput(
+            f"non-finite number at {_non_finite(doc)} of the result") from None
+    _write(text + "\n", args)
 
 
 def _grid(spec: str) -> np.ndarray:

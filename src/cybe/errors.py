@@ -43,6 +43,10 @@ class SamplingExhausted(CybeError):
     """Pole-free sampling hit its attempt cap before drawing enough points."""
 
 
+class NonFiniteOutput(CybeError):
+    """A result holds a NaN or an infinity, which JSON output cannot carry."""
+
+
 class StepUnstable(CybeError):
     """Finite-difference step produced inconsistent derivative estimates."""
 

@@ -291,7 +291,7 @@ def test_criterion_10_spin_chain():
         (m[4] + m[5] + m[6] + m[7]) / 4 - c.jx,
         (m[4] + m[5] - m[6] - m[7]) / 4 - c.jy,
         (m[0] - m[2] + m[3] - m[1]) / 4 - c.jz,
-        (m[0] - m[2] - m[3] + m[1]) / 4 - c.h,
+        (m[0] - m[2] - m[3] + m[1]) / 2 - c.h,
     ])
     elapsed = time.perf_counter() - t0
     ok = worst_h <= 1e-12 and np.abs(hand).max() == 0.0 and elapsed < 30.0

@@ -512,3 +512,17 @@ def test_unbuildable_spec_exit_2(sub, spec, error, capsys):
                               "--samples", "20"], capsys)
     assert (code, out) == (2, "")
     assert err.startswith(error) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_result_is_a_named_error(value, monkeypatch, capsys):
+    """Output is strict JSON: a planted non-finite coupling is exit 7 with
+    one error: line naming where it sits, and nothing on stdout."""
+    import cybe.spinchain
+    from cybe import CouplingConstants
+    monkeypatch.setattr(cybe.spinchain, "couplings_from_coeffs",
+                        lambda m: CouplingConstants(value, 0.5, 0.25, 0.1))
+    spec = json.dumps(spec_to_json(ff_elliptic_spec()))
+    code, out, err = run_cli(["couplings", "--spec", spec], capsys)
+    assert (code, out) == (7, "")
+    assert err == "error: non-finite number at /couplings/jx/0 of the result\n"

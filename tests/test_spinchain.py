@@ -154,12 +154,12 @@ def test_size_limit():
 
 
 def test_ff_relation_check_constructed():
-    # m5 = m1 - m3 = -m4 + m2 makes h = m5/2 and jz = 0; m6 = 0 then gives
+    # m5 = m1 - m3 = -m4 + m2 makes h = m5 and jz = 0; m6 = m5 then gives
     # jx + jy = (m5 + m6)/2 = h
     m1, m3, m2 = 1.0, 0.2, 0.4
     m5 = m1 - m3
     m4 = m2 - m5
-    m = np.array([m1, m2, m3, m4, m5, 0.0, 0.3, 0.3])
+    m = np.array([m1, m2, m3, m4, m5, m5, 0.3, 0.3])
     c = couplings_from_coeffs(m)
     rep = ff_relation_check(c, m)
     assert rep["jx_plus_jy_equals_h"]
@@ -179,13 +179,13 @@ def test_ff_relation_check_trig_family():
     fam = make_family(ff_trig_spec(s5=1, s7=1))
     m = hamiltonian_coeffs(fam, np.array([0.25])).m[0]
     rep = ff_relation_check(couplings_from_coeffs(m), m)
-    # the m-relations hold for this family; the coupling corner needs a
-    # non-gauge shift, so it is reported false here
+    # the m-relations hold for this family, and with m5 = m6 its chain's
+    # field h = (m1 - m4)/2 = m5 (test_integrability) meets the corner
     assert rep["m5_equals_m1_minus_m3"]
     assert rep["m5_equals_m2_minus_m4"]
     assert rep["jz_zero"]
-    assert not rep["jx_plus_jy_equals_h"]
-    assert rep["residuals"]["jx_plus_jy_minus_h"] > 0
+    assert rep["jx_plus_jy_equals_h"]
+    assert rep["residuals"]["jx_plus_jy_minus_h"] == 0
 
 
 @pytest.mark.parametrize("rows", [None, 5])
