@@ -5,12 +5,12 @@ nearest-neighbour chain Hamiltonian
              + h/2 (Z_j + Z_{j+1})
 
 with Jx = (m5+m6+m7+m8)/4, Jy = (m5+m6-m7-m8)/4, Jz = (m1-m3+m4-m2)/4 and
-h = (m1+m2-m3-m4)/2.  On a gauge family (m2 = m3 = 0, m7 = m8) H is the
-regular Hamiltonian sum_j R'_{j,j+1}(0), R'(0) = to_matrix(m), without its
-identity part and without the antisymmetric (m5-m6)(XY-YX)/4i, which for
-free fermions is the current operator and commutes with the transfer
-matrix on its own: each bond end carries (m1-m4)/4 Z, so each site of a
-periodic chain carries the field h = (m1-m4)/2.
+h = (m1+m2-m3-m4)/2.  On a gauge family (m2 = m3 = 0, m7 = m8), R'(0) =
+to_matrix(m) puts (m1-m4)/4 Z on each end of a bond, so each site of a
+periodic chain carries the field h = (m1-m4)/2, and H is the regular
+Hamiltonian sum_j R'_{j,j+1}(0) without two terms: its identity part and
+the antisymmetric (m5-m6)(XY-YX)/4i, which for free fermions is the
+current operator and commutes with the transfer matrix on its own.
 
 Site 1 is the slowest tensor index.  The chain is stored as its bonds in
 O(n 2^n): ZZ and field on the diagonal, and per bond the XX + YY

@@ -16,8 +16,9 @@ Hamiltonian checks.
 import numpy as np
 import pytest
 
-from cybe import (FamilyId, build_chain, couplings_from_coeffs,
-                  hamiltonian_coeffs, make_family, to_matrix)
+from cybe import (CouplingConstants, FamilyId, build_chain,
+                  couplings_from_coeffs, hamiltonian_coeffs, make_family,
+                  to_matrix)
 from cybe.families import GAUGE_FAMILIES
 from cybe.weights import WeightVector
 
@@ -64,13 +65,12 @@ def _coeffs(fid):
 
 
 def _bond_terms(m):
-    """R'(0) split into the part the chain carries, the antisymmetric
-    (m5, m6) part and the identity part, each a 4x4 matrix."""
-    full = to_matrix(WeightVector(m))
+    """The 4x4 part of R'(0) the chain carries, and the antisymmetric
+    (m5, m6) part it drops; the identity part is dropped too."""
     dropped = np.zeros((4, 4), dtype=complex)
     dropped[1, 2], dropped[2, 1] = (m[4] - m[5]) / 2, (m[5] - m[4]) / 2
     identity = m[:4].sum() / 4 * np.eye(4)
-    return full - dropped - identity, dropped, identity
+    return to_matrix(WeightVector(m)) - dropped - identity, dropped
 
 
 def _bonds(A, n, periodic):
@@ -103,7 +103,7 @@ def test_chain_is_the_regular_hamiltonian(fid, n, periodic):
     and antisymmetric (m5, m6) parts; each site's field is (m1 - m4)/2 on
     a periodic chain and (m1 - m4)/4 at the ends of an open one."""
     m = _coeffs(fid)
-    kept, _, _ = _bond_terms(m)
+    kept, _ = _bond_terms(m)
     want = _bonds(kept, n, periodic)
     got = build_chain(couplings_from_coeffs(m), n, periodic).matrix
     assert np.abs(got - want).max() <= TOL * np.abs(want).max()
@@ -123,7 +123,7 @@ def test_dropped_current_commutes_with_transfer(n):
     """On ff_hyperbolic m5 = -m6, so the term the chain drops is not zero;
     it commutes with t on its own."""
     fam = make_family(ff_hyperbolic_spec())
-    _, dropped, _ = _bond_terms(_coeffs(FamilyId.FF_HYPERBOLIC))
+    _, dropped = _bond_terms(_coeffs(FamilyId.FF_HYPERBOLIC))
     assert np.abs(dropped).max() > 0.1
     D = _bonds(dropped, n, periodic=True)
     for w, xi in POINTS:
@@ -139,8 +139,8 @@ def test_free_fermion_chain_spectrum(fid, n):
     m = _coeffs(fid)
     c = couplings_from_coeffs(m)
     assert abs(c.jz) <= 1e-12 and np.abs(m.imag).max() == 0
-    kept, _, _ = _bond_terms(m)
+    kept, _ = _bond_terms(m)
     ev = np.linalg.eigvalsh(_bonds(kept, n, periodic=False))
-    want = _free_fermion_spectrum(type(c)(*(v.real for v in (
-        c.jx, c.jy, c.jz, c.h))), n)
+    want = _free_fermion_spectrum(
+        CouplingConstants(c.jx.real, c.jy.real, 0.0, c.h.real), n)
     assert np.abs(ev - want).max() <= 1e-10 * np.abs(ev).max()
