@@ -103,26 +103,14 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _non_finite(doc, path=""):
-    """The path of the first NaN or infinity in a JSON document, or None."""
-    if isinstance(doc, float):
-        return None if math.isfinite(doc) else path
-    items = (doc.items() if isinstance(doc, dict)
-             else enumerate(doc) if isinstance(doc, (list, tuple)) else ())
-    for key, value in items:
-        found = _non_finite(value, f"{path}/{key}")
-        if found is not None:
-            return found
-    return None
-
-
 def _emit(doc, args) -> None:
     """Strict JSON: a NaN or infinity is NonFiniteOutput, not printed."""
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
         raise NonFiniteOutput(
-            f"non-finite number at {_non_finite(doc)} of the result") from None
+            "the result holds a NaN or an infinity, which JSON cannot carry"
+        ) from None
     _write(text + "\n", args)
 
 
