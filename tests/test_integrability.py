@@ -31,7 +31,7 @@ SIZES = range(3, 7)
 TOL = 1e-12
 
 _SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-_ALL = sorted(CANONICAL_SPECS, key=lambda f: f.value)
+_ALL = list(CANONICAL_SPECS)
 _GAUGE = [f for f in _ALL if f in GAUGE_FAMILIES]
 _FREE_FERMION = [f for f in _GAUGE if f.value.startswith("ff_")]
 
