@@ -8,7 +8,8 @@ Exit codes: 0 success (verify: median within tolerance; classify: a
 solution verdict), 1 verification failure or non-solution verdict,
 2 invalid spec / size limit / malformed flag (--samples below 1,
 --tol negative or non-finite, a non-finite --u-span, --color-span or
---perturb DELTA), 3 pole or overflow at a requested point,
+--perturb DELTA, a flag the command does not take) / a couplings family
+that is not a gauge family, 3 pole or overflow at a requested point,
 4 NOT_EIGHT_VERTEX, 5 INDETERMINATE, 6 pole-free sampling exhausted
 (widen the spans or relax --max-weight), 7 a non-finite number in a JSON
 result (nothing is printed).
@@ -58,7 +59,10 @@ def _load_json_arg(value: str):
         return json.load(fh)
 
 
-def _load_family(args, color_span=(-0.5, 0.5)) -> WeightFamily:
+def _load_family(args, color_span) -> WeightFamily:
+    """The family of --spec, --transform and --perturb; the spec is
+    validated on 11 colors spread over ``color_span``, the span of the
+    colors the command evaluates."""
     spec = spec_from_json(_load_json_arg(args.spec))
     diags = validate_spec(spec, color_span)
     if errors := [d for d in diags if not d.startswith("warning:")]:
@@ -66,13 +70,13 @@ def _load_family(args, color_span=(-0.5, 0.5)) -> WeightFamily:
     for diag in diags:
         print(diag, file=sys.stderr)
     fam = make_family(spec)
-    if getattr(args, "transform", None):
+    if args.transform:
         pipe = Pipeline.from_json(_load_json_arg(args.transform))
         for step in pipe.steps:
             for diag in transform_diagnostics(step):
                 print(f"warning: {diag}", file=sys.stderr)
         fam = apply(pipe, fam)
-    if getattr(args, "perturb", None):
+    if args.perturb:
         field, delta = args.perturb
         delta = _finite("--perturb DELTA", delta)
         fam = _perturbed(fam, field, complex(delta))
@@ -117,6 +121,8 @@ def _emit(doc, args) -> None:
 def _grid(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
+        if int(n) < 1:
+            raise ValueError
         return np.linspace(float(lo), float(hi), int(n))
     except ValueError:
         raise InvalidSpec(f"grid must be 'start:stop:count', got {spec!r}")
@@ -145,11 +151,10 @@ def _write_rows(rows, args) -> None:
 
 
 def cmd_eval(args) -> int:
-    fam = _load_family(args)
-    points = [(u, xi, eta)
-              for u in _grid(args.grid_u)
-              for xi in _grid(args.grid_xi)
-              for eta in _grid(args.grid_eta)]
+    us, xis, etas = map(_grid, (args.grid_u, args.grid_xi, args.grid_eta))
+    colors = np.concatenate([xis, etas])
+    fam = _load_family(args, (colors.min(), colors.max()))
+    points = [(u, xi, eta) for u in us for xi in xis for eta in etas]
     _write_rows(_weight_rows(fam, points), args)
     return 0
 
@@ -230,11 +235,17 @@ def cmd_classify(args) -> int:
 def cmd_couplings(args) -> int:
     from .spinchain import build_chain, couplings_from_coeffs, export_matrix
 
-    fam = _load_family(args)
-    coeffs = hamiltonian_coeffs(fam, np.array([args.xi]), h=args.h)
-    c = couplings_from_coeffs(coeffs.m[0])
+    fam = _load_family(args, (args.xi, args.xi))
+    m = hamiltonian_coeffs(fam, np.array([args.xi]), h=args.h).m[0]
+    # the chain form carries m7 + m8 and, on a periodic chain, m2 + m3 only
+    d78, d23 = abs(m[6] - m[7]), abs(m[1] - m[2])
+    if max(d78, d23) > 1e-8 * max(1.0, float(np.abs(m).max())):
+        raise InvalidSpec(
+            f"couplings need a gauge family (m7 = m8 and m2 = m3), got "
+            f"|m7 - m8| = {d78:.3e} and |m2 - m3| = {d23:.3e}")
+    c = couplings_from_coeffs(m)
     doc = {"xi": args.xi, "couplings": c.to_json(),
-           "coefficients": [[v.real, v.imag] for v in coeffs.m[0]]}
+           "coefficients": [[v.real, v.imag] for v in m]}
     if args.sites:
         op = build_chain(c, args.sites, periodic=args.periodic)
         doc["sites"] = args.sites
@@ -248,27 +259,31 @@ def cmd_couplings(args) -> int:
     return 0
 
 
-def _add_common(p):
+def _add_common(p, sweep: bool) -> None:
+    """The flags of every command, then either the sampled sweep's flags
+    (verify, classify) or the output format (eval, transform, couplings)."""
     p.add_argument("--spec", required=True,
                    help="family spec: JSON file path or inline JSON")
     p.add_argument("--transform",
                    help="transform pipeline: JSON file path or inline JSON")
     p.add_argument("--perturb", nargs=2, metavar=("FIELD", "DELTA"),
                    help="additive perturbation of one weight, e.g. a7 0.1")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--u-span", type=float, default=0.35)
-    p.add_argument("--color-span", type=float, default=0.5)
-    p.add_argument("--max-weight", type=float, default=15.0)
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    if sweep:
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--samples", type=int, default=100)
+        p.add_argument("--u-span", type=float, default=0.35)
+        p.add_argument("--color-span", type=float, default=0.5)
+        p.add_argument("--max-weight", type=float, default=15.0)
+    else:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _add_grid_parser(sub, name, help_text):
     """A subcommand tabulating weights over a (u, xi, eta) grid."""
     p = sub.add_parser(name, help=help_text)
-    _add_common(p)
+    _add_common(p, sweep=False)
     p.add_argument("--grid-u", default="-0.3:0.3:5")
     p.add_argument("--grid-xi", default="-0.4:0.4:5")
     p.add_argument("--grid-eta", default="-0.4:0.4:5")
@@ -302,11 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_parser(sub, "eval", "tabulate weights over a grid")
 
     p = sub.add_parser("verify", help="matrix-identity residual sweep")
-    _add_common(p)
+    _add_common(p, sweep=True)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("classify", help="decide the solution type")
-    _add_common(p)
+    _add_common(p, sweep=True)
     p.set_defaults(fn=cmd_classify)
 
     _add_grid_parser(sub, "transform",
@@ -314,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("couplings",
                        help="spin-chain couplings and optional matrix dump")
-    _add_common(p)
+    _add_common(p, sweep=False)
     p.add_argument("--xi", type=float, default=0.3)
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--sites", type=int, default=0)

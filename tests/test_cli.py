@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, determinism, output formats."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -79,8 +80,7 @@ def test_eval_pole_exit_3(capsys):
 def test_eval_grid_size_and_determinism(tmp_path, capsys):
     path = spec_file(tmp_path, ff_elliptic_spec())
     args = ["eval", "--spec", path, "--grid-u=-0.2:0.2:10",
-            "--grid-xi=-0.4:0.4:10", "--grid-eta=-0.4:0.4:10",
-            "--seed", "7"]
+            "--grid-xi=-0.4:0.4:10", "--grid-eta=-0.4:0.4:10"]
     code1, out1, _ = run_cli(args, capsys)
     code2, out2, _ = run_cli(args, capsys)
     assert code1 == code2 == 0
@@ -395,6 +395,12 @@ _FF_TRIG = ('{"family":"ff_trig","profiles":{"G":{"preset":"cosh",'
             '"params":[0.8,0.4]}}}')
 
 
+def _samples(sub):
+    """A short sweep for the commands that sample; the others take no
+    --samples."""
+    return ["--samples", "20"] if sub in ("verify", "classify") else []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--tol", "nan"], "--tol must be a finite number, got nan"),
     (["verify", "--tol", "inf"], "--tol must be a finite number, got inf"),
@@ -424,7 +430,7 @@ _FF_TRIG = ('{"family":"ff_trig","profiles":{"G":{"preset":"cosh",'
         "classify_tol_negative_infinity", "u_span_negative_inf",
         "perturb_negative_nan"])
 def test_malformed_flag_exit_2(argv, message, capsys):
-    code, out, err = run_cli(argv + ["--spec", _FF_TRIG, "--samples", "20"],
+    code, out, err = run_cli(argv + ["--spec", _FF_TRIG] + _samples(argv[0]),
                              capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
@@ -464,6 +470,101 @@ def test_negative_exponent_form_is_a_value(exponent, fixed, capsys):
         "unknown_flag", "perturb_one_value", "tol_not_a_value"])
 def test_parse_errors_are_one_error_line(argv, message, capsys):
     assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+_EVERY = {"--spec", "--transform", "--perturb", "--out"}
+_SWEEP = {"--seed", "--tol", "--samples", "--u-span", "--color-span",
+          "--max-weight"}
+_GRID = {"--grid-u", "--grid-xi", "--grid-eta"}
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    declared = {name: {o for a in p._actions for o in a.option_strings
+                       if o.startswith("--") and o != "--help"}
+                for name, p in sub.choices.items()}
+    assert declared == {
+        "eval": _EVERY | _GRID | {"--format"},
+        "transform": _EVERY | _GRID | {"--format"},
+        "verify": _EVERY | _SWEEP,
+        "classify": _EVERY | _SWEEP,
+        "couplings": _EVERY | {"--format", "--xi", "--h", "--sites",
+                               "--periodic", "--matrix-out"},
+    }
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["couplings", "--color-span", "nan", "--samples", "-5", "--tol", "-1",
+      "--max-weight", "1e300"],
+     "--color-span nan --samples -5 --tol -1 --max-weight 1e300"),
+    (["eval", "--seed", "7"], "--seed 7"),
+    (["verify", "--samples", "20", "--format", "csv"], "--format csv"),
+    (["classify", "--format", "json"], "--format json"),
+], ids=["couplings_sweep_flags", "eval_seed", "verify_format",
+        "classify_format"])
+def test_a_flag_the_command_does_not_read_exit_2(argv, flags, capsys):
+    assert run_cli(argv + ["--spec", _FF_TRIG], capsys) == (
+        2, "", f"error: unrecognized arguments: {flags}\n")
+
+
+_AFFINE = ('{"family":"ff_trig","profiles":{"G":{"preset":"affine",'
+           '"params":[1,0.7]}}}')
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--grid-xi=-1:1:3"],
+    ["eval", "--grid-eta=-1:0:2"],
+    ["transform", "--grid-xi=-0.9:-0.9:1"],
+    ["couplings", "--xi", "-0.9"],
+], ids=["eval_xi", "eval_eta", "transform_xi", "couplings_xi"])
+def test_spec_is_validated_at_the_evaluated_colors(argv, capsys):
+    """G = x + 0.7 leaves the right half plane below x = -0.7."""
+    code, out, err = run_cli(argv + ["--spec", _AFFINE], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: G must stay in the right half plane (principal "
+                   "sqrt(G^2) must equal G)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--grid-xi=0:0.4:3", "--grid-eta=-0.2:0.2:2"],
+    ["transform", "--grid-xi=-0.2:-0.2:1", "--grid-eta=0.4:0.4:1"],
+    ["couplings", "--xi", "-0.2"],
+], ids=["eval", "transform", "couplings"])
+def test_spec_valid_at_the_evaluated_colors_passes(argv, capsys):
+    """G = x + 0.3 fails on the sweeps' default span (-0.5, 0.5), but not
+    at colors from -0.2 up."""
+    spec = _AFFINE.replace("0.7", "0.3")
+    code, out, err = run_cli(argv + ["--spec", spec], capsys)
+    assert (code, err) == (0, "")
+    json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("grid", ["0:1:0", "0:1:-1"])
+def test_grid_without_colors_exit_2(grid, capsys):
+    assert run_cli(["eval", "--spec", _FF_TRIG, "--grid-xi", grid],
+                   capsys) == (
+        2, "", f"error: grid must be 'start:stop:count', got {grid!r}\n")
+
+
+def test_couplings_of_a_non_gauge_family_exit_2(capsys):
+    """After regauge, a7 != a8: the chain form cannot carry m7 - m8."""
+    regauge = ('[{"kind":"regauge","N":{"preset":"exp","params":[0.7,0.1]},'
+               '"s":[1.3,0.4]}]')
+    assert run_cli(["couplings", "--spec", _FF_TRIG, "--transform",
+                    regauge], capsys) == (
+        2, "", "error: couplings need a gauge family (m7 = m8 and m2 = m3), "
+        "got |m7 - m8| = 2.213e+00 and |m2 - m3| = 0.000e+00\n")
+
+
+def test_couplings_after_scale_stay_a_gauge_family(capsys):
+    scale = ('[{"kind":"scale","g":{"preset":"exp_affine",'
+             '"params":[0.5,0.1,-0.2]}}]')
+    code, out, err = run_cli(["couplings", "--spec", _FF_TRIG, "--transform",
+                              scale, "--sites", "4"], capsys)
+    assert (code, err) == (0, "")
+    m = json.loads(out)["coefficients"]
+    assert m[6] == m[7] and m[1] == m[2]
 
 
 def test_zero_tolerance_is_a_valid_flag(capsys):
@@ -508,8 +609,8 @@ def test_commands_raise_no_numpy_warnings(capsys):
     (baxter_elliptic_spec(mu=800j), "error: mu unusable: math range error"),
 ], ids=["ff_k_real", "ff_k_imag", "baxter_mu_pole", "baxter_mu_overflow"])
 def test_unbuildable_spec_exit_2(sub, spec, error, capsys):
-    code, out, err = run_cli([sub, "--spec", json.dumps(spec_to_json(spec)),
-                              "--samples", "20"], capsys)
+    code, out, err = run_cli([sub, "--spec", json.dumps(spec_to_json(spec))]
+                             + _samples(sub), capsys)
     assert (code, out) == (2, "")
     assert err.startswith(error) and err.count("\n") == 1
 
