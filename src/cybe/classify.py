@@ -26,8 +26,10 @@ import numpy as np
 from .errors import CybeError, StepUnstable
 from .families import FamilyId, WeightFamily
 from .numkernel import Split, jacobi_sncndn
-from .sampling import SamplePlan, _point, _points, residual_sweep
-from .transforms import gauge_reduce
+from .sampling import (SamplePlan, _point, _point_spans, _points,
+                       _triple_points, _triple_spans, first_block,
+                       residual_sweep)
+from .transforms import anchored_points, gauge_points, gauge_reduce, gauge_rows
 from .weights import (WeightVector, _gauge_rows, baxter_curve_residual,
                       free_fermion_residual, vanishing_weights)
 
@@ -68,13 +70,28 @@ def _du(fam, u, xi, eta, h=1e-5):
                         for p in (u + h, u - h, u + h/2, u - h/2)], h)
 
 
-def hamiltonian_coeffs(fam: WeightFamily, xi_grid=None,
-                       h: float = 1e-5) -> HamiltonianCoefficients:
+def _steps(h):
+    """The stencil offsets in u of the finite difference at step h."""
+    return h, -h, h / 2, -h / 2
+
+
+def stencil_points(xi_grid, h: float = 1e-5):
+    """The (u, xi, eta) columns of the finite-difference stencil of
+    ``hamiltonian_coeffs``: u = +-h, +-h/2 at xi = eta = x of every grid
+    color x, offset by offset."""
+    x = np.tile(xi_grid, 4)
+    return np.repeat(_steps(h), len(xi_grid)), x, x
+
+
+def hamiltonian_coeffs(fam: WeightFamily, xi_grid=None, h: float = 1e-5,
+                       stencil=None) -> HamiltonianCoefficients:
     """Extract m_i over a color grid.
 
     Analytic values are substituted when the family supplies them (every
     built-in family does); otherwise central differences with one
-    Richardson extrapolation level at step h in [1e-7, 1e-3].
+    Richardson extrapolation level at step h in [1e-7, 1e-3], from the rows
+    (W, ok) of ``fam`` at ``stencil_points(xi_grid, h)``: ``stencil`` when
+    the caller has evaluated them, else one ``eval_array`` call.
     """
     if not 1e-7 <= h <= 1e-3:
         raise StepUnstable(f"step h = {h} outside [1e-7, 1e-3]")
@@ -85,16 +102,15 @@ def hamiltonian_coeffs(fam: WeightFamily, xi_grid=None,
     rows, errs = [], []
     analytic = fam.analytic_coeffs(xi_grid[0]) is not None
     if not analytic:
-        # the stencil points u = +-h, +-h/2 at xi = eta = x of every x
-        steps, n = (h, -h, h / 2, -h / 2), len(xi_grid)
-        x = np.tile(xi_grid, 4)
-        S, ok = fam.eval_array(np.repeat(steps, n), x, x)
+        n = len(xi_grid)
+        S, ok = (fam.eval_array(*stencil_points(xi_grid, h))
+                 if stencil is None else stencil)
         S, ok = S.reshape(4, n, 8), ok.reshape(4, n)
     for i, xi in enumerate(xi_grid):
         # a stencil point marked in S raises its own error in its turn
         m, err = _coeffs_at(fam, xi, h, True) if analytic else _richardson(
             [S[j, i] if ok[j, i] else fam.eval(d, xi, xi).a
-             for j, d in enumerate(steps)], h)
+             for j, d in enumerate(_steps(h))], h)
         if err > 1e-4 * max(1.0, float(np.abs(m).max())):
             raise StepUnstable(
                 f"Richardson and raw central differences disagree by "
@@ -373,21 +389,36 @@ class ClassificationReport:
                                "notes": list(self.notes)}
 
 
-def _initial_condition_residual(fam: WeightFamily, plan) -> float:
-    """Largest distance from the identity initial value at 8 colors."""
-    rng = np.random.default_rng(plan.seed + 1)
-    target = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
+#: u of the initial value: 0, and 1e-7 to probe the limit of a family
+#: singular at u = 0 exactly
+_IC_US = (0.0, 1e-7)
 
-    def distance(xi):
-        # families singular at u = 0 exactly: probe the limit
-        for u in (0.0, 1e-7):
-            try:
-                return np.abs(fam.eval(u, xi, xi).a - target).max()
-            except CybeError:
-                pass
-        return 0.0
-    points = ((rng.uniform(*plan.color_span),) for _ in range(8))
-    return _worst(["ic"], points, distance)["ic"]
+
+def _gauge_form_points(plan: ClassifyPlan, grid) -> dict:
+    """The points classify evaluates on the gauge form, by stage, as (u,
+    xi, eta) columns: the initial value at each u of ``_IC_US`` on 8 colors,
+    the finite-difference stencil on ``grid`` and the first block of the
+    branch sampler."""
+    colors = np.tile(
+        np.random.default_rng(plan.seed + 1).uniform(*plan.color_span, 8), 2)
+    branch = plan.sample_plan(_N_POINTS)
+    return {"ic": (np.repeat(_IC_US, 8), colors, colors),
+            "stencil": stencil_points(grid),
+            "branch": first_block(branch, _point_spans(branch), _point)}
+
+
+def _initial_condition_residual(W, ok) -> float:
+    """Largest distance from the identity initial value over the 8 colors
+    of the initial-value rows (W, ok): at u = 0, else at u = 1e-7, and 0 at
+    a color where neither evaluates."""
+    target = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
+    worst = 0.0
+    for i in range(8):
+        for j in (i, i + 8):
+            if ok[j]:
+                worst = max(worst, np.abs(W[j] - target).max())
+                break
+    return float(worst)
 
 
 def _trivial_shape(U: np.ndarray) -> Verdict | None:
@@ -400,6 +431,49 @@ def _trivial_shape(U: np.ndarray) -> Verdict | None:
                  if np.abs(diffs).max() < 1e-8), None)
 
 
+def _reduction(plan: ClassifyPlan) -> dict:
+    """The arguments of classify's ``gauge_reduce``: the anchor mid-span,
+    u_probe at 0.4 of the u half-span from its middle, and 7 colors over
+    90% of the color span."""
+    c_mid = 0.5 * (plan.color_span[0] + plan.color_span[1])
+    c_half = 0.5 * (plan.color_span[1] - plan.color_span[0])
+    u_probe = (0.5 * (plan.u_span[0] + plan.u_span[1])
+               + 0.4 * (plan.u_span[1] - plan.u_span[0]) / 2)
+    return dict(anchor=c_mid, u_probe=u_probe,
+                color_grid=np.linspace(c_mid - 0.9 * c_half,
+                                       c_mid + 0.9 * c_half, 7),
+                seed=plan.seed)
+
+
+def _reduction_points(reduction: dict, stages: dict):
+    """The points of a gauge reduction: ``gauge_reduce``'s own and the
+    inner points of the gauge-form points ``stages``, by name; and the
+    inner points' index."""
+    inner, index = anchored_points(
+        *map(np.concatenate, zip(*stages.values())),
+        reduction["u_probe"], reduction["anchor"])
+    return {"probes": gauge_points(**reduction), "inner": inner}, index
+
+
+def _split(rows, groups: dict) -> dict:
+    """The rows (W, ok) of each named group of points, (u, xi, eta)
+    columns, from the rows of the groups in order (and of any points after
+    them)."""
+    W, ok = rows
+    out, start = {}, 0
+    for name, (u, _, _) in groups.items():
+        out[name] = W[start:start + len(u)], ok[start:start + len(u)]
+        start += len(u)
+    return out
+
+
+def _evaluate(fam: WeightFamily, groups: dict) -> dict:
+    """The rows (W, ok) of ``fam`` at each named group of points from one
+    ``eval_array`` call."""
+    return _split(fam.eval_array(*map(np.concatenate, zip(*groups.values()))),
+                  groups)
+
+
 def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
              ) -> ClassificationReport:
     """Decide the solution type of a weight family.
@@ -409,11 +483,37 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     weights are not gauge): the identity initial value, whose failure
     routes to the trivial shapes, and the free-fermion condition versus
     the biquadratic curve with measured constants.
+
+    The plan fixes every point up front, so the family is evaluated in one
+    ``eval_array`` call: the sweep's first block, with the gauge-form
+    points when the family claims gauge form or is a closed form, else
+    with gauge_reduce's points and the inner points of the gauge-form
+    points, whose rows give the reduced family's (and, first among them,
+    the family's own).  A guess that fails costs a second call, and so
+    does each further sampler block.
     """
     plan = plan or ClassifyPlan()
     notes: list[str] = []
+    sweep = plan.sample_plan(plan.n_ybe)
+    grid = np.linspace(*plan.color_span, _N_GRID)
+    reduction = _reduction(plan)
+    stages = _gauge_form_points(plan, grid)
+    direct = dict(stages)
+    if fam.spec is not None:
+        # closed-form coefficients, or a trivial family, whose trivial
+        # shape ends the pipeline: no finite differences
+        del direct["stencil"]
+    # a family that claims gauge form, or is a closed form of a spec (all
+    # of which have a2 = a3 = 1, a7 = a8), needs no reduction; any other,
+    # such as a scale, regauge or perturbation, is reduced in this call:
+    # ``inner`` holds the points of its reduction and their index
+    inner = (None if fam.gauge or fam.spec is not None
+             else _reduction_points(reduction, stages))
+    rows = _evaluate(fam, {"sweep": first_block(sweep, _triple_spans(sweep),
+                                                _triple_points)}
+                     | (direct if inner is None else inner[0]))
 
-    blocks = list(residual_sweep(fam, plan.sample_plan(plan.n_ybe)))
+    blocks = list(residual_sweep(fam, sweep, rows["sweep"]))
     U = np.concatenate([U for U, _, _ in blocks])
     rels = np.concatenate([rel for _, rel, _ in blocks])
     base = dict(ybe_median=float(np.median(rels)), ybe_max=float(np.max(rels)))
@@ -430,24 +530,24 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
 
     base["is_gauge"] = bool(_gauge_rows(U).all())
     work = fam
-    if not base["is_gauge"]:
-        c_mid = 0.5 * (plan.color_span[0] + plan.color_span[1])
-        c_half = 0.5 * (plan.color_span[1] - plan.color_span[0])
-        u_probe = (0.5 * (plan.u_span[0] + plan.u_span[1])
-                   + 0.4 * (plan.u_span[1] - plan.u_span[0]) / 2)
+    if base["is_gauge"]:
+        # the inner points of a point begin with the point itself
+        at = rows if inner is None else _split(rows["inner"], stages)
+    else:
+        if inner is None:
+            inner = _reduction_points(reduction, stages)
+            rows |= _evaluate(fam, inner[0])
         try:
-            work, cert = gauge_reduce(
-                fam, anchor=c_mid, u_probe=u_probe,
-                color_grid=np.linspace(c_mid - 0.9 * c_half,
-                                       c_mid + 0.9 * c_half, 7),
-                seed=plan.seed)
+            work, cert = gauge_reduce(fam, **reduction, rows=rows["probes"])
             notes.append(f"gauge-reduced (residual {cert.gauge_residual:.2e})")
         except CybeError as exc:
             return ClassificationReport(
                 Verdict.INDETERMINATE,
                 notes=(f"gauge reduction failed: {exc}",), **base)
+        at = _split(gauge_rows(*rows["inner"], inner[1], cert.l_constant),
+                    stages)
 
-    ic_res = _initial_condition_residual(work, plan)
+    ic_res = _initial_condition_residual(*at["ic"])
     ic_ok = bool(ic_res <= 1e-8)
     base.update(initial_condition_ok=ic_ok, initial_condition_residual=ic_res)
     if not ic_ok:
@@ -455,14 +555,14 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
             return ClassificationReport(shape, **base)
         notes.append("initial value fails but no trivial shape matches")
 
-    coeffs = hamiltonian_coeffs(work, np.linspace(*plan.color_span, _N_GRID))
+    coeffs = hamiltonian_coeffs(work, grid, stencil=at.get("stencil"))
     inv = invariant_suite(work, coeffs)
     alpha, beta, gamma = _constants(coeffs)
 
     # both conditions at once on the Split columns of the sampled weights,
     # rounding as point by point; np.hypot is Python's complex abs
     W = np.concatenate([W for _, (W,) in _points(
-        work, plan.sample_plan(_N_POINTS), _point)])
+        work, plan.sample_plan(_N_POINTS), _point, at["branch"])])
     w = [Split.of(col) for col in W.T]
     ff, curve = (free_fermion_residual(w),
                  baxter_curve_residual(w, alpha, beta, gamma))

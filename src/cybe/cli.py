@@ -7,12 +7,12 @@ output.  Residual sweeps run in one thread.
 Exit codes: 0 success (verify: median within tolerance; classify: a
 solution verdict), 1 verification failure or non-solution verdict,
 2 invalid spec / size limit / malformed flag (--samples below 1,
---tol negative or non-finite, a non-finite --u-span, --color-span or
---perturb DELTA, a flag the command does not take) / a couplings family
-that is not a gauge family, 3 pole or overflow at a requested point,
-4 NOT_EIGHT_VERTEX, 5 INDETERMINATE, 6 pole-free sampling exhausted
-(widen the spans or relax --max-weight), 7 a non-finite number in a JSON
-result (nothing is printed).
+--tol negative or non-finite, a non-finite --u-span, --color-span,
+--perturb DELTA, --xi or grid endpoint, a flag the command does not
+take) / a couplings family that is not a gauge family, 3 pole or
+overflow at a requested point, 4 NOT_EIGHT_VERTEX, 5 INDETERMINATE,
+6 pole-free sampling exhausted (widen the spans or relax --max-weight),
+7 a non-finite number in a JSON result (nothing is printed).
 """
 
 from __future__ import annotations
@@ -118,14 +118,18 @@ def _emit(doc, args) -> None:
     _write(text + "\n", args)
 
 
-def _grid(spec: str) -> np.ndarray:
+def _grid(flag: str, spec: str) -> np.ndarray:
+    """The grid 'start:stop:count' of a flag; its endpoints must be
+    finite."""
     try:
         lo, hi, n = spec.split(":")
-        if int(n) < 1:
+        lo, hi, n = float(lo), float(hi), int(n)
+        if n < 1:
             raise ValueError
-        return np.linspace(float(lo), float(hi), int(n))
     except ValueError:
         raise InvalidSpec(f"grid must be 'start:stop:count', got {spec!r}")
+    return np.linspace(_finite(f"{flag} start", lo),
+                       _finite(f"{flag} stop", hi), n)
 
 
 def _weight_rows(fam: WeightFamily, points):
@@ -151,7 +155,9 @@ def _write_rows(rows, args) -> None:
 
 
 def cmd_eval(args) -> int:
-    us, xis, etas = map(_grid, (args.grid_u, args.grid_xi, args.grid_eta))
+    us, xis, etas = (_grid(flag, spec) for flag, spec in (
+        ("--grid-u", args.grid_u), ("--grid-xi", args.grid_xi),
+        ("--grid-eta", args.grid_eta)))
     colors = np.concatenate([xis, etas])
     fam = _load_family(args, (colors.min(), colors.max()))
     points = [(u, xi, eta) for u in us for xi in xis for eta in etas]
@@ -235,8 +241,9 @@ def cmd_classify(args) -> int:
 def cmd_couplings(args) -> int:
     from .spinchain import build_chain, couplings_from_coeffs, export_matrix
 
-    fam = _load_family(args, (args.xi, args.xi))
-    m = hamiltonian_coeffs(fam, np.array([args.xi]), h=args.h).m[0]
+    xi = _finite("--xi", args.xi)
+    fam = _load_family(args, (xi, xi))
+    m = hamiltonian_coeffs(fam, np.array([xi]), h=args.h).m[0]
     # the chain form carries m7 + m8 and, on a periodic chain, m2 + m3 only
     d78, d23 = abs(m[6] - m[7]), abs(m[1] - m[2])
     if max(d78, d23) > 1e-8 * max(1.0, float(np.abs(m).max())):

@@ -181,10 +181,18 @@ class WeightFamily:
         return W, ~o.bad
 
     def analytic_coeffs(self, xi):
-        """Spectral-derivative coefficients m1..m8 at color xi, or None."""
+        """Spectral-derivative coefficients m1..m8 at color xi, or None.
+        A color at which they overflow raises PoleProximity, as in
+        ``eval``."""
         if self.spec is None:
             return None
-        return _analytic_coeffs(self.spec, complex(xi))
+        try:
+            return _analytic_coeffs(self.spec, complex(xi))
+        except CybeError:
+            raise
+        except (ArithmeticError, ValueError) as exc:
+            raise PoleProximity(f"coefficients overflow at xi = {xi}: "
+                                f"{exc}") from None
 
 
 def _sign_unit(o, t, scale):

@@ -13,7 +13,9 @@ is bit for bit the stream of per-candidate ``rng.uniform`` calls.  Every
 point of a block is evaluated in one ``WeightFamily.eval_array`` call, whose
 validity mask stands in for the per-point rejection.  A block holds the
 samples still needed at the acceptance rate seen so far, at most
-``_DRAW_MAX`` candidates, which bounds memory.
+``_DRAW_MAX`` candidates, which bounds memory.  The points of the first
+block are fixed by the plan (``first_block``), so a caller may evaluate
+them beside its own points and hand their rows to the draw.
 
 Each point is evaluated once: the sampler hands on the weights it computed,
 so the sweeps and classify's branch stage never evaluate the family
@@ -70,33 +72,57 @@ def _block_size(need: int, kept: int, attempts: int) -> int:
     return ceil(1.25 * need * attempts / kept) + 4
 
 
-def _draw(fam, plan: SamplePlan, spans, points):
+def _next_size(plan: SamplePlan, kept: int, attempts: int) -> int:
+    """Candidates in the next block of a draw, within ``_DRAW_MAX`` and the
+    attempt cap."""
+    return min(_block_size(plan.n - kept, kept, attempts), _DRAW_MAX,
+               _MAX_ATTEMPT_FACTOR * plan.n - attempts)
+
+
+def _block(rng, spans, size: int, points):
+    """``size`` candidates drawn from ``spans`` as a (size, len(spans))
+    array, and their evaluation points as (u, xi, eta) columns: the first
+    point of every candidate, then the second, and so on."""
+    lo = np.array([s[0] for s in spans], dtype=float)
+    width = np.array([s[1] - s[0] for s in spans], dtype=float)
+    S = lo + width * rng.random((size, len(spans)))
+    return S, tuple(np.concatenate(c) for c in zip(*points(*S.T)))
+
+
+def first_block(plan: SamplePlan, spans, points):
+    """The evaluation points of the first block of ``_draw``, as (u, xi,
+    eta) columns, so that a caller can evaluate them beside its own."""
+    return _block(np.random.default_rng(plan.seed), spans,
+                  _next_size(plan, 0, 0), points)[1]
+
+
+def _draw(fam, plan: SamplePlan, spans, points, first=None):
     """The rejection loop over candidates whose columns are drawn from
     ``spans``; ``points(*columns)`` gives their evaluation points.  Yields
     (samples, weights) per block of accepted candidates: a (k, len(spans))
-    array and a tuple of one (k, 8) weight array per point."""
+    array and a tuple of one (k, 8) weight array per point.  ``first``, when
+    given, holds the rows (W, ok) of ``fam`` at the ``first_block`` points,
+    which the first block reads instead of evaluating them."""
     rng = np.random.default_rng(plan.seed)
-    lo = np.array([s[0] for s in spans], dtype=float)
-    width = np.array([s[1] - s[0] for s in spans], dtype=float)
     cap = _MAX_ATTEMPT_FACTOR * plan.n
     kept = attempts = 0
     while kept < plan.n:
         if attempts >= cap:
             raise SamplingExhausted("sample rejection rate too high; widen "
                                     "the spans or relax max_weight")
-        size = min(_block_size(plan.n - kept, kept, attempts), _DRAW_MAX,
-                   cap - attempts)
-        S = lo + width * rng.random((size, len(spans)))
-        pts = points(*S.T)
-        W, ok = fam.eval_array(*(np.concatenate(c) for c in zip(*pts)))
-        ok &= np.abs(W).max(axis=1) <= plan.max_weight
-        ok = ok.reshape(len(pts), size).all(axis=0)
-        W = W.reshape(len(pts), size, 8)
+        size = _next_size(plan, kept, attempts)
+        S, columns = _block(rng, spans, size, points)
+        W, ok = (first if first is not None and not attempts
+                 else fam.eval_array(*columns))
+        ok = ok & (np.abs(W).max(axis=1) <= plan.max_weight)
+        per = len(ok) // size
+        ok = ok.reshape(per, size).all(axis=0)
+        W = W.reshape(per, size, 8)
         idx = np.flatnonzero(ok)[:plan.n - kept]
         attempts += size
         kept += len(idx)
         if len(idx):
-            yield S[idx], tuple(W[p, idx] for p in range(len(pts)))
+            yield S[idx], tuple(W[p, idx] for p in range(per))
 
 
 def _triple_points(u, v, xi, eta, lam):
@@ -114,15 +140,23 @@ def _point(u, xi, eta):
     return (u, xi, eta),
 
 
-def _triples(fam, plan: SamplePlan):
-    spans = (plan.u_span,) * 2 + (plan.color_span,) * 3
-    return _draw(fam, plan, spans, _triple_points)
+def _triple_spans(plan: SamplePlan):
+    """The spans of a triple's columns (u, v, xi, eta, lam)."""
+    return (plan.u_span,) * 2 + (plan.color_span,) * 3
 
 
-def _points(fam, plan: SamplePlan, pattern=_point_pair):
+def _point_spans(plan: SamplePlan):
+    """The spans of a point's columns (u, xi, eta)."""
+    return (plan.u_span,) + (plan.color_span,) * 2
+
+
+def _triples(fam, plan: SamplePlan, first=None):
+    return _draw(fam, plan, _triple_spans(plan), _triple_points, first)
+
+
+def _points(fam, plan: SamplePlan, pattern=_point_pair, first=None):
     """Pole-free points (u, xi, eta), each with the points of ``pattern``."""
-    spans = (plan.u_span,) + (plan.color_span,) * 2
-    return _draw(fam, plan, spans, pattern)
+    return _draw(fam, plan, _point_spans(plan), pattern, first)
 
 
 def draw_triples(fam, plan: SamplePlan):
@@ -136,13 +170,14 @@ def draw_points(fam, plan: SamplePlan):
     return [tuple(row) for S, _ in _points(fam, plan) for row in S]
 
 
-def residual_sweep(fam, plan: SamplePlan):
+def residual_sweep(fam, plan: SamplePlan, first=None):
     """Yield, for each block of the ``plan.n`` pole-free triples that the
     sampler accepts at once (at most ``_DRAW_MAX``), (U, rel, comp): the
     (B, 8) weights at (u, xi, eta), the relative residuals (B,) and the
     absolute components (B, 28), each entry bitwise equal to the
-    ``ybe_residual`` report of its triple."""
-    for _, (U, W, V) in _triples(fam, plan):
+    ``ybe_residual`` report of its triple.  ``first``: the rows of the
+    first block, as ``_draw`` takes them."""
+    for _, (U, W, V) in _triples(fam, plan, first):
         comp, scale = ybe_residuals(U, W, V)
         yield U, comp.max(axis=1) / scale, comp
 

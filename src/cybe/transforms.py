@@ -18,10 +18,14 @@ materializing closed forms impossible in general.  Every kind is one step
 of ``wrap``, written once over the operation tables of ``numkernel``; the
 wrapper keeps an array evaluator when the wrapped family has one.
 
-``gauge_reduce`` evaluates its probe points in one ``eval_array`` call, and
-the reduced family's array evaluator evaluates n points and the points
-behind M(eta), M(xi) in one call on the 3n points stacked: on a 2-vCPU Xeon
-a batch call costs 0.06-1 ms at any size, a scalar evaluation 4-35 us.
+``gauge_reduce`` evaluates its probe points and the inner points of its
+gauge check in one ``eval_array`` call, or reads their rows from the
+caller.  The reduced family at n points reads the wrapped family at their
+inner points: the points, and one anchored point per distinct color, whose
+a3/a2 is M(color).  Its array evaluator evaluates them in one call, and
+``gauge_rows`` derives the reduced rows from rows a caller evaluated
+beside its own points: on a 2-vCPU Xeon a batch call costs 0.05-2.4 ms at
+almost any size, a scalar evaluation 4-35 us.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -247,17 +252,20 @@ class GaugeCertificate:
     gauge_residual: float
 
 
-def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
-                 u_probe: complex = 0.1, color_grid=None,
-                 seed: int = 0) -> tuple[WeightFamily, GaugeCertificate]:
-    """Normalize an eight-vertex family to a2 = a3 = 1, a7 = a8.
+class _Probes(NamedTuple):
+    """The random points of one gauge reduction, drawn in order."""
 
-    The net map is a scaling by sqrt(M(eta)/M(xi))/a2 followed by a regauge
-    with N = sqrt(M) and s = sqrt(l), where M(xi) is the a3/a2 ratio against
-    the color anchor and l the constant in a8/a7 = l M(xi) M(eta).  For true
-    solutions the ratio f = a3/a2 is u-independent and multiplicative; both
-    facts are checked and certified.
-    """
+    points: list          # the probes, in the order they are read
+    n_mag: int            # magnitude probes, first in ``points``
+    n_cocycle: int        # cocycle triples, three points each
+    nu: list              # (u, xi) of the nu diagnostic
+    l: list               # (u, xi, eta) of the constant l
+    checks: list          # (u, xi, eta) of the gauge check
+    m_colors: list        # colors x of the M(x) probes, last in ``points``
+    grid: np.ndarray
+
+
+def _probes(anchor, u_probe, color_grid, seed) -> _Probes:
     rng = np.random.default_rng(seed)
     if color_grid is None:
         color_grid = np.linspace(-0.45, 0.45, 7)
@@ -265,46 +273,158 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
     clo, chi = float(color_grid.min()), float(color_grid.max())
     up = abs(complex(u_probe))
 
-    def draw_u(n):
-        return up * rng.uniform(0.5, 2.0, n)
+    def draw(k, n_u, n_colors):
+        """k rows of n_u draws of u in up * [0.5, 2) and n_colors colors in
+        [clo, chi), as rng.uniform draws them one by one."""
+        R = rng.random((k, n_u + n_colors))
+        return np.hstack([up * (0.5 + 1.5 * R[:, :n_u]),
+                          clo + (chi - clo) * R[:, n_u:]])
 
-    def draw_color(n):
-        return rng.uniform(clo, chi, n)
-
-    mag_pts = [(complex(u_probe) * (0.6 + 0.8 * rng.random()), xi, eta)
-               for xi in color_grid for eta in color_grid[::2]]
-    cocycle = [(*draw_u(2), *draw_color(3)) for _ in range(12)]
-    nu_pts = [(float(draw_u(1)[0]), float(draw_color(1)[0])) for _ in range(6)]
-    l_pts = [(float(draw_u(1)[0]), *draw_color(2)) for _ in range(6)]
-    gauge_pts = [(float(draw_u(1)[0]), *draw_color(2)) for _ in range(8)]
+    spread = 0.6 + 0.8 * rng.random(len(color_grid) * len(color_grid[::2]))
+    mag_pts = [(complex(u_probe) * s, xi, eta) for s, (xi, eta) in zip(
+        spread, itertools.product(color_grid, color_grid[::2]))]
+    cocycle = draw(12, 2, 3)
+    nu_pts = [(float(u), float(xi)) for u, xi in draw(6, 1, 1)]
+    l_pts = [(float(u), xi, eta) for u, xi, eta in draw(6, 1, 2)]
+    gauge_pts = [(float(u), xi, eta) for u, xi, eta in draw(8, 1, 2)]
     m_colors = [*np.ravel([p[1:] for p in l_pts + gauge_pts]), *color_grid]
     pts = (mag_pts
            + [p for u, v, xi, eta, lam in cocycle
               for p in ((u + v, xi, lam), (u, xi, eta), (v, eta, lam))]
            + [(u, xi, xi) for u, xi in nu_pts] + l_pts
            + [(u_probe, x, anchor) for x in m_colors])
-    W, ok = fam.eval_array(*map(np.array, zip(*pts)))
-    # rows in probe order; a point marked in W raises its own error in turn
-    rows = (W[i] if ok[i] else fam.eval(*p).a for i, p in enumerate(pts))
-    m_row = {x: i for i, x in enumerate(m_colors, len(pts) - len(m_colors))}
+    return _Probes(pts, len(mag_pts), len(cocycle), nu_pts, l_pts, gauge_pts,
+                   m_colors, color_grid)
 
-    mags = [np.abs(next(rows)) for _ in mag_pts]
+
+def _columns(points):
+    """(u, xi, eta) columns of a list of points."""
+    return tuple(map(np.array, zip(*points)))
+
+
+def _probe_columns(p: _Probes, u_probe, anchor):
+    """The points gauge_reduce evaluates: the probes, then the inner points
+    of the gauge check, as (u, xi, eta) columns; and the check's index."""
+    inner, index = anchored_points(*_columns(p.checks), u_probe, anchor)
+    return (tuple(np.concatenate(c) for c in zip(_columns(p.points), inner)),
+            index)
+
+
+def gauge_points(anchor: complex = 0.0, u_probe: complex = 0.1,
+                 color_grid=None, seed: int = 0):
+    """The (u, xi, eta) columns of the points that ``gauge_reduce`` with
+    these arguments evaluates: its probes, then the inner points of its
+    gauge check.  A caller that evaluates them beside its own points passes
+    their rows to ``gauge_reduce`` as ``rows``."""
+    return _probe_columns(_probes(anchor, u_probe, color_grid, seed),
+                          u_probe, anchor)[0]
+
+
+def anchored_points(u, xi, eta, u_probe, anchor):
+    """The inner points of the gauge form at n points (u, xi, eta): the
+    points themselves, then one anchored point (u_probe, c, anchor), whose
+    a3/a2 is M(c), for each distinct color c of xi and eta (equal bits).
+    Returns their (u, xi, eta) columns and the indices (i_eta, i_xi) of the
+    rows of M(eta) and M(xi) of each point."""
+    n = len(u)
+    colors = np.concatenate([xi, eta]).astype(complex)
+    _, first, inverse = np.unique(colors.view(np.dtype((np.void, 16))),
+                                  return_index=True, return_inverse=True)
+    k = len(first)
+    i_xi, i_eta = n + inverse.reshape(2, n)
+    return ((np.concatenate([u, np.full(k, u_probe, dtype=complex)]),
+             np.concatenate([xi, colors[first]]),
+             np.concatenate([eta, np.full(k, anchor, dtype=complex)])),
+            (i_eta, i_xi))
+
+
+def _ratio(o, w):
+    """a3/a2 of the weight columns w."""
+    return w[2] / _nonzero(o, w[1], "a2")
+
+
+def _gauge_weights(o, w, a2, m_eta, m_xi, l):
+    """The gauge form of the weight columns w at a point, from their a2
+    (checked nonzero), M(eta), M(xi) and the constant l."""
+    sqrt_l = complex(np.sqrt(l))
+    sqrt_eta, sqrt_xi = o.npsqrt(m_eta), o.npsqrt(m_xi)
+    r = sqrt_eta / sqrt_xi
+    g = r / a2
+    my = sqrt_eta ** 2
+    return [
+        w[0] * g,
+        1.0,
+        (w[2] / a2) * r * r,
+        w[3] * g,
+        w[4] * g,
+        w[5] * g,
+        w[6] / a2 * sqrt_l * my,
+        w[7] / a2 / (sqrt_l * my) * r * r,
+    ]
+
+
+def _from_inner(o, W, bad, index, l):
+    """The gauge form at the n points of the Batch ``o`` from the family's
+    rows W at their inner points, with ``index`` of ``anchored_points``.
+    A point is marked when one of its three rows is marked in ``bad``."""
+    i_eta, i_xi = index
+    n = o.n
+    o._flag(bad[:n] | bad[i_eta] | bad[i_xi])
+    w = o.columns(W[:n])
+    a2 = _nonzero(o, w[1], "a2")
+    return _gauge_weights(o, w, a2, _ratio(o, o.columns(W[i_eta])),
+                          _ratio(o, o.columns(W[i_xi])), l)
+
+
+def gauge_rows(W, ok, index, l):
+    """The rows (W, ok) of a gauge form of constant l (``GaugeCertificate.
+    l_constant``) at n points, from the family's rows (W, ok) at their inner
+    points and the ``index`` of ``anchored_points``: bit for bit what the
+    reduced family's ``eval_array`` gives at the n points."""
+    o = Batch(len(index[0]))
+    with np.errstate(all="ignore"):
+        W = o.pack(_from_inner(o, W, ~ok, index, l))
+    return W, ~o.bad
+
+
+def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
+                 u_probe: complex = 0.1, color_grid=None,
+                 seed: int = 0, rows=None
+                 ) -> tuple[WeightFamily, GaugeCertificate]:
+    """Normalize an eight-vertex family to a2 = a3 = 1, a7 = a8.
+
+    The net map is a scaling by sqrt(M(eta)/M(xi))/a2 followed by a regauge
+    with N = sqrt(M) and s = sqrt(l), where M(xi) is the a3/a2 ratio against
+    the color anchor and l the constant in a8/a7 = l M(xi) M(eta).  For true
+    solutions the ratio f = a3/a2 is u-independent and multiplicative; both
+    facts are checked and certified.
+
+    The points are ``gauge_points`` of the same arguments, evaluated in one
+    ``eval_array`` call, or read from ``rows``, their rows (W, ok) of
+    ``fam``, when the caller has evaluated them.
+    """
+    p = _probes(anchor, u_probe, color_grid, seed)
+    columns, check_index = _probe_columns(p, u_probe, anchor)
+    W, ok = fam.eval_array(*columns) if rows is None else rows
+    n = len(p.points)
+    # rows in probe order; a point marked in W raises its own error in turn
+    probe_rows = (W[i] if ok[i] else fam.eval(*q).a
+                  for i, q in enumerate(p.points))
+    m_row = {x: i for i, x in enumerate(p.m_colors, n - len(p.m_colors))}
+
+    mags = [np.abs(next(probe_rows)) for _ in range(p.n_mag)]
     dead = vanishing_weights(np.max(mags, axis=0))
     if dead:
         raise NotEightVertex(f"weights {dead} vanish identically on samples")
 
-    def ratio(o, w):
-        """a3/a2 of the weight columns w."""
-        return w[2] / _nonzero(o, w[1], "a2")
-
     def f_ratio(a):
-        return ratio(SCALAR, a.tolist())
+        return _ratio(SCALAR, a.tolist())
 
     # cocycle check: f(u+v,xi,lam) = f(u,xi,eta) f(v,eta,lam)
     defect = 0.0
-    for _ in cocycle:
-        lhs = f_ratio(next(rows))
-        rhs = f_ratio(next(rows)) * f_ratio(next(rows))
+    for _ in range(p.n_cocycle):
+        lhs = f_ratio(next(probe_rows))
+        rhs = f_ratio(next(probe_rows)) * f_ratio(next(probe_rows))
         defect = max(defect, abs(lhs - rhs))
     if defect > 1e-8:
         raise MultiplicativityViolation(
@@ -313,8 +433,8 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
 
     # nu diagnostic: f(u,xi,xi) = exp(nu u) for near-solutions
     nus = []
-    for u, _ in nu_pts:
-        val = f_ratio(next(rows))
+    for u, _ in p.nu:
+        val = f_ratio(next(probe_rows))
         if abs(val) > _ZERO_TOL:
             nus.append(np.log(complex(val)) / u)
     nu = complex(np.mean(nus)) if nus else 0j
@@ -326,54 +446,36 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
                        else fam.eval(u_probe, x, anchor).a)
 
     l_vals = []
-    for _, xi, eta in l_pts:
-        w = next(rows).tolist()
+    for _, xi, eta in p.l:
+        w = next(probe_rows).tolist()
         l_vals.append((w[7] / _nonzero(SCALAR, w[6], "a7"))
                       / (M(xi) * M(eta)))
     l = complex(np.mean(l_vals))
-    sqrt_l = complex(np.sqrt(l))
 
     def reduced(o, base, u, xi, eta):
         if o is SCALAR:
             w = o.columns(base(u, xi, eta))
             a2 = _nonzero(o, w[1], "a2")
-            m_eta, m_xi = M(eta), M(xi)
-        else:
-            # the point and the anchored points of M(eta), M(xi) in one call
-            s = Batch(3 * o.n)
-            here, *anchored = np.split(fam.batch(s, *(
-                s.lift(np.concatenate([o.complex(c) for c in col]))
-                for col in zip((u, xi, eta), (u_probe, eta, anchor),
-                               (u_probe, xi, anchor)))), 3)
-            o._flag(s.bad.reshape(3, o.n).any(axis=0))
-            w = o.columns(here)
-            a2 = _nonzero(o, w[1], "a2")
-            m_eta, m_xi = (ratio(o, o.columns(A)) for A in anchored)
-        sqrt_eta, sqrt_xi = o.npsqrt(m_eta), o.npsqrt(m_xi)
-        r = sqrt_eta / sqrt_xi
-        g = r / a2
-        my = sqrt_eta ** 2
-        return [
-            w[0] * g,
-            1.0,
-            (w[2] / a2) * r * r,
-            w[3] * g,
-            w[4] * g,
-            w[5] * g,
-            w[6] / a2 * sqrt_l * my,
-            w[7] / a2 / (sqrt_l * my) * r * r,
-        ]
+            return _gauge_weights(o, w, a2, M(eta), M(xi), l)
+        # the points and their anchored points in one call
+        inner, index = anchored_points(*map(o.complex, (u, xi, eta)),
+                                       u_probe, anchor)
+        s = Batch(len(inner[0]))
+        return _from_inner(o, fam.batch(s, *map(s.lift, inner)), s.bad,
+                           index, l)
 
     out = wrap(fam, reduced, f"gauge_reduce({fam.label})", gauge=True)
     gauge_res = 0.0
-    for p in gauge_pts:
-        w = out.eval(*p)
-        gauge_res = max(gauge_res, abs(w.a2 - 1), abs(w.a3 - 1),
-                        abs(w.a7 - w.a8))
+    checked = gauge_rows(W[n:], ok[n:], check_index, l)
+    # a point marked in the check's rows raises its own error in turn
+    for q, w, good in zip(p.checks, *checked):
+        a = (w if good else out.eval(*q).a).tolist()
+        gauge_res = max(gauge_res, abs(a[1] - 1), abs(a[2] - 1),
+                        abs(a[6] - a[7]))
 
     cert = GaugeCertificate(
         anchor=complex(anchor), u_probe=complex(u_probe),
-        M_samples={float(x): M(float(x)) for x in color_grid},
+        M_samples={float(x): M(float(x)) for x in p.grid},
         l_constant=l, nu_estimate=nu,
         multiplicativity_defect=float(defect),
         gauge_residual=float(gauge_res),

@@ -26,8 +26,9 @@ from cybe import (ColorProfile, CybeError, FamilyId, FamilySpec, Pipeline,
 from cybe.cli import _perturbed
 from cybe.numkernel import (_NEAR_ONE, SCALAR, Batch, Split, _ladder,
                             jacobi_sncndn)
-from cybe.sampling import (_DRAW_MAX, _points, _triple_points, _triples,
-                           draw_points, draw_triples, residual_sweep)
+from cybe.sampling import (_DRAW_MAX, _point_pair, _points, _triple_points,
+                           _triples, draw_points, draw_triples,
+                           residual_sweep)
 
 from conftest import CANONICAL_SPECS, random_spec
 
@@ -456,6 +457,43 @@ def test_sampler_matches_oracle(name, plan):
     assert [tuple(row) for row in S] == [s for s, _ in want]
     assert_same_arrays((W, Wr), [np.array([ws[k].a for _, ws in want])
                                  for k in range(2)])
+
+
+@pytest.mark.parametrize("plan, blocks", [
+    (SamplePlan(n=60, seed=5, max_weight=1.1), "several"),
+    (SamplePlan(n=3, seed=1, max_weight=0.9), "exhausted"),
+], ids=["first_block_short", "exhausted"])
+@pytest.mark.parametrize("name", ["ff_elliptic", "perturb(ff_elliptic)",
+                                  "gauge_reduce(baxter_elliptic)"])
+def test_draw_with_a_pre_evaluated_first_block(name, plan, blocks,
+                                               monkeypatch):
+    """``_draw`` that reads the rows of its first block from the caller
+    yields the blocks it yields when it evaluates them, and runs dry at
+    the same attempt, with one ``eval_array`` call fewer."""
+    fam = FAMILIES[name]
+    for spans, pattern in ((sampling._triple_spans(plan), _triple_points),
+                           (sampling._point_spans(plan), _point_pair)):
+        first = fam.eval_array(*sampling.first_block(plan, spans, pattern))
+        calls = collections.Counter()
+        batched = WeightFamily.eval_array
+
+        def counted(self, *args):
+            calls[run] += 1
+            return batched(self, *args)
+        monkeypatch.setattr(WeightFamily, "eval_array", counted)
+        got = {}
+        for run in (None, "first"):
+            got[run] = outcome(lambda: [
+                (S, *W) for S, W in sampling._draw(
+                    fam, plan, spans, pattern, first if run else None)])
+        monkeypatch.undo()
+        if blocks == "exhausted":
+            assert got[None] is got["first"] is SamplingExhausted
+        else:
+            assert len(got["first"]) == len(got[None])
+            for want, have in zip(got[None], got["first"]):
+                assert_same_arrays(have, want)
+        assert calls[None] > 1 and calls["first"] == calls[None] - 1
 
 
 def _scales(fam, plan, oracle, count):

@@ -2,7 +2,6 @@
 and the verdict pipeline across every built-in family."""
 
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from cybe import (ClassifyPlan, SpectralProfile, StepUnstable, TransformSpec,
                   invariant_suite, jacobi_sncndn, make_family)
 from cybe.classify import _N_POINTS, elliptic_ff_identities
 from cybe.families import FAMILY_CLASS, FamilyId, WeightFamily
+from cybe.sampling import _point, _point_spans, first_block
 
 from conftest import (CANONICAL_SPECS, baxter_elliptic_spec,
                       ff_elliptic_spec, ff_hyperbolic_spec, ff_trig_spec,
@@ -234,58 +234,97 @@ def test_classify_scale_regauge_meets_the_initial_value(fid):
     assert [n.split(" ")[0] for n in rep.notes] == ["gauge-reduced"]
 
 
-CLASSIFY_PY = sys.modules["cybe.classify"].__file__
-SAMPLING_PY = sys.modules["cybe.sampling"].__file__
+def outermost_calls(monkeypatch):
+    """Counts of the outermost ``eval_array`` and ``eval`` calls on any
+    family from now on: a call made inside another is not counted."""
+    counts = {"eval_array": 0, "eval": 0}
+    depth = [0]
+    for name in counts:
+        method = getattr(WeightFamily, name)
 
-
-def _callers(module_file):
-    """Names of the functions of a module on the caller's call stack."""
-    frame, names = sys._getframe(2), []
-    while frame is not None:
-        if frame.f_code.co_filename == module_file:
-            names.append(frame.f_code.co_name)
-        frame = frame.f_back
-    return names
+        def counted(self, *args, _method=method, _name=name):
+            counts[_name] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return _method(self, *args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(WeightFamily, name, counted)
+    return counts
 
 
 @pytest.mark.parametrize("fid", ALL_IDS)
 def test_classify_evaluates_points_only_for_the_initial_value(
         fid, monkeypatch):
-    """Every other stage of a gauge family reads the sweep's weights or
-    analytic coefficients."""
+    """The initial value was the last stage to evaluate points on their
+    own.  Now every point of a plain family (the sweep's first block, the
+    initial value and the branch block) is in one ``eval_array`` call, and
+    no stage calls the scalar ``eval``."""
     fam = make_family(CANONICAL_SPECS[fid]())
-    calls = []
-    scalar = WeightFamily.eval
+    calls = outermost_calls(monkeypatch)
+    rep = classify(fam, ClassifyPlan(n_ybe=40, seed=3))
+    assert rep.verdict.value == FAMILY_CLASS[fid]
+    assert calls == {"eval_array": 1, "eval": 0}
 
-    def recording(self, u, xi, eta):
-        if self is fam:
-            calls.append(_callers(CLASSIFY_PY))
-        return scalar(self, u, xi, eta)
-    monkeypatch.setattr(WeightFamily, "eval", recording)
-    classify(fam, ClassifyPlan(n_ybe=40, seed=3))
-    assert 8 <= len(calls) <= 16
-    assert all(c[0] == "distance" and "_initial_condition_residual" in c
-               for c in calls)
+
+@pytest.mark.parametrize("fid", GAUGE_IDS)
+def test_classify_gauge_reduces_a_pipeline_in_one_call(fid, monkeypatch):
+    """Under scale+regauge the family claims no gauge form and has no
+    spec, so the sweep's block, gauge_reduce's points and the inner points
+    of the gauge form go in one call; the reduced rows are derived from
+    them."""
+    fam = apply(SCALE_REGAUGE, make_family(CANONICAL_SPECS[fid]()))
+    calls = outermost_calls(monkeypatch)
+    rep = classify(fam, ClassifyPlan(n_ybe=100, seed=3))
+    assert rep.verdict.value == FAMILY_CLASS[fid]
+    assert not rep.is_gauge and rep.initial_condition_ok
+    assert calls == {"eval_array": 1, "eval": 0}
+
+
+def _guesses():
+    ff = apply(SCALE_REGAUGE, make_family(ff_elliptic_spec()))
+    trivial = apply(TransformSpec("swap_14_56"),
+                    make_family(CANONICAL_SPECS[FamilyId.TRIVIAL_B]()))
+    return [
+        # claims gauge form, but its sweep is not: a second call reduces it
+        (dataclasses.replace(ff, gauge=True), 2),
+        # claims none and has no spec, but its sweep is gauge: its own rows
+        # lead the inner points of the one call
+        (trivial, 1),
+    ]
+
+
+@pytest.mark.parametrize("fam, calls", _guesses(),
+                         ids=["claims_gauge_form", "gauge_rows_unclaimed"])
+def test_a_wrong_guess_costs_at_most_one_call(fam, calls, monkeypatch):
+    """Which points go in the first call is guessed from the family's gauge
+    flag and spec; a wrong guess changes no value."""
+    plan = ClassifyPlan(n_ybe=40, seed=3)
+    want = classify(dataclasses.replace(fam, gauge=not fam.gauge), plan)
+    counts = outermost_calls(monkeypatch)
+    assert repr(classify(fam, plan)) == repr(want)
+    assert counts == {"eval_array": calls, "eval": 0}
 
 
 @pytest.mark.parametrize("fid", GAUGE_IDS)
 def test_branch_stage_samples_single_points(fid, monkeypatch):
     """The branch conditions read one point per sample: no unitarity
-    partner (-u, eta, xi) is evaluated beside it."""
+    partner (-u, eta, xi) of a branch point is evaluated beside it."""
     fam = make_family(CANONICAL_SPECS[fid]())
-    branch = []
+    evaluated = set()
     batched = WeightFamily.eval_array
 
     def recording(self, u, xi, eta):
-        stack = _callers(SAMPLING_PY)
-        if "_draw" in stack and "residual_sweep" not in stack:
-            branch.append(list(zip(u, xi, eta)))
+        evaluated.update(zip(u, xi, eta))
         return batched(self, u, xi, eta)
     monkeypatch.setattr(WeightFamily, "eval_array", recording)
-    classify(fam, ClassifyPlan(n_ybe=40, seed=3))
-    assert branch and sum(map(len, branch)) >= _N_POINTS
-    for points in branch:
-        assert not set(points) & {(-u, eta, xi) for u, xi, eta in points}
+    plan = ClassifyPlan(n_ybe=40, seed=3)
+    classify(fam, plan)
+    branch = plan.sample_plan(_N_POINTS)
+    u, xi, eta = first_block(branch, _point_spans(branch), _point)
+    assert len(u) >= _N_POINTS
+    assert set(zip(u, xi, eta)) <= evaluated
+    assert not evaluated & set(zip(-u, eta, xi))
 
 
 def test_classify_random_parameterizations(rng):

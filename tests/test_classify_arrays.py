@@ -18,7 +18,8 @@ from cybe import (CybeError, MultiplicativityViolation, NotEightVertex,
                   ZeroDivisor, apply, gauge_reduce, hamiltonian_coeffs,
                   make_family)
 from cybe.numkernel import SCALAR
-from cybe.transforms import (_ZERO_TOL, GaugeCertificate, _nonzero, wrap)
+from cybe.transforms import (_ZERO_TOL, GaugeCertificate, _nonzero,
+                             anchored_points, gauge_rows, wrap)
 from cybe.weights import vanishing_weights
 
 from conftest import CANONICAL_SPECS
@@ -284,6 +285,38 @@ def test_reduced_array_marks_planted_anchored_failures():
     assert ok.tolist() == [i % 5 == 4 for i in range(n)]
     with pytest.raises(PoleProximity, match="planted pole"):
         red.eval(0.2, x0, 0.1)
+
+
+@pytest.mark.parametrize("fid", GAUGE_IDS)
+def test_gauge_rows_from_inner_rows_are_the_reduced_rows(fid):
+    """The rows that classify derives from the family's rows at the inner
+    points are the reduced family's ``eval_array`` rows, values and mask,
+    and each is its ``eval``: with a pole at a point, at the anchored point
+    of a color that half the points share, and a2 ~ 0 at the anchored
+    point of another."""
+    fam = VARIANTS[f"scale_regauge({fid.value})"]
+    rng = np.random.default_rng(5)
+    n = 40
+    u = rng.uniform(-0.35, 0.35, n)
+    xi = rng.uniform(-0.5, 0.5, n)
+    eta = rng.uniform(-0.5, 0.5, n)
+    xi[::4] = eta[1::4] = xi[0]        # a color shared by many points
+    fam = planted(fam, poles=[(u[2], xi[2], eta[2]), (0.14, xi[0], 0.0)],
+                  zero_a2=[(0.14, eta[6], 0.0)])
+    red, cert = gauge_reduce(fam, **PROBE)
+    inner, index = anchored_points(u, xi, eta, PROBE["u_probe"],
+                                   PROBE["anchor"])
+    # one anchored point per distinct color
+    assert len(inner[0]) == n + len(set(xi) | set(eta))
+    W, ok = gauge_rows(*fam.eval_array(*inner), index, cert.l_constant)
+    Wr, okr = red.eval_array(u, xi, eta)
+    assert np.array_equal(ok, okr)
+    assert np.array_equal(bits(W[ok]), bits(Wr[ok]))
+    marked = {2} | {i for i in range(n) if xi[0] in (xi[i], eta[i])
+                    or eta[6] in (xi[i], eta[i])}
+    assert len(marked) > n // 2
+    assert set(np.flatnonzero(~ok)) == marked
+    assert np.array_equal(ok, assert_batch_is_scalar(red, u, xi, eta))
 
 
 # ---- errors ----

@@ -547,6 +547,37 @@ def test_grid_without_colors_exit_2(grid, capsys):
         2, "", f"error: grid must be 'start:stop:count', got {grid!r}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["couplings", "--xi", "nan"], "--xi must be a finite number, got nan"),
+    (["couplings", "--xi", "inf"], "--xi must be a finite number, got inf"),
+    (["couplings", "--xi", "-inf"],
+     "--xi must be a finite number, got -inf"),
+    (["eval", "--grid-xi", "nan:nan:1"],
+     "--grid-xi start must be a finite number, got nan"),
+    (["transform", "--grid-eta=-0.1:inf:2"],
+     "--grid-eta stop must be a finite number, got inf"),
+    (["eval", "--grid-u", "0:1e999:3"],
+     "--grid-u stop must be a finite number, got inf"),
+], ids=["couplings_xi_nan", "couplings_xi_inf", "couplings_xi_negative_inf",
+        "eval_grid_xi_nan", "transform_grid_eta_inf", "eval_grid_u_overflow"])
+def test_non_finite_color_exit_2(argv, message, capsys):
+    """A color or grid endpoint that is not finite is a malformed flag."""
+    assert run_cli(argv + ["--spec", _FF_TRIG], capsys) == (
+        2, "", f"error: {message}\n")
+
+
+def test_overflowing_color_is_a_pole_exit_3(capsys):
+    """G = cosh(0.8 x + 0.4) overflows at x = 1e308: its coefficients are
+    a named pole error, not a traceback."""
+    code, out, err = run_cli(["couplings", "--spec", _FF_TRIG,
+                              "--xi", "1e308"], capsys)
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == (
+        "error: coefficients overflow at xi = 1e+308: math range error")
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        "warning", "error"]
+
+
 def test_couplings_of_a_non_gauge_family_exit_2(capsys):
     """After regauge, a7 != a8: the chain form cannot carry m7 - m8."""
     regauge = ('[{"kind":"regauge","N":{"preset":"exp","params":[0.7,0.1]},'
