@@ -132,26 +132,9 @@ def _grid(flag: str, spec: str) -> np.ndarray:
                        _finite(f"{flag} stop", hi), n)
 
 
-def _weight_rows(fam: WeightFamily, points):
-    rows = []
-    for (u, xi, eta) in points:
-        w = fam.eval(u, xi, eta)
-        row = {"u": u, "xi": xi, "eta": eta}
-        for i in range(8):
-            row[f"a{i+1}_re"] = w.a[i].real
-            row[f"a{i+1}_im"] = w.a[i].imag
-        rows.append(row)
-    return rows
-
-
-def _write_rows(rows, args) -> None:
-    if args.format == "csv":
-        header = list(rows[0].keys()) if rows else []
-        lines = [",".join(header)]
-        lines += [",".join(repr(r[k]) for k in header) for r in rows]
-        _write("\n".join(lines) + "\n", args)
-    else:
-        _emit({"rows": rows}, args)
+#: the columns of an eval/transform row, in output order
+_COLUMNS = ("u", "xi", "eta", *(f"a{i}_{part}" for i in range(1, 9)
+                                for part in ("re", "im")))
 
 
 def cmd_eval(args) -> int:
@@ -160,8 +143,20 @@ def cmd_eval(args) -> int:
         ("--grid-eta", args.grid_eta)))
     colors = np.concatenate([xis, etas])
     fam = _load_family(args, (colors.min(), colors.max()))
-    points = [(u, xi, eta) for u in us for xi in xis for eta in etas]
-    _write_rows(_weight_rows(fam, points), args)
+    # raveled, the grid runs eta fastest, then xi, then u
+    u, xi, eta = (g.ravel() for g in np.meshgrid(us, xis, etas,
+                                                  indexing="ij"))
+    W, ok = fam.eval_array(u, xi, eta)
+    # a marked point raises its own error in loop order
+    for i in np.flatnonzero(~ok):
+        W[i] = fam.eval(u[i], xi[i], eta[i]).a
+    rows = np.column_stack([u, xi, eta,
+                            np.ascontiguousarray(W).view(float)]).tolist()
+    if args.format == "csv":
+        lines = [",".join(_COLUMNS), *(",".join(map(repr, r)) for r in rows)]
+        _write("\n".join(lines) + "\n", args)
+    else:
+        _emit({"rows": [dict(zip(_COLUMNS, r)) for r in rows]}, args)
     return 0
 
 

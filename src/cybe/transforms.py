@@ -287,7 +287,7 @@ def _probes(anchor, u_probe, color_grid, seed) -> _Probes:
     nu_pts = [(float(u), float(xi)) for u, xi in draw(6, 1, 1)]
     l_pts = [(float(u), xi, eta) for u, xi, eta in draw(6, 1, 2)]
     gauge_pts = [(float(u), xi, eta) for u, xi, eta in draw(8, 1, 2)]
-    m_colors = [*np.ravel([p[1:] for p in l_pts + gauge_pts]), *color_grid]
+    m_colors = [*np.ravel([p[1:] for p in l_pts]), *color_grid]
     pts = (mag_pts
            + [p for u, v, xi, eta, lam in cocycle
               for p in ((u + v, xi, lam), (u, xi, eta), (v, eta, lam))]

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, determinism, output formats."""
 
 import argparse
+import io
 import json
 import subprocess
 import sys
@@ -89,14 +90,36 @@ def test_eval_grid_size_and_determinism(tmp_path, capsys):
 
 
 def test_eval_csv(tmp_path, capsys):
+    """A CSV reader loads the table, bit for bit the JSON rows."""
     path = spec_file(tmp_path, baxter_elliptic_spec())
+    grid = ["--grid-u", "0:0.2:2", "--grid-xi=-0.3:0.3:2",
+            "--grid-eta", "0.1:0.1:1"]
     code, out, _ = run_cli(["eval", "--spec", path, "--format", "csv",
-                            "--grid-u", "0:0.2:2", "--grid-xi", "0:0:1",
-                            "--grid-eta", "0:0:1"], capsys)
+                            *grid], capsys)
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("u,xi,eta,a1_re")
-    assert len(lines) == 3
+    header = out.splitlines()[0].split(",")
+    assert header[:5] == ["u", "xi", "eta", "a1_re", "a1_im"]
+    table = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+    code, out, _ = run_cli(["eval", "--spec", path, *grid], capsys)
+    rows = np.array([[r[k] for k in header] for r in json.loads(out)["rows"]])
+    assert table.shape == (4, 19)
+    assert table.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("grid_u, w", [
+    (f"{-np.pi/2}:{np.pi/2}:2", "-1.5707963267948966"),
+    (f"{np.pi/2}:{-np.pi/2}:2", "1.5707963267948966"),
+], ids=["first_u", "last_u"])
+def test_eval_names_the_first_pole_in_loop_order(grid_u, w, capsys):
+    """Both u are poles, at every xi: the error names the first."""
+    from cybe import ColorProfile, FamilyId, FamilySpec
+    spec = FamilySpec(family=FamilyId.FF_HYPERBOLIC, lam=0.4, mu=1.0,
+                      G=ColorProfile("linear", (0.0,)))
+    code, out, err = run_cli(["eval", "--spec", json.dumps(spec_to_json(spec)),
+                              f"--grid-u={grid_u}", "--grid-xi", "0.1:0.3:2",
+                              "--grid-eta", "0.1:0.1:1"], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: cos vanishes near w = ({w}+0j)\n"
 
 
 def test_verify_pass_and_fail(tmp_path, capsys):

@@ -46,6 +46,27 @@ def test_golden(case, monkeypatch):
                                  case["stderr"])
 
 
+def test_scalar_eval_only_names_errors(monkeypatch):
+    """The scalar ``WeightFamily.eval`` runs only to name the error of a
+    point an array call marked: no case that exits 0 or 1 calls it, and a
+    grid of ``eval`` or ``transform`` is one ``eval_array`` call."""
+    from test_classify import outermost_calls
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = outermost_calls(monkeypatch)
+    made = {}
+    for case in CASES:
+        before = dict(calls)
+        code = run(case["argv"])[0]
+        made[case["name"]] = (code, calls["eval"] - before["eval"],
+                              calls["eval_array"] - before["eval_array"])
+    assert [name for name, (code, n, _) in made.items()
+            if code in (0, 1) and n] == []
+    assert {made[c["name"]][2] for c in CASES if c["exit"] == 0
+            and c["argv"][0] in ("eval", "transform")
+            and "--help" not in c["argv"]} == {1}
+    assert made["error_pole"] == (3, 1, 1)
+
+
 def _dynamic_openblas() -> bool:
     """Whether numpy's BLAS is an OpenBLAS that picks its kernels at run
     time, so OPENBLAS_CORETYPE selects them."""
