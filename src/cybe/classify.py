@@ -27,8 +27,8 @@ from .errors import CybeError, StepUnstable
 from .families import FamilyId, WeightFamily
 from .numkernel import Split, jacobi_sncndn
 from .sampling import (SamplePlan, _point, _point_spans, _points,
-                       _triple_points, _triple_spans, first_block,
-                       residual_sweep)
+                       _triple_points, _triple_spans, evaluate_groups,
+                       first_block, residual_sweep, split_rows)
 from .transforms import anchored_points, gauge_points, gauge_reduce, gauge_rows
 from .weights import (WeightVector, _gauge_rows, baxter_curve_residual,
                       free_fermion_residual, vanishing_weights)
@@ -455,25 +455,6 @@ def _reduction_points(reduction: dict, stages: dict):
     return {"probes": gauge_points(**reduction), "inner": inner}, index
 
 
-def _split(rows, groups: dict) -> dict:
-    """The rows (W, ok) of each named group of points, (u, xi, eta)
-    columns, from the rows of the groups in order (and of any points after
-    them)."""
-    W, ok = rows
-    out, start = {}, 0
-    for name, (u, _, _) in groups.items():
-        out[name] = W[start:start + len(u)], ok[start:start + len(u)]
-        start += len(u)
-    return out
-
-
-def _evaluate(fam: WeightFamily, groups: dict) -> dict:
-    """The rows (W, ok) of ``fam`` at each named group of points from one
-    ``eval_array`` call."""
-    return _split(fam.eval_array(*map(np.concatenate, zip(*groups.values()))),
-                  groups)
-
-
 def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
              ) -> ClassificationReport:
     """Decide the solution type of a weight family.
@@ -509,9 +490,10 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     # ``inner`` holds the points of its reduction and their index
     inner = (None if fam.gauge or fam.spec is not None
              else _reduction_points(reduction, stages))
-    rows = _evaluate(fam, {"sweep": first_block(sweep, _triple_spans(sweep),
-                                                _triple_points)}
-                     | (direct if inner is None else inner[0]))
+    rows = evaluate_groups(
+        fam, {"sweep": first_block(sweep, _triple_spans(sweep),
+                                   _triple_points)}
+        | (direct if inner is None else inner[0]))
 
     blocks = list(residual_sweep(fam, sweep, rows["sweep"]))
     U = np.concatenate([U for U, _, _ in blocks])
@@ -532,11 +514,11 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     work = fam
     if base["is_gauge"]:
         # the inner points of a point begin with the point itself
-        at = rows if inner is None else _split(rows["inner"], stages)
+        at = rows if inner is None else split_rows(rows["inner"], stages)
     else:
         if inner is None:
             inner = _reduction_points(reduction, stages)
-            rows |= _evaluate(fam, inner[0])
+            rows |= evaluate_groups(fam, inner[0])
         try:
             work, cert = gauge_reduce(fam, **reduction, rows=rows["probes"])
             notes.append(f"gauge-reduced (residual {cert.gauge_residual:.2e})")
@@ -544,8 +526,8 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
             return ClassificationReport(
                 Verdict.INDETERMINATE,
                 notes=(f"gauge reduction failed: {exc}",), **base)
-        at = _split(gauge_rows(*rows["inner"], inner[1], cert.l_constant),
-                    stages)
+        at = split_rows(
+            gauge_rows(*rows["inner"], inner[1], cert.l_constant), stages)
 
     ic_res = _initial_condition_residual(*at["ic"])
     ic_ok = bool(ic_res <= 1e-8)

@@ -10,7 +10,8 @@ solution verdict), 1 verification failure or non-solution verdict,
 --tol negative or non-finite, a non-finite --u-span, --color-span,
 --perturb DELTA, --xi or grid endpoint, a flag the command does not
 take) / a couplings family that is not a gauge family, 3 pole or
-overflow at a requested point, 4 NOT_EIGHT_VERTEX, 5 INDETERMINATE,
+overflow at a requested point, or a scale or regauge profile vanishing
+there, 4 NOT_EIGHT_VERTEX, 5 INDETERMINATE,
 6 pole-free sampling exhausted (widen the spans or relax --max-weight),
 7 a non-finite number in a JSON result (nothing is printed).
 """
@@ -29,10 +30,12 @@ import numpy as np
 
 from .classify import ClassifyPlan, Verdict, classify, hamiltonian_coeffs
 from .errors import (CybeError, InvalidSpec, NonFiniteOutput,
-                     PoleProximity, SamplingExhausted, SizeLimit)
+                     PoleProximity, SamplingExhausted, SizeLimit, ZeroDivisor)
 from .families import (WeightFamily, make_family, spec_from_json,
                        validate_spec)
-from .sampling import SamplePlan, residual_sweep, unitarity_sweep
+from .sampling import (SamplePlan, _point_pair, _point_spans,
+                       _triple_points, _triple_spans, evaluate_groups,
+                       first_block, residual_sweep, unitarity_sweep)
 from .transforms import Pipeline, apply, transform_diagnostics, wrap
 from .weights import COMPONENT_IDS
 
@@ -46,7 +49,8 @@ _EXIT_VERDICT = {
 #: exit code of the first matching error class
 _EXIT_ERROR = (
     ((InvalidSpec, SizeLimit, json.JSONDecodeError, OSError), 2),
-    (PoleProximity, 3), (SamplingExhausted, 6), (NonFiniteOutput, 7),
+    ((PoleProximity, ZeroDivisor), 3), (SamplingExhausted, 6),
+    (NonFiniteOutput, 7),
     (CybeError, 1),
 )
 
@@ -187,9 +191,17 @@ def cmd_verify(args) -> int:
     plan = SamplePlan(n=args.samples, seed=args.seed,
                       u_span=(-args.u_span, args.u_span), color_span=span,
                       max_weight=args.max_weight)
+    # the first block of each sweep in one call; a gauge family also gets
+    # the unitarity sweep
+    groups = {"sweep": first_block(plan, _triple_spans(plan), _triple_points)}
+    if fam.gauge:
+        unit_plan = dataclasses.replace(plan, n=min(args.samples, 50))
+        groups["unit"] = first_block(unit_plan, _point_spans(unit_plan),
+                                     _point_pair)
+    rows = evaluate_groups(fam, groups)
     rels = []
     worst = np.zeros(len(COMPONENT_IDS))
-    for _, rel, comp in residual_sweep(fam, plan):
+    for _, rel, comp in residual_sweep(fam, plan, rows["sweep"]):
         rels.append(rel)
         # fmax: a NaN component never lowers the running max
         worst = np.fmax(worst, np.fmax.reduce(comp, axis=0))
@@ -199,9 +211,8 @@ def cmd_verify(args) -> int:
 
     unit = None
     if fam.gauge:
-        blocks = unitarity_sweep(fam, dataclasses.replace(
-            plan, n=min(args.samples, 50)))
-        unit = max(float(d.max()) for d in blocks)
+        unit = max(float(d.max()) for d in unitarity_sweep(
+            fam, unit_plan, rows["unit"]))
 
     ok = bool(np.median(rels) <= args.tol)
     _emit({

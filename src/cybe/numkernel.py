@@ -156,25 +156,39 @@ def _quot(ar, ai, br, bi) -> Split:
     """CPython's ``_Py_c_quot``: Smith's method, scaling by the larger part
     of the divisor.  A zero divisor gives NaN where CPython raises
     ZeroDivisionError; the NaN reaches the weights and fails their check."""
+    return _quots(((ar, ai),), br, bi)[0]
+
+
+def _quots(nums, br, bi) -> list[Split]:
+    """``_quot`` of each (re, im) pair of ``nums`` by one divisor: its Smith
+    ratio and denominator are formed once when every row takes the same
+    branch, and a number divisor picks its branch with no array
+    reduction."""
+    if not (isinstance(br, np.ndarray) or isinstance(bi, np.ndarray)):
+        return (_quots_by_re if abs(br) >= abs(bi) else _quots_by_im)(
+            nums, br, bi)
     big = np.abs(br) >= np.abs(bi)
-    if np.all(big):
-        return _quot_by_re(ar, ai, br, bi)
-    if not np.any(big):
-        return _quot_by_im(ar, ai, br, bi)
-    x, y = _quot_by_re(ar, ai, br, bi), _quot_by_im(ar, ai, br, bi)
-    return Split(np.where(big, x.re, y.re), np.where(big, x.im, y.im))
+    if big.all():
+        return _quots_by_re(nums, br, bi)
+    if not big.any():
+        return _quots_by_im(nums, br, bi)
+    return [Split(np.where(big, x.re, y.re), np.where(big, x.im, y.im))
+            for x, y in zip(_quots_by_re(nums, br, bi),
+                            _quots_by_im(nums, br, bi))]
 
 
-def _quot_by_re(ar, ai, br, bi) -> Split:
+def _quots_by_re(nums, br, bi) -> list[Split]:
     ratio = bi / br
     denom = br + bi * ratio
-    return Split((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+    return [Split((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+            for ar, ai in nums]
 
 
-def _quot_by_im(ar, ai, br, bi) -> Split:
+def _quots_by_im(nums, br, bi) -> list[Split]:
     ratio = br / bi
     denom = br * ratio + bi
-    return Split((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
+    return [Split((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
+            for ar, ai in nums]
 
 
 # -------------------- operation tables --------------------
@@ -235,12 +249,17 @@ def _numpy_fn(npf, cmf, top=_TRIG_TOP, real_zero=True):
         z = self.complex(x)
         r = npf(z)
         part = np.abs(z.view(float))   # |re|, |im| interleaved
+        # the common case, every element plain, costs no per-element mask
+        if (part.max(initial=0.0) <= top and np.isfinite(r).all()
+                and (part.min(initial=_TINY) >= _TINY
+                     or not ((part < _TINY) & (part != 0)).any())
+                and (real_zero or z.real.all())):
+            return Split.of(r)
         plain = (part <= top) & ((part >= _TINY) | (part == 0))
         if not real_zero:
             plain[0::2] &= part[0::2] != 0
         odd = ~(plain.reshape(-1, 2).all(axis=1) & np.isfinite(r))
-        if odd.any():
-            self._each(cmf, z, r, np.flatnonzero(odd))
+        self._each(cmf, z, r, np.flatnonzero(odd))
         return Split.of(r)
     fn.__name__ = npf.__name__
     return fn
@@ -269,8 +288,10 @@ class Batch:
 
     def complex(self, x) -> np.ndarray:
         """The n complex values of a Split or a number."""
-        return np.ascontiguousarray(
-            np.broadcast_to(self.lift(x).complex(), (self.n,)))
+        z = self.lift(x).complex()
+        if z.shape == (self.n,):
+            return z
+        return np.ascontiguousarray(np.broadcast_to(z, (self.n,)))
 
     def check(self, cond, exc, msg) -> None:
         self._flag(cond)
@@ -284,7 +305,8 @@ class Batch:
         magnitude of a finite number overflows."""
         re, im = _parts(x)
         r = np.hypot(re, im)
-        self._flag(np.isinf(r) & np.isfinite(re) & np.isfinite(im))
+        if np.isinf(r).any():
+            self._flag(np.isinf(r) & np.isfinite(re) & np.isfinite(im))
         return r
 
     def where(self, cond, a, b) -> Split:
@@ -429,12 +451,17 @@ def _landen(o, z, m):
         z = z / one_k1
     sn, cn, dn = _small_m_series(o, z, m)
     for k1, one_k1 in reversed(rungs):
-        s2 = sn * sn
-        den = 1.0 + k1 * s2
-        sn = one_k1 * sn / den
-        cn = cn * dn / den
-        dn = (1.0 - k1 * s2) / den
+        ks2 = k1 * (sn * sn)
+        sn, cn, dn = _over(1.0 + ks2, one_k1 * sn, cn * dn, 1.0 - ks2)
     return sn, cn, dn
+
+
+def _over(den, *nums):
+    """Each of ``nums`` divided by ``den``; by a Split, with one set of
+    Smith factors."""
+    if isinstance(den, Split):
+        return _quots([_parts(x) for x in nums], den.re, den.im)
+    return [x / den for x in nums]
 
 
 def _small_m_series(o, z, m):

@@ -13,9 +13,14 @@ is bit for bit the stream of per-candidate ``rng.uniform`` calls.  Every
 point of a block is evaluated in one ``WeightFamily.eval_array`` call, whose
 validity mask stands in for the per-point rejection.  A block holds the
 samples still needed at the acceptance rate seen so far, at most
-``_DRAW_MAX`` candidates, which bounds memory.  The points of the first
-block are fixed by the plan (``first_block``), so a caller may evaluate
-them beside its own points and hand their rows to the draw.
+``_DRAW_MAX`` candidates.  An array call has a fixed cost whatever its
+size, so the cap is high enough for a 600-sample sweep to be one call; a
+cap of 1024 saved no time that could be told from noise and raised peak
+memory.  The points of the first block are fixed by the plan
+(``first_block``), so a caller may evaluate them beside its own points in
+one call (``evaluate_groups``) and hand their rows to the draw: ``verify``
+evaluates the first blocks of its residual and unitarity sweeps together,
+and classify its sweep's with the points of its later stages.
 
 Each point is evaluated once: the sampler hands on the weights it computed,
 so the sweeps and classify's branch stage never evaluate the family
@@ -24,7 +29,8 @@ accepted triples with one batched ``ybe_residuals`` call, and
 ``unitarity_sweep`` the unitarity defects of each block of accepted points
 with one ``unitarity_defects`` call.  Both are elementwise column
 arithmetic with no matrix product, so a block's values do not depend on
-its size or on the BLAS build.
+its size or on the BLAS build; ``ybe_residuals`` works through a block in
+cache-sized chunks of rows.
 """
 
 from __future__ import annotations
@@ -39,8 +45,9 @@ from .weights import unitarity_defects, ybe_residuals
 
 _MAX_ATTEMPT_FACTOR = 200
 
-#: most candidates drawn and evaluated at once
-_DRAW_MAX = 256
+#: most candidates drawn and evaluated at once; the first block of a
+#: 600-sample sweep holds 754
+_DRAW_MAX = 768
 
 #: largest max_weight: every residual component and defect entry is a sum of
 #: at most 4 products of three weights, so |a| <= 1e100 keeps it below 4e300
@@ -94,6 +101,25 @@ def first_block(plan: SamplePlan, spans, points):
     eta) columns, so that a caller can evaluate them beside its own."""
     return _block(np.random.default_rng(plan.seed), spans,
                   _next_size(plan, 0, 0), points)[1]
+
+
+def split_rows(rows, groups: dict) -> dict:
+    """The rows (W, ok) of each named group of points, (u, xi, eta)
+    columns, from the rows of the groups in order (and of any points after
+    them)."""
+    W, ok = rows
+    out, start = {}, 0
+    for name, (u, _, _) in groups.items():
+        out[name] = W[start:start + len(u)], ok[start:start + len(u)]
+        start += len(u)
+    return out
+
+
+def evaluate_groups(fam, groups: dict) -> dict:
+    """The rows (W, ok) of ``fam`` at each named group of points from one
+    ``eval_array`` call."""
+    return split_rows(
+        fam.eval_array(*map(np.concatenate, zip(*groups.values()))), groups)
 
 
 def _draw(fam, plan: SamplePlan, spans, points, first=None):
@@ -182,10 +208,11 @@ def residual_sweep(fam, plan: SamplePlan, first=None):
         yield U, comp.max(axis=1) / scale, comp
 
 
-def unitarity_sweep(fam, plan: SamplePlan):
+def unitarity_sweep(fam, plan: SamplePlan, first=None):
     """Yield, for each block of the ``plan.n`` pole-free points that the
     sampler accepts at once, the unitarity defects (B,) of its points, each
     bitwise ``unitarity_defect`` of the point's weights.  A point that is
-    not gauge-normalized raises NotGauge before the next block is drawn."""
-    for _, (W, Wr) in _points(fam, plan):
+    not gauge-normalized raises NotGauge before the next block is drawn.
+    ``first``: the rows of the first block, as ``_draw`` takes them."""
+    for _, (W, Wr) in _points(fam, plan, first=first):
         yield unitarity_defects(W, Wr)

@@ -24,14 +24,15 @@ index, so (R (x) E)[(i,a),(j,b)] = R[i,j] * delta[a,b].
 The 28 equations are exactly the nonzero entries of the 8x8 defect, so
 every residual is computed from them: the max-abs defect ``matrix_norm`` is
 the largest component magnitude.  ``ybe_residuals`` takes (B, 8) weight
-arrays.  The 28 components are written once, as a term table: per
-equation, up to four signed products (f1, f2, f3) of the 24 weight columns
-of U|W|V.  The real and imaginary columns of a batch are gathered once and
-the table is evaluated in four term steps on (28, B) float arrays, each
-product unfused (numpy's SIMD complex-array multiply may fuse multiply-adds
-and then differs in the last bit), so every component rounds exactly as
-the scalar complex arithmetic of the written equations does;
-``component_residuals`` is the one-row case.  ``unitarity_defects`` writes
+arrays and works through them in chunks of ``_CHUNK`` rows, so that its
+float arrays stay in cache at any B.  The 28 components are written once,
+as a term table: per equation, up to four signed products (f1, f2, f3) of
+the 24 weight columns of U|W|V.  The real and imaginary columns of a chunk
+are gathered once and the table is evaluated in four term steps on (28, B)
+float arrays, each product unfused (numpy's SIMD complex-array multiply
+may fuse multiply-adds and then differs in the last bit), so every
+component rounds exactly as the scalar complex arithmetic of the written
+equations does; ``component_residuals`` is the one-row case.  ``unitarity_defects`` writes
 out the 8 nonzero entries of R(u) R(-u) - (1 - a5 a6) E and evaluates them
 on ``numkernel.Split`` columns; ``unitarity_defect`` is its one-row case.
 Neither path multiplies matrices, so no value depends on the BLAS build.
@@ -48,6 +49,9 @@ from .errors import NotGauge
 from .numkernel import Split
 
 GAUGE_TOL = 1e-10
+
+#: rows of one ``_components`` call: its (28, B) float arrays stay in cache
+_CHUNK = 256
 
 _E2 = np.eye(2, dtype=complex)
 
@@ -277,9 +281,12 @@ def ybe_residuals(U: np.ndarray, W: np.ndarray, V: np.ndarray):
     arrays with the same argument pattern as rows: the |components|
     (B, 28), which are bitwise ``component_residuals`` and whose row
     maximum is matrix_norm, and scale (B,)."""
-    # np.abs of a complex array, as in the scalar path: np.hypot on the
-    # float parts rounds differently
-    comp = np.abs(_components(U, W, V))
+    comp = np.empty((len(U), len(COMPONENT_IDS)))
+    for i in range(0, len(U), _CHUNK):
+        rows = slice(i, i + _CHUNK)
+        # np.abs of a complex array, as in the scalar path: np.hypot on the
+        # float parts rounds differently
+        np.abs(_components(U[rows], W[rows], V[rows]), out=comp[rows])
     su, sw, sv = (np.maximum(np.abs(A).max(axis=1), 1e-300)
                   for A in (U, W, V))
     return comp, su * sw * sv

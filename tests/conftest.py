@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from cybe import ColorProfile, FamilyId, FamilySpec, SpectralProfile
+from cybe import (ColorProfile, FamilyId, FamilySpec, SpectralProfile,
+                  WeightFamily)
 
 
 def baxter_elliptic_spec(k=0.4, lam=1.0, mu=0.7, slope=0.3, s5=1, s7=1):
@@ -113,6 +114,25 @@ def random_spec(family: FamilyId, rng: np.random.Generator) -> FamilySpec:
     if family is FamilyId.TRIVIAL_A:
         return trivial_a_spec(a=rng.uniform(0.5, 1.5), b=rng.uniform(0.3, 1.2))
     return trivial_b_spec(a=rng.uniform(-0.6, 0.6), b=rng.uniform(0.2, 0.8))
+
+
+def outermost_calls(monkeypatch):
+    """Counts of the outermost ``eval_array`` and ``eval`` calls on any
+    family from now on: a call made inside another is not counted."""
+    counts = {"eval_array": 0, "eval": 0}
+    depth = [0]
+    for name in counts:
+        method = getattr(WeightFamily, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            counts[_name] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return _method(self, *args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(WeightFamily, name, counted)
+    return counts
 
 
 @pytest.fixture

@@ -276,6 +276,85 @@ def test_batch_kernel_is_the_scalar_kernel(k):
                    for g, w in zip(got, want))
 
 
+#: for each function, the largest plain part (numpy and cmath agree below)
+_TOPS = {"sin": 700.0, "cos": 700.0, "sinh": 700.0, "cosh": 700.0,
+         "exp": 700.0, "sqrt": 1e100}
+
+
+def _odd_elements(name):
+    """Elements that each force the per-element path of ``name``."""
+    top, nan, inf = _TOPS[name], math.nan, math.inf
+    odd = [complex(5e-101, 0.5), complex(0.5, -5e-101), complex(2 * top, 0.5),
+           complex(0.5, -2 * top), complex(nan, 0.5), complex(0.5, nan),
+           complex(inf, 0.5), complex(-inf, 0.5), complex(0.5, inf),
+           complex(0.5, -inf)]
+    if name == "sqrt":
+        odd += [complex(0.0, 0.5), complex(-0.0, -2.0)]
+    return odd
+
+
+@pytest.mark.parametrize("name", list(_TOPS))
+def test_functions_take_cmath_only_at_odd_elements(name, monkeypatch):
+    """A column of plain elements (parts 0 or in [1e-100, top], and for
+    sqrt a nonzero real part) takes numpy's values alone; one odd element
+    sends that element, and only it, to cmath.  Values and marks are
+    bitwise cmath's either way."""
+    rng = np.random.default_rng(8)
+    plain = np.concatenate([rng.uniform(-3, 3, 40)
+                            + 1j * rng.uniform(-3, 3, 40),
+                            rng.uniform(0.1, 3, 8), [1e-100 + 2j, 0.5 - 0j]])
+    sent = []
+    each = Batch._each
+
+    def recording(self, cmf, z, out, idx):
+        sent.append(list(idx))
+        return each(self, cmf, z, out, idx)
+    monkeypatch.setattr(Batch, "_each", recording)
+    for odd in [None, *_odd_elements(name)]:
+        z = plain.copy()
+        if odd is not None:
+            z[17] = odd
+        sent.clear()
+        o = Batch(len(z))
+        with np.errstate(all="ignore"):
+            got = o.complex(getattr(o, name)(Split.of(z)))
+        assert sent == ([] if odd is None else [[17]]), odd
+        for i, x in enumerate(z.tolist()):
+            try:
+                want = getattr(cmath, name)(x)
+            except (OverflowError, ValueError):
+                assert o.bad[i], (name, x)
+                continue
+            assert not o.bad[i], (name, x)
+            assert bits(got[i]).tolist() == bits(want).tolist(), (name, x)
+
+
+@pytest.mark.parametrize("z", [[0.3 + 0.2j, 0.5 + 2j, -1 - 2j], [0.5 + 2j]],
+                         ids=["both_branches", "imaginary_branch"])
+def test_landen_rung_divides_as_the_scalar_kernel(z, monkeypatch):
+    """At k = 0.85 the last Landen rung's denominator 1 + k1 s^2 of
+    0.5 + 2i has its larger part imaginary: Smith's method scales those
+    rows by the imaginary part, the others by the real part.  The shared
+    factors of the rung's three quotients round as three scalar
+    divisions."""
+    from cybe import numkernel
+    branches = []
+    over = numkernel._over
+
+    def recording(den, *nums):
+        if isinstance(den, Split):
+            branches.append(set((np.abs(den.re) >= np.abs(den.im)).tolist()))
+        return over(den, *nums)
+    monkeypatch.setattr(numkernel, "_over", recording)
+    o = Batch(len(z))
+    got = [o.complex(v) for v in o.sncndn(Split.of(np.array(z)), 0.85)]
+    assert branches[-1] == ({True, False} if len(z) > 1 else {False})
+    assert not o.bad.any()
+    for i, x in enumerate(z):
+        assert all(bits(g[i]).tolist() == bits(w).tolist()
+                   for g, w in zip(got, jacobi_sncndn(x, 0.85)))
+
+
 def test_where_ignores_failures_of_the_untaken_side():
     o = Batch(4)
     z = Split.of(np.array([np.inf, 0.5, np.inf, 0.5], dtype=complex))

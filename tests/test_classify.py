@@ -16,7 +16,7 @@ from cybe.sampling import _point, _point_spans, first_block
 
 from conftest import (CANONICAL_SPECS, baxter_elliptic_spec,
                       ff_elliptic_spec, ff_hyperbolic_spec, ff_trig_spec,
-                      random_spec)
+                      outermost_calls, random_spec)
 from test_batch_eval import SCALE_REGAUGE
 from test_families import ALL_IDS, GAUGE_IDS
 
@@ -232,25 +232,6 @@ def test_classify_scale_regauge_meets_the_initial_value(fid):
     assert not rep.is_gauge
     assert rep.initial_condition_ok and rep.initial_condition_residual < 1e-8
     assert [n.split(" ")[0] for n in rep.notes] == ["gauge-reduced"]
-
-
-def outermost_calls(monkeypatch):
-    """Counts of the outermost ``eval_array`` and ``eval`` calls on any
-    family from now on: a call made inside another is not counted."""
-    counts = {"eval_array": 0, "eval": 0}
-    depth = [0]
-    for name in counts:
-        method = getattr(WeightFamily, name)
-
-        def counted(self, *args, _method=method, _name=name):
-            counts[_name] += depth[0] == 0
-            depth[0] += 1
-            try:
-                return _method(self, *args)
-            finally:
-                depth[0] -= 1
-        monkeypatch.setattr(WeightFamily, name, counted)
-    return counts
 
 
 @pytest.mark.parametrize("fid", ALL_IDS)

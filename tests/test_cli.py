@@ -13,9 +13,9 @@ import pytest
 from cybe import InvalidSpec, SamplePlan, spec_to_json
 from cybe.cli import build_parser, main
 
-from conftest import (baxter_elliptic_spec, ff_elliptic_spec,
-                      ff_tanh_spec, quarter_period_prime, trivial_a_spec,
-                      trivial_b_spec)
+from conftest import (CANONICAL_SPECS, baxter_elliptic_spec,
+                      ff_elliptic_spec, ff_tanh_spec, outermost_calls,
+                      quarter_period_prime, trivial_a_spec, trivial_b_spec)
 
 
 def run_cli(args, capsys):
@@ -154,6 +154,24 @@ def test_verify_with_transform(tmp_path, capsys):
     code, out, _ = run_cli(["verify", "--spec", path, "--transform", pipe,
                             "--samples", "30"], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("fid", list(CANONICAL_SPECS))
+def test_verify_evaluates_one_call_per_block(fid, monkeypatch, capsys):
+    """The first block of the residual sweep and, on a gauge family, of
+    the unitarity sweep go in one ``eval_array`` call; a further call is
+    made only per further block of 768 candidates."""
+    spec = json.dumps(spec_to_json(CANONICAL_SPECS[fid]()))
+    calls = outermost_calls(monkeypatch)
+    for extra, want in [(["--samples", "10"], 1), (["--samples", "150"], 1),
+                        (["--samples", "600"], 1),
+                        (["--samples", "150", "--perturb", "a7", "0.1"], 1),
+                        (["--samples", "2000"], 3)]:
+        before = dict(calls)
+        code, _, _ = run_cli(["verify", "--spec", spec, *extra], capsys)
+        assert code == (1 if "--perturb" in extra else 0)
+        assert {k: calls[k] - before[k] for k in calls} == {
+            "eval_array": want, "eval": 0}, extra
 
 
 def test_classify_exit_codes(tmp_path, capsys):

@@ -25,6 +25,8 @@ import pytest
 import cybe
 from cybe.cli import main
 
+from conftest import outermost_calls
+
 DATA = pathlib.Path(__file__).parent / "data" / "golden_cli.json"
 CASES = json.loads(DATA.read_text(encoding="utf-8"))["cases"]
 
@@ -50,7 +52,6 @@ def test_scalar_eval_only_names_errors(monkeypatch):
     """The scalar ``WeightFamily.eval`` runs only to name the error of a
     point an array call marked: no case that exits 0 or 1 calls it, and a
     grid of ``eval`` or ``transform`` is one ``eval_array`` call."""
-    from test_classify import outermost_calls
     monkeypatch.setenv("COLUMNS", "80")
     calls = outermost_calls(monkeypatch)
     made = {}

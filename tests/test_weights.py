@@ -16,8 +16,9 @@ from cybe import (COMPONENT_IDS, GAUGE_COMPONENT_IDS, NotGauge,
                   matrix_weights, residual_sweep, tensor_embed, to_matrix,
                   unitarity_defect, unitarity_defects, unitarity_residual,
                   unitarity_sweep, ybe_defect, ybe_residual, ybe_residuals)
+from cybe import sampling
 from cybe.sampling import _DRAW_MAX, _points, _triple_points, _triples
-from cybe.weights import GAUGE_TOL, gauge_equation_residuals
+from cybe.weights import _CHUNK, GAUGE_TOL, gauge_equation_residuals
 
 from conftest import (CANONICAL_SPECS, baxter_elliptic_spec,
                       baxter_trig_spec, ff_elliptic_spec, ff_hyperbolic_spec,
@@ -344,7 +345,21 @@ def test_batch_residuals_match_oracle_property(values):
     assert_matches_oracle(A[:, 0], A[:, 1], A[:, 2])
 
 
-@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300])
+@pytest.mark.parametrize("size", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 700])
+def test_batch_residuals_are_their_one_row_results(size):
+    """``ybe_residuals`` works through its rows in chunks; every row, on
+    either side of a chunk seam, is bitwise its one-row result."""
+    rng = np.random.default_rng(size)
+    U, W, V = (rng.normal(size=(size, 8)) + 1j * rng.normal(size=(size, 8))
+               for _ in range(3))
+    comp, scale = ybe_residuals(U, W, V)
+    rows = [ybe_residuals(U[b:b + 1], W[b:b + 1], V[b:b + 1])
+            for b in range(size)]
+    assert np.array_equal(comp, np.concatenate([c for c, _ in rows]))
+    assert np.array_equal(scale, np.concatenate([s for _, s in rows]))
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300, 600])
 def test_residual_sweep_blocks_match_scalar_reports(n):
     fam = make_family(ff_elliptic_spec())
     plan = SamplePlan(n=n, seed=n)
@@ -434,13 +449,15 @@ def gauge_families():
 
 
 @pytest.mark.parametrize("name", list(gauge_families()))
-def test_unitarity_defects_are_the_per_point_defects(name):
-    """Blocks of 256 and 44 points: every batch entry is bitwise the one-row
+def test_unitarity_defects_are_the_per_point_defects(name, monkeypatch):
+    """Blocks of 256 and 44 points (one full block and one partial, under a
+    block cap of 256): every batch entry is bitwise the one-row
     ``unitarity_defect`` and the per-entry scalar oracle of its point, and
     within ORACLE_EPS * EPS * scale of the 4x4 matrix oracle."""
+    monkeypatch.setattr(sampling, "_DRAW_MAX", 256)
     fam = gauge_families()[name]
     blocks = [pair for _, pair in _points(fam, SamplePlan(n=300, seed=4))]
-    assert [len(W) for W, _ in blocks] == [_DRAW_MAX, 300 - _DRAW_MAX]
+    assert [len(W) for W, _ in blocks] == [256, 44]
     for W, Wr in blocks:
         got = unitarity_defects(W, Wr)
         rows = [(WeightVector(a), WeightVector(b)) for a, b in zip(W, Wr)]
