@@ -6,9 +6,9 @@ from .classify import (ClassificationReport, ClassifyPlan,
                        HamiltonianCoefficients, Verdict, classify,
                        curve_residuals, derived_identity_suite,
                        hamiltonian_coeffs, invariant_suite)
-from .errors import (BranchAmbiguityWarning, CybeError, InvalidSpec,
-                     ModulusOutOfRange, MultiplicativityViolation,
-                     NonFiniteOutput, NotEightVertex, NotGauge, PoleProximity,
+from .errors import (CybeError, InvalidSpec, ModulusOutOfRange,
+                     MultiplicativityViolation, NonFiniteOutput,
+                     NotEightVertex, NotGauge, PoleProximity,
                      SamplingExhausted, SizeLimit, StepUnstable, ZeroDivisor)
 from .families import (FamilyId, FamilySpec, WeightFamily,
                        bazhanov_stroganov, bs_scale, eval_family,

@@ -446,13 +446,16 @@ def _reduction(plan: ClassifyPlan) -> dict:
 
 
 def _reduction_points(reduction: dict, stages: dict):
-    """The points of a gauge reduction: ``gauge_reduce``'s own and the
-    inner points of the gauge-form points ``stages``, by name; and the
-    inner points' index."""
+    """The points a gauge reduction adds to the gauge-form points
+    ``stages``: ``gauge_reduce``'s own and the anchored points of the
+    stages, by name; and the index of the inner points, the stages' points
+    followed by the anchored points."""
     inner, index = anchored_points(
         *map(np.concatenate, zip(*stages.values())),
         reduction["u_probe"], reduction["anchor"])
-    return {"probes": gauge_points(**reduction), "inner": inner}, index
+    n = len(index[0])
+    return {"probes": gauge_points(**reduction),
+            "anchored": tuple(c[n:] for c in inner)}, index
 
 
 def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
@@ -466,12 +469,11 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     the biquadratic curve with measured constants.
 
     The plan fixes every point up front, so the family is evaluated in one
-    ``eval_array`` call: the sweep's first block, with the gauge-form
-    points when the family claims gauge form or is a closed form, else
-    with gauge_reduce's points and the inner points of the gauge-form
-    points, whose rows give the reduced family's (and, first among them,
-    the family's own).  A guess that fails costs a second call, and so
-    does each further sampler block.
+    ``eval_array`` call: the sweep's first block and the gauge-form points,
+    with gauge_reduce's points and the anchored points of the gauge-form
+    points unless the family claims gauge form or is a closed form.  A
+    reduction that the guess missed costs a second call, of just those
+    points, and each further sampler block one more.
     """
     plan = plan or ClassifyPlan()
     notes: list[str] = []
@@ -479,21 +481,19 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     grid = np.linspace(*plan.color_span, _N_GRID)
     reduction = _reduction(plan)
     stages = _gauge_form_points(plan, grid)
-    direct = dict(stages)
     if fam.spec is not None:
         # closed-form coefficients, or a trivial family, whose trivial
         # shape ends the pipeline: no finite differences
-        del direct["stencil"]
+        del stages["stencil"]
     # a family that claims gauge form, or is a closed form of a spec (all
     # of which have a2 = a3 = 1, a7 = a8), needs no reduction; any other,
-    # such as a scale, regauge or perturbation, is reduced in this call:
-    # ``inner`` holds the points of its reduction and their index
-    inner = (None if fam.gauge or fam.spec is not None
-             else _reduction_points(reduction, stages))
+    # such as a scale, regauge or perturbation, is reduced in this call
+    reducing = (None if fam.gauge or fam.spec is not None
+                else _reduction_points(reduction, stages))
     rows = evaluate_groups(
         fam, {"sweep": first_block(sweep, _triple_spans(sweep),
                                    _triple_points)}
-        | (direct if inner is None else inner[0]))
+        | stages | (reducing[0] if reducing else {}))
 
     blocks = list(residual_sweep(fam, sweep, rows["sweep"]))
     U = np.concatenate([U for U, _, _ in blocks])
@@ -511,14 +511,11 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
             notes=(f"weights {dead} vanish identically",), **base)
 
     base["is_gauge"] = bool(_gauge_rows(U).all())
-    work = fam
-    if base["is_gauge"]:
-        # the inner points of a point begin with the point itself
-        at = rows if inner is None else split_rows(rows["inner"], stages)
-    else:
-        if inner is None:
-            inner = _reduction_points(reduction, stages)
-            rows |= evaluate_groups(fam, inner[0])
+    work, at = fam, rows
+    if not base["is_gauge"]:
+        if reducing is None:
+            reducing = _reduction_points(reduction, stages)
+            rows |= evaluate_groups(fam, reducing[0])
         try:
             work, cert = gauge_reduce(fam, **reduction, rows=rows["probes"])
             notes.append(f"gauge-reduced (residual {cert.gauge_residual:.2e})")
@@ -526,8 +523,9 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
             return ClassificationReport(
                 Verdict.INDETERMINATE,
                 notes=(f"gauge reduction failed: {exc}",), **base)
-        at = split_rows(
-            gauge_rows(*rows["inner"], inner[1], cert.l_constant), stages)
+        inner = [rows[name] for name in [*stages, "anchored"]]
+        at = split_rows(gauge_rows(*map(np.concatenate, zip(*inner)),
+                                   reducing[1], cert.l_constant), stages)
 
     ic_res = _initial_condition_residual(*at["ic"])
     ic_ok = bool(ic_res <= 1e-8)

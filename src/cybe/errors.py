@@ -50,6 +50,3 @@ class NonFiniteOutput(CybeError):
 class StepUnstable(CybeError):
     """Finite-difference step produced inconsistent derivative estimates."""
 
-
-class BranchAmbiguityWarning(UserWarning):
-    """A square-root argument crossed the negative real axis along a sweep."""

@@ -49,13 +49,11 @@ from __future__ import annotations
 import cmath
 import contextlib
 import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BranchAmbiguityWarning, CybeError, InvalidSpec,
-                     ModulusOutOfRange, PoleProximity)
+from .errors import CybeError, InvalidSpec, ModulusOutOfRange, PoleProximity
 from .numkernel import SCALAR, Batch, elliptic_exp, jacobi_sncndn
 from .profiles import ColorProfile, SpectralProfile, _check_keys, _cjson, _cval
 from .weights import WeightVector
@@ -588,26 +586,6 @@ def bazhanov_stroganov(u, xi, eta, k) -> WeightVector:
     a7 = k * root * (1 - eu) * (c2 / d2)
     return WeightVector.of(1 - eu * ex * ee, a2, a2, eu - ex * ee,
                            ex - eu * ee, ee - eu * ex, a7, a7)
-
-
-def branch_crossings(color_points, k) -> int:
-    """Count negative-real-axis crossings of the square-root argument
-    e(xi) e(eta) sn(xi) sn(eta) along a sweep of (xi, eta) pairs.  A nonzero
-    count warns that the principal branch flips sign inside the sweep."""
-    args = []
-    for xi, eta in color_points:
-        v = (elliptic_exp(xi, k) * elliptic_exp(eta, k)
-             * jacobi_sncndn(xi, k)[0] * jacobi_sncndn(eta, k)[0])
-        args.append(cmath.phase(v))
-    crossings = 0
-    for a, b in zip(args, args[1:]):
-        if abs(b - a) > cmath.pi:
-            crossings += 1
-    if crossings:
-        warnings.warn(f"square-root argument crossed the branch cut "
-                      f"{crossings} time(s) along the sweep",
-                      BranchAmbiguityWarning, stacklevel=2)
-    return crossings
 
 
 # -------------------- JSON serialization --------------------

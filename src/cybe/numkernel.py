@@ -287,11 +287,8 @@ class Batch:
                      else np.zeros(self.n))
 
     def complex(self, x) -> np.ndarray:
-        """The n complex values of a Split or a number."""
-        z = self.lift(x).complex()
-        if z.shape == (self.n,):
-            return z
-        return np.ascontiguousarray(np.broadcast_to(z, (self.n,)))
+        """The n complex values of a number, an array or an n-point Split."""
+        return self.lift(x).complex()
 
     def check(self, cond, exc, msg) -> None:
         self._flag(cond)

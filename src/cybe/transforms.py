@@ -24,8 +24,8 @@ caller.  The reduced family at n points reads the wrapped family at their
 inner points: the points, and one anchored point per distinct color, whose
 a3/a2 is M(color).  Its array evaluator evaluates them in one call, and
 ``gauge_rows`` derives the reduced rows from rows a caller evaluated
-beside its own points: on a 2-vCPU Xeon a batch call costs 0.05-2.4 ms at
-almost any size, a scalar evaluation 4-35 us.
+beside its own points, since a batch call has a fixed cost at almost any
+size (README, "Batch evaluation").
 """
 
 from __future__ import annotations
@@ -263,6 +263,8 @@ class _Probes(NamedTuple):
     checks: list          # (u, xi, eta) of the gauge check
     m_colors: list        # colors x of the M(x) probes, last in ``points``
     grid: np.ndarray
+    columns: tuple        # what gauge_reduce evaluates, see gauge_points
+    check_index: tuple    # the check's ``anchored_points`` index
 
 
 def _probes(anchor, u_probe, color_grid, seed) -> _Probes:
@@ -293,21 +295,28 @@ def _probes(anchor, u_probe, color_grid, seed) -> _Probes:
               for p in ((u + v, xi, lam), (u, xi, eta), (v, eta, lam))]
            + [(u, xi, xi) for u, xi in nu_pts] + l_pts
            + [(u_probe, x, anchor) for x in m_colors])
+    inner, index = anchored_points(*map(np.array, zip(*gauge_pts)),
+                                   u_probe, anchor)
+    columns = tuple(np.concatenate(c)
+                    for c in zip(map(np.array, zip(*pts)), inner))
     return _Probes(pts, len(mag_pts), len(cocycle), nu_pts, l_pts, gauge_pts,
-                   m_colors, color_grid)
+                   m_colors, color_grid, columns, index)
 
 
-def _columns(points):
-    """(u, xi, eta) columns of a list of points."""
-    return tuple(map(np.array, zip(*points)))
+def _plan(anchor, u_probe, color_grid, seed) -> _Probes:
+    """The probe plan of ``gauge_reduce`` with these arguments, drawn once:
+    classify evaluates its points before its gauge_reduce call reads them."""
+    grid = (None if color_grid is None
+            else tuple(np.asarray(color_grid, dtype=float).tolist()))
+    return _drawn(repr((anchor, u_probe, grid, seed)),
+                  anchor, u_probe, grid, seed)
 
 
-def _probe_columns(p: _Probes, u_probe, anchor):
-    """The points gauge_reduce evaluates: the probes, then the inner points
-    of the gauge check, as (u, xi, eta) columns; and the check's index."""
-    inner, index = anchored_points(*_columns(p.checks), u_probe, anchor)
-    return (tuple(np.concatenate(c) for c in zip(_columns(p.points), inner)),
-            index)
+@functools.lru_cache(maxsize=8)
+def _drawn(key: str, *args) -> _Probes:
+    """``_probes(*args)`` once per ``key``, the repr of ``args``, which tells
+    -0.0 from 0.0 where the arguments' own == does not."""
+    return _probes(*args)
 
 
 def gauge_points(anchor: complex = 0.0, u_probe: complex = 0.1,
@@ -316,8 +325,8 @@ def gauge_points(anchor: complex = 0.0, u_probe: complex = 0.1,
     these arguments evaluates: its probes, then the inner points of its
     gauge check.  A caller that evaluates them beside its own points passes
     their rows to ``gauge_reduce`` as ``rows``."""
-    return _probe_columns(_probes(anchor, u_probe, color_grid, seed),
-                          u_probe, anchor)[0]
+    return tuple(c.copy() for c in
+                 _plan(anchor, u_probe, color_grid, seed).columns)
 
 
 def anchored_points(u, xi, eta, u_probe, anchor):
@@ -403,9 +412,8 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
     ``eval_array`` call, or read from ``rows``, their rows (W, ok) of
     ``fam``, when the caller has evaluated them.
     """
-    p = _probes(anchor, u_probe, color_grid, seed)
-    columns, check_index = _probe_columns(p, u_probe, anchor)
-    W, ok = fam.eval_array(*columns) if rows is None else rows
+    p = _plan(anchor, u_probe, color_grid, seed)
+    W, ok = fam.eval_array(*p.columns) if rows is None else rows
     n = len(p.points)
     # rows in probe order; a point marked in W raises its own error in turn
     probe_rows = (W[i] if ok[i] else fam.eval(*q).a
@@ -466,7 +474,7 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
 
     out = wrap(fam, reduced, f"gauge_reduce({fam.label})", gauge=True)
     gauge_res = 0.0
-    checked = gauge_rows(W[n:], ok[n:], check_index, l)
+    checked = gauge_rows(W[n:], ok[n:], p.check_index, l)
     # a point marked in the check's rows raises its own error in turn
     for q, w, good in zip(p.checks, *checked):
         a = (w if good else out.eval(*q).a).tolist()

@@ -10,8 +10,10 @@ from cybe import (ClassifyPlan, SpectralProfile, StepUnstable, TransformSpec,
                   Verdict, WeightVector, apply, classify, curve_residuals,
                   derived_identity_suite, hamiltonian_coeffs,
                   invariant_suite, jacobi_sncndn, make_family)
+from cybe import transforms
 from cybe.classify import _N_POINTS, elliptic_ff_identities
-from cybe.families import FAMILY_CLASS, FamilyId, WeightFamily
+from cybe.families import (FAMILY_CLASS, FamilyId, WeightFamily,
+                           spec_from_json)
 from cybe.sampling import _point, _point_spans, first_block
 
 from conftest import (CANONICAL_SPECS, baxter_elliptic_spec,
@@ -214,6 +216,24 @@ def test_elliptic_ff_identity_suite(rng):
         elliptic_ff_identities(make_family(baxter_elliptic_spec()), [])
 
 
+def test_identity_suites_by_finite_differences(rng):
+    """A family without closed-form coefficients takes the suites' finite
+    differences at every sample, and agrees with the closed forms of the
+    family it wraps."""
+    base = make_family(ff_trig_spec())
+    fam = apply(TransformSpec("rescale_spectral", mu=1.0), base)
+    coeffs = hamiltonian_coeffs(fam, grid())
+    assert not coeffs.analytic
+    pts = sample_pts(rng, 8)
+    for suite in (derived_identity_suite, curve_residuals):
+        fd = suite(fam, coeffs, pts, "ff")
+        ana = suite(base, hamiltonian_coeffs(base, grid()), pts, "ff")
+        assert fd.keys() == ana.keys()
+        for key, val in fd.items():
+            assert val < 1e-8, (suite.__name__, key, val)
+            assert abs(val - ana[key]) < 1e-8, (suite.__name__, key)
+
+
 @pytest.mark.parametrize("fid", ALL_IDS)
 def test_classify_designated_verdicts(fid):
     fam = make_family(CANONICAL_SPECS[fid]())
@@ -285,6 +305,55 @@ def test_a_wrong_guess_costs_at_most_one_call(fam, calls, monkeypatch):
     counts = outermost_calls(monkeypatch)
     assert repr(classify(fam, plan)) == repr(want)
     assert counts == {"eval_array": calls, "eval": 0}
+
+
+def test_a_wrong_guess_evaluates_no_point_twice(monkeypatch):
+    """The second call of a family that claims gauge form but is not holds
+    only gauge_reduce's probes and the anchored points of the gauge-form
+    points: the gauge-form points themselves were in the first call."""
+    fam = _guesses()[0][0]
+    calls = []
+    batched = WeightFamily.eval_array
+
+    def recording(self, u, xi, eta):
+        calls.append(set(zip(u, xi, eta)))
+        return batched(self, u, xi, eta)
+    monkeypatch.setattr(WeightFamily, "eval_array", recording)
+    classify(fam, ClassifyPlan(n_ybe=40, seed=3))
+    first, second = calls
+    assert not first & second
+
+
+def test_a_reduced_op_draws_the_probe_plan_once(monkeypatch):
+    """classify evaluates gauge_reduce's probes before it calls
+    gauge_reduce, and both read one drawn plan; a later op with the same
+    plan draws none.  No other test uses seed 2417, so its plan is not yet
+    drawn."""
+    drawn = []
+    draw = transforms._probes
+    monkeypatch.setattr(transforms, "_probes",
+                        lambda *args: drawn.append(args) or draw(*args))
+    fam = apply(SCALE_REGAUGE, make_family(ff_trig_spec()))
+    for _ in range(2):
+        rep = classify(fam, ClassifyPlan(n_ybe=40, seed=2417))
+        assert rep.notes[0].startswith("gauge-reduced")
+        assert len(drawn) == 1
+
+
+def test_a_failed_gauge_reduction_is_indeterminate():
+    """g = 1 - xi eta / 0.45^2 is exactly 0 at the magnitude probe (xi,
+    eta) = (0.45, 0.45): the reduction fails with the probe's error, and
+    classify stops before the initial value."""
+    fam = apply(TransformSpec("scale", g=SpectralProfile(
+        "one_plus_bilinear", (-4.938271604938271,))), make_family(
+        spec_from_json({"family": "ff_trig", "profiles": {
+            "G": {"preset": "cosh", "params": [0.8, 0.4]}}})))
+    rep = classify(fam)
+    assert rep.verdict is Verdict.INDETERMINATE
+    assert rep.ybe_median < 1e-10 and not rep.is_gauge
+    assert rep.initial_condition_residual is None
+    assert rep.notes == ("gauge reduction failed: scale profile g vanishes "
+                         "at a requested point",)
 
 
 @pytest.mark.parametrize("fid", GAUGE_IDS)

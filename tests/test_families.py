@@ -348,24 +348,6 @@ def test_bs_recovered_from_elliptic_family(rng):
         base.eval(0.2, 0.8, 0.9).a)
 
 
-def test_bs_branch_crossing_warning():
-    import warnings
-
-    from cybe import BranchAmbiguityWarning
-    from cybe.families import branch_crossings
-    k = 0.55
-    sweep = [(x, x + 0.3) for x in np.linspace(0.3, 1.2, 12)]
-    assert branch_crossings(sweep, k) == 0
-    # crossing the sign change of sn flips the root argument through the cut
-    import mpmath
-    twoK = 2 * float(mpmath.ellipk(k**2))
-    bad = [(x, x + 0.1) for x in np.linspace(twoK - 0.4, twoK + 0.4, 15)]
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        assert branch_crossings(bad, k) > 0
-    assert any(issubclass(w.category, BranchAmbiguityWarning) for w in rec)
-
-
 # ---- serialization ----
 
 def test_spec_json_round_trip():
