@@ -29,7 +29,7 @@ from .numkernel import Split, jacobi_sncndn
 from .sampling import (SamplePlan, _point, _point_spans, _points,
                        _triple_points, _triple_spans, evaluate_groups,
                        first_block, residual_sweep, split_rows)
-from .transforms import anchored_points, gauge_points, gauge_reduce, gauge_rows
+from .transforms import _reduce, anchored_points, gauge_points, gauge_rows
 from .weights import (WeightVector, _gauge_rows, baxter_curve_residual,
                       free_fermion_residual, vanishing_weights)
 
@@ -432,7 +432,7 @@ def _trivial_shape(U: np.ndarray) -> Verdict | None:
 
 
 def _reduction(plan: ClassifyPlan) -> dict:
-    """The arguments of classify's ``gauge_reduce``: the anchor mid-span,
+    """The arguments of classify's ``gauge_points``: the anchor mid-span,
     u_probe at 0.4 of the u half-span from its middle, and 7 colors over
     90% of the color span."""
     c_mid = 0.5 * (plan.color_span[0] + plan.color_span[1])
@@ -448,14 +448,15 @@ def _reduction(plan: ClassifyPlan) -> dict:
 def _reduction_points(reduction: dict, stages: dict):
     """The points a gauge reduction adds to the gauge-form points
     ``stages``: ``gauge_reduce``'s own and the anchored points of the
-    stages, by name; and the index of the inner points, the stages' points
-    followed by the anchored points."""
+    stages, by name; the index of the inner points, the stages' points
+    followed by the anchored points; and the probe plan."""
     inner, index = anchored_points(
         *map(np.concatenate, zip(*stages.values())),
         reduction["u_probe"], reduction["anchor"])
     n = len(index[0])
-    return {"probes": gauge_points(**reduction),
-            "anchored": tuple(c[n:] for c in inner)}, index
+    probes = gauge_points(**reduction)
+    return {"probes": probes.columns,
+            "anchored": tuple(c[n:] for c in inner)}, index, probes
 
 
 def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
@@ -517,7 +518,7 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
             reducing = _reduction_points(reduction, stages)
             rows |= evaluate_groups(fam, reducing[0])
         try:
-            work, cert = gauge_reduce(fam, **reduction, rows=rows["probes"])
+            work, cert = _reduce(fam, reducing[2], rows["probes"])
             notes.append(f"gauge-reduced (residual {cert.gauge_residual:.2e})")
         except CybeError as exc:
             return ClassificationReport(

@@ -14,12 +14,13 @@ where (s, c, d) are the functions of modulus k1 at argument z/(1 + k1).
 The ladder |k| -> |k1| ~ |k|^2/4 converges quadratically; once the squared
 modulus m = k^2 is below ``_SMALL_M`` the first-order trigonometric series
 closes the recursion at full double precision.  The ladder depends on the
-modulus only (DLMF 22.7), so it is computed once per m and cached; the
-scalar and the array kernel read the same cached rungs.
+modulus only (DLMF 22.7): each kernel call computes its rungs once and
+applies them to every point of its argument.
 
 Branch conventions: the principal square root is used at every rung, which
 is single-valued because 1 - m stays off the negative real axis for every
-supported modulus (real |k| > 1 is rejected).  The functions depend on the
+supported modulus: |k| beyond ``_MODULUS_MAX`` is rejected, and a real m
+above 1 lies within ``_NEAR_ONE`` of 1.  The functions depend on the
 modulus only through m = k^2, so k and -k agree.
 
 Degenerate moduli are exact: m = 0 gives (sin, cos, 1) and |m - 1| below
@@ -53,8 +54,6 @@ are bitwise the scalar ones:
 from __future__ import annotations
 
 import cmath
-import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -376,9 +375,9 @@ class Batch:
 def jacobi_sncndn(z: complex, k: complex) -> tuple[complex, complex, complex]:
     """Return (sn, cn, dn) at argument ``z`` for modulus ``k``.
 
-    Raises ModulusOutOfRange for |k| beyond the supported disc (or real
-    k > 1), and PoleProximity when the result indicates a lattice pole
-    closer than ~1e-9.
+    Raises ModulusOutOfRange for |k| beyond the supported disc, and
+    PoleProximity when the result indicates a lattice pole closer than
+    ~1e-9.
     """
     return _sncndn(SCALAR, complex(z), k)
 
@@ -390,9 +389,7 @@ def _sncndn(o, z, k):
             lambda: "argument and modulus must be finite")
     m = k * k
     if abs(k) > _MODULUS_MAX:
-        raise ModulusOutOfRange(f"|k| = {abs(k):.6g} exceeds {_MODULUS_MAX}")
-    if m.imag == 0.0 and m.real > 1.0 and abs(m - 1.0) > _NEAR_ONE:
-        raise ModulusOutOfRange("real modulus k > 1 is not supported")
+        raise ModulusOutOfRange(f"|k| = {abs(k):.10g} exceeds {_MODULUS_MAX}")
 
     if abs(m - 1.0) <= _NEAR_ONE:
         sn, cn, dn = _hyperbolic_correction(o, z, m)
@@ -424,13 +421,7 @@ def elliptic_exp(z: complex, k: complex) -> complex:
 
 def _ladder(m: complex):
     """The Landen rungs (k1, 1 + k1) of modulus m and the squared modulus
-    left at the bottom, cached per m (signed zeros kept apart)."""
-    return _ladder_of(m, math.copysign(1.0, m.real),
-                      math.copysign(1.0, m.imag))
-
-
-@lru_cache(maxsize=16)
-def _ladder_of(m: complex, *_zero_signs):
+    left at the bottom."""
     rungs = []
     while abs(m) > _SMALL_M:
         kp = cmath.sqrt(1.0 - m)

@@ -18,11 +18,13 @@ materializing closed forms impossible in general.  Every kind is one step
 of ``wrap``, written once over the operation tables of ``numkernel``; the
 wrapper keeps an array evaluator when the wrapped family has one.
 
-``gauge_reduce`` evaluates its probe points and the inner points of its
-gauge check in one ``eval_array`` call, or reads their rows from the
-caller.  The reduced family at n points reads the wrapped family at their
-inner points: the points, and one anchored point per distinct color, whose
-a3/a2 is M(color).  Its array evaluator evaluates them in one call, and
+``gauge_reduce`` draws its probe plan (``gauge_points``) and evaluates the
+probes and the inner points of its gauge check in one ``eval_array`` call.
+Classify draws the plan itself, evaluates its points beside its own, and
+hands the plan and their rows to the same reduction.  The reduced family
+at n points reads the wrapped family at their inner points: the points,
+and one anchored point per distinct color, whose a3/a2 is M(color).  Its
+array evaluator evaluates them in one call, and
 ``gauge_rows`` derives the reduced rows from rows a caller evaluated
 beside its own points, since a batch call has a fixed cost at almost any
 size (README, "Batch evaluation").
@@ -255,6 +257,8 @@ class GaugeCertificate:
 class _Probes(NamedTuple):
     """The random points of one gauge reduction, drawn in order."""
 
+    anchor: complex
+    u_probe: complex
     points: list          # the probes, in the order they are read
     n_mag: int            # magnitude probes, first in ``points``
     n_cocycle: int        # cocycle triples, three points each
@@ -263,11 +267,15 @@ class _Probes(NamedTuple):
     checks: list          # (u, xi, eta) of the gauge check
     m_colors: list        # colors x of the M(x) probes, last in ``points``
     grid: np.ndarray
-    columns: tuple        # what gauge_reduce evaluates, see gauge_points
+    columns: tuple        # the (u, xi, eta) columns the reduction evaluates
     check_index: tuple    # the check's ``anchored_points`` index
 
 
-def _probes(anchor, u_probe, color_grid, seed) -> _Probes:
+def gauge_points(anchor: complex = 0.0, u_probe: complex = 0.1,
+                 color_grid=None, seed: int = 0) -> _Probes:
+    """The probe plan of ``gauge_reduce`` with these arguments.  Its
+    ``columns`` are the points the reduction evaluates: its probes, then
+    the inner points of its gauge check."""
     rng = np.random.default_rng(seed)
     if color_grid is None:
         color_grid = np.linspace(-0.45, 0.45, 7)
@@ -299,34 +307,8 @@ def _probes(anchor, u_probe, color_grid, seed) -> _Probes:
                                    u_probe, anchor)
     columns = tuple(np.concatenate(c)
                     for c in zip(map(np.array, zip(*pts)), inner))
-    return _Probes(pts, len(mag_pts), len(cocycle), nu_pts, l_pts, gauge_pts,
-                   m_colors, color_grid, columns, index)
-
-
-def _plan(anchor, u_probe, color_grid, seed) -> _Probes:
-    """The probe plan of ``gauge_reduce`` with these arguments, drawn once:
-    classify evaluates its points before its gauge_reduce call reads them."""
-    grid = (None if color_grid is None
-            else tuple(np.asarray(color_grid, dtype=float).tolist()))
-    return _drawn(repr((anchor, u_probe, grid, seed)),
-                  anchor, u_probe, grid, seed)
-
-
-@functools.lru_cache(maxsize=8)
-def _drawn(key: str, *args) -> _Probes:
-    """``_probes(*args)`` once per ``key``, the repr of ``args``, which tells
-    -0.0 from 0.0 where the arguments' own == does not."""
-    return _probes(*args)
-
-
-def gauge_points(anchor: complex = 0.0, u_probe: complex = 0.1,
-                 color_grid=None, seed: int = 0):
-    """The (u, xi, eta) columns of the points that ``gauge_reduce`` with
-    these arguments evaluates: its probes, then the inner points of its
-    gauge check.  A caller that evaluates them beside its own points passes
-    their rows to ``gauge_reduce`` as ``rows``."""
-    return tuple(c.copy() for c in
-                 _plan(anchor, u_probe, color_grid, seed).columns)
+    return _Probes(anchor, u_probe, pts, len(mag_pts), len(cocycle), nu_pts,
+                   l_pts, gauge_pts, m_colors, color_grid, columns, index)
 
 
 def anchored_points(u, xi, eta, u_probe, anchor):
@@ -397,8 +379,7 @@ def gauge_rows(W, ok, index, l):
 
 
 def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
-                 u_probe: complex = 0.1, color_grid=None,
-                 seed: int = 0, rows=None
+                 u_probe: complex = 0.1, color_grid=None, seed: int = 0
                  ) -> tuple[WeightFamily, GaugeCertificate]:
     """Normalize an eight-vertex family to a2 = a3 = 1, a7 = a8.
 
@@ -409,11 +390,18 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
     facts are checked and certified.
 
     The points are ``gauge_points`` of the same arguments, evaluated in one
-    ``eval_array`` call, or read from ``rows``, their rows (W, ok) of
-    ``fam``, when the caller has evaluated them.
+    ``eval_array`` call.
     """
-    p = _plan(anchor, u_probe, color_grid, seed)
-    W, ok = fam.eval_array(*p.columns) if rows is None else rows
+    p = gauge_points(anchor, u_probe, color_grid, seed)
+    return _reduce(fam, p, fam.eval_array(*p.columns))
+
+
+def _reduce(fam: WeightFamily, p: _Probes, rows
+            ) -> tuple[WeightFamily, GaugeCertificate]:
+    """``gauge_reduce`` on the plan ``p`` of ``gauge_points`` and the rows
+    (W, ok) of ``fam`` at its ``columns``."""
+    W, ok = rows
+    anchor, u_probe = p.anchor, p.u_probe
     n = len(p.points)
     # rows in probe order; a point marked in W raises its own error in turn
     probe_rows = (W[i] if ok[i] else fam.eval(*q).a

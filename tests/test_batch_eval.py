@@ -24,8 +24,7 @@ from cybe import (ColorProfile, CybeError, FamilyId, FamilySpec, Pipeline,
                   WeightFamily, WeightVector, apply, gauge_reduce,
                   make_family, sampling, with_bs_profiles, ybe_residuals)
 from cybe.cli import _perturbed
-from cybe.numkernel import (_NEAR_ONE, SCALAR, Batch, Split, _ladder,
-                            jacobi_sncndn)
+from cybe.numkernel import _NEAR_ONE, SCALAR, Batch, Split, jacobi_sncndn
 from cybe.sampling import (_DRAW_MAX, _point_pair, _points, _triple_points,
                            _triples, draw_points, draw_triples,
                            residual_sweep)
@@ -400,21 +399,13 @@ def _unbatched_landen(z, m):
 
 @pytest.mark.parametrize("k", [0.6, 0.5 - 0.2j, 0.3 + 0.4j, complex(0.7, -0.0),
                                complex(-0.0, 0.5), 1e-6j])
-def test_cached_ladder_is_the_recursion(k):
+def test_ladder_is_the_recursion(k):
     rng = np.random.default_rng(8)
     for z in (rng.uniform(-2, 2, 50) + 1j * rng.uniform(-1, 1, 50)).tolist():
         want = _unbatched_landen(z, complex(k) * complex(k))
         got = jacobi_sncndn(z, k)
         assert all(bits(g).tolist() == bits(w).tolist()
                    for g, w in zip(got, want))
-
-
-def test_ladder_is_cached_per_modulus_and_zero_sign():
-    first = _ladder(complex(0.36, 0.0))
-    assert _ladder(complex(0.36, 0.0)) is first
-    assert _ladder(complex(0.36, -0.0)) is not first
-    assert [r for r, _ in _ladder(0.25 + 0j)[0]] == [
-        r for r, _ in _ladder(complex(0.25, -0.0))[0]]
 
 
 # -------------------- the sampler against its oracle --------------------

@@ -2,6 +2,7 @@
 and the verdict pipeline across every built-in family."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -325,19 +326,26 @@ def test_a_wrong_guess_evaluates_no_point_twice(monkeypatch):
 
 
 def test_a_reduced_op_draws_the_probe_plan_once(monkeypatch):
-    """classify evaluates gauge_reduce's probes before it calls
-    gauge_reduce, and both read one drawn plan; a later op with the same
-    plan draws none.  No other test uses seed 2417, so its plan is not yet
-    drawn."""
+    """classify draws gauge_reduce's probe plan, evaluates its points and
+    hands the plan to the reduction, which draws none of its own: each
+    reduced op draws once, and a family with a spec, which needs no
+    reduction, draws none."""
     drawn = []
-    draw = transforms._probes
-    monkeypatch.setattr(transforms, "_probes",
-                        lambda *args: drawn.append(args) or draw(*args))
+    draw = transforms.gauge_points
+
+    def counted(*args, **kwargs):
+        drawn.append(1)
+        return draw(*args, **kwargs)
+    for module in (transforms, importlib.import_module("cybe.classify")):
+        monkeypatch.setattr(module, "gauge_points", counted)
+    plan = ClassifyPlan(n_ybe=40, seed=3)
     fam = apply(SCALE_REGAUGE, make_family(ff_trig_spec()))
-    for _ in range(2):
-        rep = classify(fam, ClassifyPlan(n_ybe=40, seed=2417))
+    for ops in (1, 2):
+        rep = classify(fam, plan)
         assert rep.notes[0].startswith("gauge-reduced")
-        assert len(drawn) == 1
+        assert len(drawn) == ops
+    assert classify(make_family(ff_trig_spec()), plan).notes == ()
+    assert len(drawn) == 2
 
 
 def test_a_failed_gauge_reduction_is_indeterminate():

@@ -465,11 +465,13 @@ def _samples(sub):
      "--u-span must be a finite number, got -inf"),
     (["verify", "--perturb", "a7", "-nan"],
      "--perturb DELTA must be a finite number, got '-nan'"),
+    (["verify", "--perturb", "a9", "0.1"],
+     "cannot perturb unknown field 'a9'"),
 ], ids=["verify_tol_nan", "verify_tol_inf", "verify_tol_negative",
         "classify_tol_nan", "u_span_nan", "color_span_inf", "perturb_nan",
         "eval_perturb_inf", "perturb_not_a_number", "tol_negative_inf",
         "classify_tol_negative_infinity", "u_span_negative_inf",
-        "perturb_negative_nan"])
+        "perturb_negative_nan", "perturb_unknown_field"])
 def test_malformed_flag_exit_2(argv, message, capsys):
     code, out, err = run_cli(argv + ["--spec", _FF_TRIG] + _samples(argv[0]),
                              capsys)

@@ -146,6 +146,17 @@ def test_modulus_domain():
     jacobi_sncndn(0.3, 1j * 0.999)
 
 
+def test_modulus_cap_boundary():
+    """|k| up to 1 + 1e-9 evaluates: its m is within _NEAR_ONE of 1, on the
+    hyperbolic forms.  Beyond the cap the message gives |k| to ten digits."""
+    for k in (1 + 1e-9, complex(1 + 1e-9, -0.0)):
+        sn, cn, dn = jacobi_sncndn(0.3, k)
+        assert abs(sn - cmath.tanh(0.3)) < 1e-8
+    with pytest.raises(ModulusOutOfRange) as info:
+        jacobi_sncndn(0.3, 1 + 2e-9)
+    assert str(info.value) == "|k| = 1.000000002 exceeds 1.000000001"
+
+
 def test_pole_rejection():
     # z = i K'(k) is a pole of all three functions
     from mpmath import ellipk, mp
@@ -155,6 +166,15 @@ def test_pole_rejection():
     Kp = float(ellipk(kprime**2))
     with pytest.raises(PoleProximity):
         jacobi_sncndn(1j * Kp, k)
+
+
+def test_cd_rejects_a_zero_of_dn():
+    # dn vanishes at K + i K', where sn and cn stay finite
+    from mpmath import ellipk
+    k = 0.6
+    z = complex(float(ellipk(k * k)), float(ellipk(1 - k * k)))
+    with pytest.raises(PoleProximity, match="cd has a pole here"):
+        jacobi_cd(z, k)
 
 
 def test_cd_and_elliptic_exp():

@@ -282,6 +282,19 @@ def test_malformed_profile_message(profile, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: TransformSpec.from_json({}), "transform needs a 'kind' field"),
+    (lambda: Pipeline.from_json({}),
+     "a transform pipeline must be a JSON array"),
+    (lambda: ColorProfile("product"),
+     "product profile needs at least one factor"),
+], ids=["transform_without_kind", "pipeline_object", "empty_product"])
+def test_incomplete_document_message(build, message):
+    with pytest.raises(InvalidSpec) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_booleans_are_not_numbers():
     doc = spec_to_json(ff_trig_spec())
     with pytest.raises(InvalidSpec, match="cannot parse complex value"):

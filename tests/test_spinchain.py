@@ -237,6 +237,18 @@ def test_export(tmp_path):
     assert np.abs(flat[:, 0::2] + 1j * flat[:, 1::2] - op.matrix).max() < 1e-12
 
 
+def test_export_rejects_an_unknown_format(tmp_path):
+    op = build_chain(CouplingConstants(1, 0.5, 0.25, 0.1), 3, True)
+    with pytest.raises(ValueError, match="unknown export format 'txt'"):
+        export_matrix(op, str(tmp_path / "h.txt"), "txt")
+    assert not (tmp_path / "h.txt").exists()
+
+
+def test_coefficients_need_eight_entries():
+    with pytest.raises(ValueError, match="eight coefficients"):
+        couplings_from_coeffs(np.zeros(7))
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 def test_matches_dense_oracle(n, rng):
     # one nonzero term per entry and bond, added in the oracle's order

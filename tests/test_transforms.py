@@ -55,6 +55,12 @@ def test_compose_empty_and_inverse(rng):
     assert_same_family(apply(compose([d2, dh]), fam), fam, sample_points(rng))
 
 
+def test_compose_flattens_a_pipeline():
+    steps = (TransformSpec("swap_23_78"), TransformSpec("negate_56"))
+    last = TransformSpec("swap_14_56")
+    assert compose([Pipeline(steps), last]) == Pipeline((*steps, last))
+
+
 def test_invalid_transform_specs():
     with pytest.raises(InvalidSpec):
         TransformSpec(kind="scale")  # no profile

@@ -79,6 +79,11 @@ def test_nonfinite_rejected_in_either_part(bad, pos):
         WeightVector(a)
 
 
+def test_wrong_length_rejected():
+    with pytest.raises(ValueError, match="exactly eight components"):
+        WeightVector(np.zeros(7))
+
+
 def test_tensor_embed_identity():
     R = to_matrix(IDENTITY)
     assert np.array_equal(tensor_embed(R, 12), np.eye(8))
