@@ -6,7 +6,10 @@ output.  Residual sweeps run in one thread.
 
 Exit codes: 0 success (verify: median within tolerance; classify: a
 solution verdict), 1 verification failure or non-solution verdict,
-2 invalid spec / size limit / malformed flag (--samples below 1,
+2 invalid spec (also a --spec or --transform document nested too deeply
+to decode) / size limit (--samples above MAX_SAMPLES, a grid of more
+than MAX_GRID_POINTS points, --sites above spinchain.MAX_SITES) /
+malformed flag (--samples below 1,
 --tol negative or non-finite, a non-finite --u-span, --color-span,
 --perturb DELTA, --xi or grid endpoint, a flag the command does not
 take) / a couplings family that is not a gauge family, 3 pole or
@@ -55,19 +58,33 @@ _EXIT_ERROR = (
 )
 
 
-def _load_json_arg(value: str):
+#: most samples of a verify or classify sweep; classify holds about 0.5 kB
+#: per sample, so a sweep of the cap peaks near 0.6 GB
+MAX_SAMPLES = 1_000_000
+
+#: most points of an eval or transform grid; the JSON output holds about
+#: 5.4 kB per point, so a grid of the cap peaks near 0.6 GB
+MAX_GRID_POINTS = 100_000
+
+
+def _load_json_arg(flag: str, value: str):
+    """The JSON document of a flag, inline or in a file; one nested deeper
+    than ``json`` can decode is InvalidSpec."""
     text = value.strip()
-    if text.startswith(("{", "[")):
-        return json.loads(text)
-    with open(value, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if text.startswith(("{", "[")):
+            return json.loads(text)
+        with open(value, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise InvalidSpec(f"{flag}: JSON document nested too deeply") from None
 
 
 def _load_family(args, color_span) -> WeightFamily:
     """The family of --spec, --transform and --perturb; the spec is
     validated on 11 colors spread over ``color_span``, the span of the
     colors the command evaluates."""
-    spec = spec_from_json(_load_json_arg(args.spec))
+    spec = spec_from_json(_load_json_arg("--spec", args.spec))
     diags = validate_spec(spec, color_span)
     if errors := [d for d in diags if not d.startswith("warning:")]:
         raise InvalidSpec("; ".join(errors))
@@ -75,7 +92,7 @@ def _load_family(args, color_span) -> WeightFamily:
         print(diag, file=sys.stderr)
     fam = make_family(spec)
     if args.transform:
-        pipe = Pipeline.from_json(_load_json_arg(args.transform))
+        pipe = Pipeline.from_json(_load_json_arg("--transform", args.transform))
         for step in pipe.steps:
             for diag in transform_diagnostics(step):
                 print(f"warning: {diag}", file=sys.stderr)
@@ -122,9 +139,9 @@ def _emit(doc, args) -> None:
     _write(text + "\n", args)
 
 
-def _grid(flag: str, spec: str) -> np.ndarray:
-    """The grid 'start:stop:count' of a flag; its endpoints must be
-    finite."""
+def _grid(flag: str, spec: str):
+    """The (start, stop, count) of a flag's grid 'start:stop:count'; its
+    endpoints must be finite."""
     try:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
@@ -132,8 +149,7 @@ def _grid(flag: str, spec: str) -> np.ndarray:
             raise ValueError
     except ValueError:
         raise InvalidSpec(f"grid must be 'start:stop:count', got {spec!r}")
-    return np.linspace(_finite(f"{flag} start", lo),
-                       _finite(f"{flag} stop", hi), n)
+    return _finite(f"{flag} start", lo), _finite(f"{flag} stop", hi), n
 
 
 #: the columns of an eval/transform row, in output order
@@ -142,9 +158,14 @@ _COLUMNS = ("u", "xi", "eta", *(f"a{i}_{part}" for i in range(1, 9)
 
 
 def cmd_eval(args) -> int:
-    us, xis, etas = (_grid(flag, spec) for flag, spec in (
+    grids = [_grid(flag, spec) for flag, spec in (
         ("--grid-u", args.grid_u), ("--grid-xi", args.grid_xi),
-        ("--grid-eta", args.grid_eta)))
+        ("--grid-eta", args.grid_eta))]
+    points = math.prod(n for _, _, n in grids)
+    if points > MAX_GRID_POINTS:
+        raise SizeLimit(f"grid of {points} points exceeds the cap of "
+                        f"{MAX_GRID_POINTS}")
+    us, xis, etas = (np.linspace(*g) for g in grids)
     colors = np.concatenate([xis, etas])
     fam = _load_family(args, (colors.min(), colors.max()))
     # raveled, the grid runs eta fastest, then xi, then u
@@ -178,6 +199,9 @@ def _finite(flag: str, value) -> float:
 def _require_sweep_flags(args) -> None:
     if args.samples < 1:
         raise InvalidSpec(f"--samples must be at least 1, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise SizeLimit(f"--samples {args.samples} exceeds the cap of "
+                        f"{MAX_SAMPLES}")
     if _finite("--tol", args.tol) < 0:
         raise InvalidSpec(f"--tol must be at least 0, got {args.tol!r}")
     _finite("--u-span", args.u_span)
@@ -214,13 +238,14 @@ def cmd_verify(args) -> int:
         unit = max(float(d.max()) for d in unitarity_sweep(
             fam, unit_plan, rows["unit"]))
 
-    ok = bool(np.median(rels) <= args.tol)
+    median = float(np.median(rels))
+    ok = median <= args.tol
     _emit({
         "samples": args.samples,
         "seed": args.seed,
         "tolerance": args.tol,
         "relative_residual": {
-            "min": float(rels.min()), "median": float(np.median(rels)),
+            "min": float(rels.min()), "median": median,
             "max": float(rels.max()),
         },
         "worst_components": [{"id": k, "max_residual": v}

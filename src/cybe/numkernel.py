@@ -336,9 +336,14 @@ class Batch:
     sqrt = _numpy_fn(np.sqrt, cmath.sqrt, _SQRT_TOP, real_zero=False)
 
     def tan(self, x) -> Split:
+        """cmath.tan of every element; after the first raise, the
+        per-element loop marks each point that raises."""
         z = self.complex(x)
-        out = np.empty(self.n, dtype=complex)
-        self._each(cmath.tan, z, out, range(self.n))
+        try:
+            out = np.array(list(map(cmath.tan, z.tolist())), dtype=complex)
+        except (OverflowError, ValueError):
+            out = np.empty(self.n, dtype=complex)
+            self._each(cmath.tan, z, out, range(self.n))
         return Split.of(out)
 
     def sncndn(self, z, k):

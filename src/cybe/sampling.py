@@ -41,17 +41,13 @@ from math import ceil
 import numpy as np
 
 from .errors import InvalidSpec, SamplingExhausted
-from .weights import unitarity_defects, ybe_residuals
+from .weights import _WEIGHT_BOUND, unitarity_defects, ybe_residuals
 
 _MAX_ATTEMPT_FACTOR = 200
 
 #: most candidates drawn and evaluated at once; the first block of a
 #: 600-sample sweep holds 754
 _DRAW_MAX = 768
-
-#: largest max_weight: every residual component and defect entry is a sum of
-#: at most 4 products of three weights, so |a| <= 1e100 keeps it below 4e300
-_WEIGHT_BOUND = 1e100
 
 
 @dataclass(frozen=True)

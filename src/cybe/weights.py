@@ -26,13 +26,20 @@ every residual is computed from them: the max-abs defect ``matrix_norm`` is
 the largest component magnitude.  ``ybe_residuals`` takes (B, 8) weight
 arrays and works through them in chunks of ``_CHUNK`` rows, so that its
 float arrays stay in cache at any B.  The 28 components are written once,
-as a term table: per equation, up to four signed products (f1, f2, f3) of
-the 24 weight columns of U|W|V.  The real and imaginary columns of a chunk
-are gathered once and the table is evaluated in four term steps on (28, B)
-float arrays, each product unfused (numpy's SIMD complex-array multiply
-may fuse multiply-adds and then differs in the last bit), so every
-component rounds exactly as the scalar complex arithmetic of the written
-equations does; ``component_residuals`` is the one-row case.  ``unitarity_defects`` writes
+as a table of products (f1, f2, f3) of the 24 weight columns of U|W|V,
+each taken as (f1*f2)*f3: the 60 distinct pair products f1*f2 of a chunk
+are formed once, then four term steps on (28, B) float arrays add the
+first left product, the second one (eq05..eq28), and subtract the two
+right ones.  When every imaginary part of a block is zero and every
+weight magnitude at most ``_WEIGHT_BOUND``, the steps run on the real
+columns alone (``_real_components``): each cross term of a product is
+then a zero, the bound rules out inf * 0, and the complex abs of (x, +-0)
+is |x|, so the result is the complex kernel's bit for bit.  Any other
+block takes the complex kernel, ``_components``, which forms each product
+unfused (numpy's SIMD complex-array multiply may fuse multiply-adds and
+then differs in the last bit), so every component rounds exactly as the
+scalar complex arithmetic of the written equations does;
+``component_residuals`` is its one-row case.  ``unitarity_defects`` writes
 out the 8 nonzero entries of R(u) R(-u) - (1 - a5 a6) E and evaluates them
 on ``numkernel.Split`` columns; ``unitarity_defect`` is its one-row case.
 Neither path multiplies matrices, so no value depends on the BLAS build.
@@ -50,8 +57,14 @@ from .numkernel import Split
 
 GAUGE_TOL = 1e-10
 
-#: rows of one ``_components`` call: its (28, B) float arrays stay in cache
-_CHUNK = 256
+#: rows of one kernel call: its (28, B) and (60, B) float arrays stay in
+#: cache, and below the 128 KiB at which malloc maps fresh pages
+_CHUNK = 128
+
+#: largest weight magnitude of the real kernel and of a sampler's
+#: max_weight: every residual component and defect entry is a sum of at
+#: most 4 products of three weights, so |a| <= 1e100 keeps it below 4e300
+_WEIGHT_BOUND = 1e100
 
 _E2 = np.eye(2, dtype=complex)
 
@@ -139,17 +152,16 @@ COMPONENT_IDS = tuple(f"eq{i:02d}" for i in range(1, 29))
 GAUGE_COMPONENT_IDS = COMPONENT_IDS[4:16]
 
 
-#: the gathered column that holds zeros, for padding the quartets
-_ZERO_COL = 24
-
-
-def _term_table():
-    """Factor columns (4, 3, 28) and signs (4, 28, 1) of the four term steps
-    of the 28 equations, for the gathered columns of ``_components``."""
+def _term_plan():
+    """The pair columns (f1, f2) of the 60 distinct pair products of the 28
+    equations, and the four term steps (pair, f3), each product taken as
+    (f1*f2)*f3, for the gathered columns U|W|V of ``_components``.  Steps
+    1 and 3 give each equation its first left and right product, steps 2
+    and 4 the second ones of eq05..eq28."""
     u1, u2, u3, u4, u5, u6, u7, u8 = range(0, 8)
     w1, w2, w3, w4, w5, w6, w7, w8 = range(8, 16)
     v1, v2, v3, v4, v5, v6, v7, v8 = range(16, 24)
-    # eq = sum(lhs) - sum(rhs), each product (f1, f2, f3) taken as (f1*f2)*f3
+    # eq = sum(lhs) - sum(rhs)
     equations = (
         ([(u7, w3, v8)], [(u8, w2, v7)]),
         ([(u7, w8, v3)], [(u8, w7, v2)]),
@@ -184,44 +196,57 @@ def _term_table():
         ([(u4, w8, v6), (u8, w5, v2)], [(v8, w6, u3), (v4, w8, u5)]),
         ([(u4, w8, v3), (u8, w5, v5)], [(v4, w4, u8), (v8, w3, u1)]),
     )
-    # a quartet side is padded with a zero product taken with sign -1:
-    # adding -0.0 leaves every value, signed zeros included, as it is
-    pad = (_ZERO_COL,) * 3
-    factors = [lhs + [pad] * (2 - len(lhs)) + rhs + [pad] * (2 - len(rhs))
-               for lhs, rhs in equations]
-    signs = [[1.0] * len(lhs) + [-1.0] * (4 - len(lhs))
-             for lhs, _ in equations]
-    return (np.array(factors).transpose(1, 2, 0),
-            np.array(signs).T[:, :, None])
+    steps = ([lhs[0] for lhs, _ in equations],
+             [lhs[1] for lhs, _ in equations[4:]],
+             [rhs[0] for _, rhs in equations],
+             [rhs[1] for _, rhs in equations[4:]])
+    pairs = sorted({t[:2] for step in steps for t in step})
+    slot = {p: i for i, p in enumerate(pairs)}
+    return np.array(pairs).T, tuple(
+        (np.array([slot[t[:2]] for t in step]), np.array([t[2] for t in step]))
+        for step in steps)
 
 
-_FACTORS, _SIGNS = _term_table()
+(_PAIR_1, _PAIR_2), _STEPS = _term_plan()
+
+
+def _signed_sum(terms):
+    """(t1 + t2) - t3 - t4 of the four term steps' (28, B) products, taken
+    from the iterator ``terms`` one at a time and summed in place into t1;
+    t2 and t4 hold eq05..eq28 only."""
+    acc = next(terms)
+    acc[4:] += next(terms)
+    acc -= next(terms)
+    acc[4:] -= next(terms)
+    return acc
 
 
 def _components(U: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The 28 equations, (B, 28) complex, of B triples given as (B, 8)
     weight arrays.
 
-    The real and imaginary columns of U|W|V are gathered once; each term
-    step forms one product per equation on (28, B) float arrays, unfused
-    (re = ar*br - ai*bi, im = ar*bi + ai*br) as CPython's complex product
-    rounds, and the terms are summed left to right.
+    The real and imaginary columns of U|W|V are gathered once; each pair
+    product and each term step is formed on float arrays, unfused (re =
+    ar*br - ai*bi, im = ar*bi + ai*br) as CPython's complex product rounds,
+    and the terms are summed left to right.
     """
-    B = len(U)
-    cols = np.concatenate((U, W, V, np.zeros((B, 1))), axis=1).T
+    cols = np.concatenate((U, W, V), axis=1).T
     re, im = cols.real.copy(), cols.imag.copy()
-    # -0.0 + t is t for every t, so the sum starts from -0.0
-    acc_re = np.full((len(COMPONENT_IDS), B), -0.0)
-    acc_im = acc_re.copy()
-    for (f1, f2, f3), sign in zip(_FACTORS, _SIGNS):
-        ar, ai, br, bi = re[f1], im[f1], re[f2], im[f2]
-        pr, pi = ar*br - ai*bi, ar*bi + ai*br
-        cr, ci = re[f3], im[f3]
-        acc_re += sign * (pr*cr - pi*ci)
-        acc_im += sign * (pr*ci + pi*cr)
-    out = np.empty((B, len(COMPONENT_IDS)), dtype=complex)
-    out.real, out.imag = acc_re.T, acc_im.T
+    pr = re[_PAIR_1] * re[_PAIR_2]
+    pr -= im[_PAIR_1] * im[_PAIR_2]
+    pi = re[_PAIR_1] * im[_PAIR_2]
+    pi += im[_PAIR_1] * re[_PAIR_2]
+    out = np.empty((len(U), len(COMPONENT_IDS)), dtype=complex)
+    out.real = _signed_sum(pr[q]*re[f3] - pi[q]*im[f3] for q, f3 in _STEPS).T
+    out.imag = _signed_sum(pr[q]*im[f3] + pi[q]*re[f3] for q, f3 in _STEPS).T
     return out
+
+
+def _real_components(re: np.ndarray) -> np.ndarray:
+    """The 28 equations, (28, B) float, of the real columns re (24, B) of
+    U|W|V: ``_components`` with every imaginary part zero."""
+    pair = re[_PAIR_1] * re[_PAIR_2]
+    return _signed_sum(pair[q] * re[f3] for q, f3 in _STEPS)
 
 
 def component_residuals(wu: WeightVector, ww: WeightVector,
@@ -280,15 +305,26 @@ def ybe_residuals(U: np.ndarray, W: np.ndarray, V: np.ndarray):
     """The ``ybe_residual`` fields of B triples at once, from (B, 8) weight
     arrays with the same argument pattern as rows: the |components|
     (B, 28), which are bitwise ``component_residuals`` and whose row
-    maximum is matrix_norm, and scale (B,)."""
+    maximum is matrix_norm, and scale (B,).
+
+    When every imaginary part is zero and every weight magnitude at most
+    ``_WEIGHT_BOUND``, the components are formed in float arithmetic
+    (``_real_components``); any other block takes the complex kernel.
+    """
+    mags = [np.abs(A).max(axis=1) for A in (U, W, V)]
+    real = (not any(A.imag.any() for A in (U, W, V))
+            and all((m <= _WEIGHT_BOUND).all() for m in mags))
     comp = np.empty((len(U), len(COMPONENT_IDS)))
     for i in range(0, len(U), _CHUNK):
         rows = slice(i, i + _CHUNK)
-        # np.abs of a complex array, as in the scalar path: np.hypot on the
-        # float parts rounds differently
-        np.abs(_components(U[rows], W[rows], V[rows]), out=comp[rows])
-    su, sw, sv = (np.maximum(np.abs(A).max(axis=1), 1e-300)
-                  for A in (U, W, V))
+        if real:
+            re = np.concatenate([A[rows].real.T for A in (U, W, V)])
+            np.abs(_real_components(re).T, out=comp[rows])
+        else:
+            # np.abs of a complex array, as in the scalar path: np.hypot on
+            # the float parts rounds differently
+            np.abs(_components(U[rows], W[rows], V[rows]), out=comp[rows])
+    su, sw, sv = (np.maximum(m, 1e-300) for m in mags)
     return comp, su * sw * sv
 
 

@@ -256,6 +256,25 @@ def test_functions_and_abs_match_cmath():
             assert bits(got[i]).tolist() == bits(want).tolist(), (name, x)
 
 
+def test_tan_marks_only_the_elements_that_raise():
+    """``Batch.tan`` maps cmath.tan over the column; the elements on which
+    cmath.tan raises (an infinite real part) are marked, and no other,
+    while every other value is still cmath's bit for bit."""
+    z = np.array([0.3 + 0.1j, -1.2 + 4.0j, complex(math.inf, 0.5),
+                  2.0 - 0.7j, complex(-math.inf, 2.0), 1e-310 + 0j])
+    o = Batch(len(z))
+    got = o.complex(o.tan(Split.of(z)))
+    assert o.bad.tolist() == [False, False, True, False, True, False]
+    for i, x in enumerate(z.tolist()):
+        if not o.bad[i]:
+            assert bits(got[i]).tolist() == bits(cmath.tan(x)).tolist()
+    with pytest.raises(ValueError):
+        cmath.tan(z[2])
+    clean = Batch(3)
+    clean.tan(Split.of(z[[0, 1, 3]]))
+    assert not clean.bad.any()
+
+
 @pytest.mark.parametrize("k", [0, 0.3, 0.6, 0.85, 0.99, 0.5 + 0.2j, 1.0,
                                1 - _NEAR_ONE / 2, 1 - 2 * _NEAR_ONE])
 def test_batch_kernel_is_the_scalar_kernel(k):

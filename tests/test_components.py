@@ -110,7 +110,7 @@ def test_blocks_of_random_magnitudes(size, seed, top, zeros):
 
 def test_quartet_padding_keeps_signed_zeros():
     """eq01 = u7*w3*v8 - u8*w2*v7 with both products -0.0 - (+0.0): the
-    padded term steps must give -0.0, as the oracle does."""
+    term steps of a quartet must give -0.0, as the oracle does."""
     U = np.zeros((1, 8), dtype=complex)
     W, V = U.copy(), U.copy()
     U[0, 6], W[0, 2], V[0, 7] = -0.0, 1.0, 1.0

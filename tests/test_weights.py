@@ -16,7 +16,7 @@ from cybe import (COMPONENT_IDS, GAUGE_COMPONENT_IDS, NotGauge,
                   matrix_weights, residual_sweep, tensor_embed, to_matrix,
                   unitarity_defect, unitarity_defects, unitarity_residual,
                   unitarity_sweep, ybe_defect, ybe_residual, ybe_residuals)
-from cybe import sampling
+from cybe import sampling, weights
 from cybe.sampling import _DRAW_MAX, _points, _triple_points, _triples
 from cybe.weights import _CHUNK, GAUGE_TOL, gauge_equation_residuals
 
@@ -350,10 +350,13 @@ def test_batch_residuals_match_oracle_property(values):
     assert_matches_oracle(A[:, 0], A[:, 1], A[:, 2])
 
 
-@pytest.mark.parametrize("size", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 700])
+@pytest.mark.parametrize("size", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                  2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1,
+                                  700])
 def test_batch_residuals_are_their_one_row_results(size):
     """``ybe_residuals`` works through its rows in chunks; every row, on
-    either side of a chunk seam, is bitwise its one-row result."""
+    either side of the first or the second chunk seam, is bitwise its
+    one-row result."""
     rng = np.random.default_rng(size)
     U, W, V = (rng.normal(size=(size, 8)) + 1j * rng.normal(size=(size, 8))
                for _ in range(3))
@@ -362,6 +365,84 @@ def test_batch_residuals_are_their_one_row_results(size):
             for b in range(size)]
     assert np.array_equal(comp, np.concatenate([c for c, _ in rows]))
     assert np.array_equal(scale, np.concatenate([s for _, s in rows]))
+
+
+def real_block(size, seed, low, zeros):
+    """Three (size, 8) complex arrays of real weights: parts of either sign
+    and magnitude 10**low up to 1e100 (10**-323 is subnormal), a share
+    ``zeros`` of them exact zeros of either sign, and every imaginary part
+    a zero of random sign."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(3):
+        re = (rng.choice([-1.0, 1.0], (size, 8))
+              * np.minimum(10.0 ** rng.uniform(low, 100, (size, 8)), 1e100))
+        zero = rng.random((size, 8)) < zeros
+        re[zero] = np.copysign(0.0, rng.choice([-1.0, 1.0], zero.sum()))
+        A = np.empty((size, 8), dtype=complex)
+        A.real = re
+        A.imag = np.copysign(0.0, rng.choice([-1.0, 1.0], (size, 8)))
+        out.append(A)
+    return out
+
+
+def complex_kernel_residuals(U, W, V):
+    """What ``ybe_residuals`` returns from the complex kernel alone."""
+    with np.errstate(all="ignore"):
+        comp = np.abs(weights._components(U, W, V))
+    su, sw, sv = (np.maximum(np.abs(A).max(axis=1), 1e-300)
+                  for A in (U, W, V))
+    return comp, su * sw * sv
+
+
+def kernel_calls(monkeypatch) -> Counter:
+    """Count the calls of the real and the complex kernel."""
+    calls = Counter()
+    for name in ("_real_components", "_components"):
+        def counted(*args, _name=name, _fn=getattr(weights, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(weights, name, counted)
+    return calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2000]),
+       seed=st.integers(0, 2**32 - 1), low=st.integers(-323, 100),
+       zeros=st.floats(0.0, 0.9))
+def test_real_path_is_the_complex_kernel(size, seed, low, zeros):
+    """Real weights take the float kernel, and both outputs are the
+    complex kernel's bit for bit: every cross term of a product is a zero,
+    which leaves the real part as it is, and the complex abs of (x, ±0) is
+    |x|."""
+    U, W, V = real_block(size, seed, low, zeros)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = kernel_calls(mp)
+        got = ybe_residuals(U, W, V)
+    assert calls == {"_real_components": -(-size // _CHUNK)}
+    for g, w in zip(got, complex_kernel_residuals(U, W, V)):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+@pytest.mark.parametrize("poison", [1e-300j, complex(np.nan, 0),
+                                    complex(0, np.nan), complex(np.inf, 0),
+                                    complex(-np.inf, 0), 1.0000000000000002e100,
+                                    -3e100])
+@pytest.mark.parametrize("where", [(0, 0, 0), (1, 300, 7), (2, 599, 3)])
+def test_one_entry_sends_the_block_to_the_complex_kernel(poison, where,
+                                                        monkeypatch):
+    """One nonzero imaginary part, one NaN or infinity, or one magnitude
+    above 1e100 anywhere in U, W or V: the whole block takes the complex
+    kernel."""
+    arrays = real_block(600, 11, -5, 0.1)
+    k, row, col = where
+    arrays[k][row, col] = poison
+    calls = kernel_calls(monkeypatch)
+    with np.errstate(all="ignore"):
+        got = ybe_residuals(*arrays)
+    assert calls == {"_components": -(-600 // _CHUNK)}
+    for g, w in zip(got, complex_kernel_residuals(*arrays)):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300, 600])
