@@ -19,7 +19,7 @@ the branch conditions.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .numkernel import Split, jacobi_sncndn
 from .sampling import (SamplePlan, _point, _point_spans, _points,
                        _triple_points, _triple_spans, evaluate_groups,
                        first_block, residual_sweep, split_rows)
-from .transforms import _reduce, anchored_points, gauge_points, gauge_rows
+from .transforms import _reduce, gauge_points
 from .weights import (WeightVector, _gauge_rows, baxter_curve_residual,
                       free_fermion_residual, vanishing_weights)
 
@@ -58,11 +58,11 @@ class HamiltonianCoefficients:
 def _richardson(w, h):
     """Central difference with one Richardson level from the weights w at
     u + h, u - h, u + h/2 and u - h/2: the extrapolated value of d/du a and
-    its distance from the raw difference."""
+    its distance from the raw difference (per row of a stack of points)."""
     raw = (w[0] - w[1]) / (2 * h)
     fine = (w[2] - w[3]) / h
     rich = (4 * fine - raw) / 3
-    return rich, float(np.abs(rich - raw).max())
+    return rich, np.abs(rich - raw).max(axis=-1)
 
 
 def _du(fam, u, xi, eta, h=1e-5):
@@ -99,27 +99,30 @@ def hamiltonian_coeffs(fam: WeightFamily, xi_grid=None, h: float = 1e-5,
         xi_grid = np.linspace(-0.45, 0.45, 20)
     xi_grid = np.asarray(xi_grid, dtype=float)
 
-    rows, errs = [], []
-    analytic = fam.analytic_coeffs(xi_grid[0]) is not None
-    if not analytic:
-        n = len(xi_grid)
-        S, ok = (fam.eval_array(*stencil_points(xi_grid, h))
-                 if stencil is None else stencil)
-        S, ok = S.reshape(4, n, 8), ok.reshape(4, n)
-    for i, xi in enumerate(xi_grid):
-        # a stencil point marked in S raises its own error in its turn
-        m, err = _coeffs_at(fam, xi, h, True) if analytic else _richardson(
-            [S[j, i] if ok[j, i] else fam.eval(d, xi, xi).a
-             for j, d in enumerate(_steps(h))], h)
-        if err > 1e-4 * max(1.0, float(np.abs(m).max())):
-            raise StepUnstable(
-                f"Richardson and raw central differences disagree by "
-                f"{err:.3e} at xi = {xi}; adjust h")
-        rows.append(m)
-        errs.append(err)
-    return HamiltonianCoefficients(
-        xi_grid=xi_grid, m=np.array(rows), h=h,
-        fd_error=np.array(errs), analytic=analytic)
+    n = len(xi_grid)
+    if fam.analytic_coeffs(xi_grid[0]) is not None:
+        return HamiltonianCoefficients(
+            xi_grid=xi_grid, m=np.array([fam.analytic_coeffs(x)
+                                         for x in xi_grid]),
+            h=h, fd_error=np.zeros(n), analytic=True)
+    S, ok = (fam.eval_array(*stencil_points(xi_grid, h))
+             if stencil is None else stencil)
+    S, ok = S.reshape(4, n, 8), ok.reshape(4, n)
+    with np.errstate(all="ignore"):   # the rows of marked points are junk
+        m, err = _richardson(S, h)
+        # the colors in turn: the first whose step is unstable raises,
+        # unless it has a marked stencil point, which raises its own error
+        marked = ~ok.all(axis=0)
+        failed = (err > 1e-4 * np.fmax(1.0, np.abs(m).max(axis=1))) | marked
+    if failed.any():
+        i = failed.argmax()
+        if marked[i]:
+            fam.eval(_steps(h)[ok[:, i].argmin()], xi_grid[i], xi_grid[i])
+        raise StepUnstable(
+            f"Richardson and raw central differences disagree by "
+            f"{err[i]:.3e} at xi = {xi_grid[i]}; adjust h")
+    return HamiltonianCoefficients(xi_grid=xi_grid, m=m, h=h, fd_error=err,
+                                   analytic=False)
 
 
 def invariant_suite(fam: WeightFamily,
@@ -385,8 +388,12 @@ class ClassificationReport:
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return asdict(self) | {"verdict": self.verdict.value,
-                               "notes": list(self.notes)}
+        # the fields as they are, with fresh containers: no deep copy
+        return vars(self) | {
+            "verdict": self.verdict.value, "notes": list(self.notes),
+            "coefficient_invariants": dict(self.coefficient_invariants),
+            "measured_constants": {k: list(v) for k, v in
+                                   self.measured_constants.items()}}
 
 
 #: u of the initial value: 0, and 1e-7 to probe the limit of a family
@@ -445,18 +452,15 @@ def _reduction(plan: ClassifyPlan) -> dict:
                 seed=plan.seed)
 
 
-def _reduction_points(reduction: dict, stages: dict):
-    """The points a gauge reduction adds to the gauge-form points
-    ``stages``: ``gauge_reduce``'s own and the anchored points of the
-    stages, by name; the index of the inner points, the stages' points
-    followed by the anchored points; and the probe plan."""
-    inner, index = anchored_points(
-        *map(np.concatenate, zip(*stages.values())),
-        reduction["u_probe"], reduction["anchor"])
-    n = len(index[0])
-    probes = gauge_points(**reduction)
-    return {"probes": probes.columns,
-            "anchored": tuple(c[n:] for c in inner)}, index, probes
+def _rows_beside(fam: WeightFamily, p, known) -> tuple:
+    """The rows (W, ok) of ``fam`` at the columns of the probe plan ``p``
+    from one call that leaves out its extra points, whose rows ``known``
+    are given."""
+    s = p.extra
+    rows = fam.eval_array(*(np.concatenate([c[:s.start], c[s.stop:]])
+                            for c in p.columns))
+    return tuple(np.concatenate([r[:s.start], k, r[s.start:]])
+                 for r, k in zip(rows, known))
 
 
 def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
@@ -471,10 +475,12 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
 
     The plan fixes every point up front, so the family is evaluated in one
     ``eval_array`` call: the sweep's first block and the gauge-form points,
-    with gauge_reduce's points and the anchored points of the gauge-form
-    points unless the family claims gauge form or is a closed form.  A
-    reduction that the guess missed costs a second call, of just those
-    points, and each further sampler block one more.
+    with gauge_reduce's probe plan unless the family claims gauge form or
+    is a closed form.  The plan's ``extra`` points are the gauge-form
+    points, so the reduction's one ``gauge_rows`` pass gives the gauge form
+    at its check points and at them.  A reduction that the guess missed
+    costs a second call, of the plan's other points, and each further
+    sampler block one more.
     """
     plan = plan or ClassifyPlan()
     notes: list[str] = []
@@ -489,16 +495,22 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     # a family that claims gauge form, or is a closed form of a spec (all
     # of which have a2 = a3 = 1, a7 = a8), needs no reduction; any other,
     # such as a scale, regauge or perturbation, is reduced in this call
-    reducing = (None if fam.gauge or fam.spec is not None
-                else _reduction_points(reduction, stages))
+    extra = tuple(map(np.concatenate, zip(*stages.values())))
+    probes = (None if fam.gauge or fam.spec is not None
+              else gauge_points(**reduction, extra=extra))
     rows = evaluate_groups(
         fam, {"sweep": first_block(sweep, _triple_spans(sweep),
                                    _triple_points)}
-        | stages | (reducing[0] if reducing else {}))
+        | ({"reduction": probes.columns} if probes else stages))
+    # the gauge-form points' own rows
+    at = (split_rows([r[probes.extra] for r in rows["reduction"]], stages)
+          if probes else {name: rows[name] for name in stages})
 
-    blocks = list(residual_sweep(fam, sweep, rows["sweep"]))
-    U = np.concatenate([U for U, _, _ in blocks])
-    rels = np.concatenate([rel for _, rel, _ in blocks])
+    Us, rels = [], []     # a block's residual components are not kept
+    for U, rel, _ in residual_sweep(fam, sweep, rows["sweep"]):
+        Us.append(U)
+        rels.append(rel)
+    U, rels = np.concatenate(Us), np.concatenate(rels)
     base = dict(ybe_median=float(np.median(rels)), ybe_max=float(np.max(rels)))
     if base["ybe_median"] > plan.tol_solution:
         return ClassificationReport(
@@ -512,21 +524,20 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
             notes=(f"weights {dead} vanish identically",), **base)
 
     base["is_gauge"] = bool(_gauge_rows(U).all())
-    work, at = fam, rows
+    work = fam
     if not base["is_gauge"]:
-        if reducing is None:
-            reducing = _reduction_points(reduction, stages)
-            rows |= evaluate_groups(fam, reducing[0])
+        if probes is None:
+            probes = gauge_points(**reduction, extra=extra)
+            rows["reduction"] = _rows_beside(fam, probes, tuple(
+                map(np.concatenate, zip(*at.values()))))
         try:
-            work, cert = _reduce(fam, reducing[2], rows["probes"])
+            work, cert, gauge = _reduce(fam, probes, rows["reduction"])
             notes.append(f"gauge-reduced (residual {cert.gauge_residual:.2e})")
         except CybeError as exc:
             return ClassificationReport(
                 Verdict.INDETERMINATE,
                 notes=(f"gauge reduction failed: {exc}",), **base)
-        inner = [rows[name] for name in [*stages, "anchored"]]
-        at = split_rows(gauge_rows(*map(np.concatenate, zip(*inner)),
-                                   reducing[1], cert.l_constant), stages)
+        at = split_rows(gauge, stages)
 
     ic_res = _initial_condition_residual(*at["ic"])
     ic_ok = bool(ic_res <= 1e-8)

@@ -58,8 +58,8 @@ _EXIT_ERROR = (
 )
 
 
-#: most samples of a verify or classify sweep; classify holds about 0.5 kB
-#: per sample, so a sweep of the cap peaks near 0.6 GB
+#: most samples of a verify or classify sweep; classify holds about 0.34 kB
+#: per sample, so a sweep of the cap peaks near 0.4 GB RSS
 MAX_SAMPLES = 1_000_000
 
 #: most points of an eval or transform grid; the JSON output holds about

@@ -49,6 +49,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import enum
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -614,14 +615,25 @@ def spec_to_json(spec: FamilySpec) -> dict:
     return doc
 
 
+_FAMILY_NAMES = frozenset(f.value for f in FamilyId)
+
+
+def _shown(value, limit: int = 60) -> str:
+    """The repr of a JSON value for a message, at most ``limit`` characters
+    (reprlib bounds the work on a deep or long value)."""
+    text = reprlib.repr(value)
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
 def spec_from_json(doc: dict) -> FamilySpec:
     _check_keys(doc, _SPEC_KEYS, "family spec")
     if "family" not in doc:
         raise InvalidSpec("family spec needs a 'family' field")
-    try:
-        fam = FamilyId(doc["family"])
-    except ValueError:
-        raise InvalidSpec(f"unknown family {doc['family']!r}") from None
+    name = doc["family"]
+    # FamilyId's own error would hold the whole repr of any value
+    if not (isinstance(name, str) and name in _FAMILY_NAMES):
+        raise InvalidSpec(f"unknown family {_shown(name)}")
+    fam = FamilyId(name)
     signs = doc.get("signs", {})
     _check_keys(signs, _SIGN_KEYS, "signs")
     profiles = doc.get("profiles", {})

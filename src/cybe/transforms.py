@@ -20,11 +20,14 @@ wrapper keeps an array evaluator when the wrapped family has one.
 
 ``gauge_reduce`` draws its probe plan (``gauge_points``) and evaluates the
 probes and the inner points of its gauge check in one ``eval_array`` call.
-Classify draws the plan itself, evaluates its points beside its own, and
-hands the plan and their rows to the same reduction.  The reduced family
-at n points reads the wrapped family at their inner points: the points,
-and one anchored point per distinct color, whose a3/a2 is M(color).  Its
-array evaluator evaluates them in one call, and
+Classify draws the plan itself, with its own gauge-form points as the
+plan's extra points, evaluates the plan beside its other points, and hands
+the plan and its rows to the same reduction, whose one ``gauge_rows`` pass
+gives the gauge form at the check points and the extra ones.  The
+reduction reads its probes as columns, a few array operations per check.
+The reduced family at n points reads the wrapped family at their inner
+points: the points, and one anchored point per distinct color, whose a3/a2
+is M(color).  Its array evaluator evaluates them in one call, and
 ``gauge_rows`` derives the reduced rows from rows a caller evaluated
 beside its own points, since a batch call has a fixed cost at almost any
 size (README, "Batch evaluation").
@@ -42,7 +45,7 @@ import numpy as np
 from .errors import (InvalidSpec, MultiplicativityViolation, NotEightVertex,
                      ZeroDivisor)
 from .families import WeightFamily, _sampled, from_form
-from .numkernel import SCALAR, Batch
+from .numkernel import SCALAR, Batch, Split, _parts
 from .profiles import ColorProfile, SpectralProfile, _check_keys, _cjson, _cval
 from .weights import vanishing_weights
 
@@ -259,28 +262,42 @@ class _Probes(NamedTuple):
 
     anchor: complex
     u_probe: complex
-    points: list          # the probes, in the order they are read
-    n_mag: int            # magnitude probes, first in ``points``
-    n_cocycle: int        # cocycle triples, three points each
-    nu: list              # (u, xi) of the nu diagnostic
-    l: list               # (u, xi, eta) of the constant l
-    checks: list          # (u, xi, eta) of the gauge check
-    m_colors: list        # colors x of the M(x) probes, last in ``points``
     grid: np.ndarray
+    draws: tuple          # (spread, cocycle, nu, l, checks) as drawn
     columns: tuple        # the (u, xi, eta) columns the reduction evaluates
-    check_index: tuple    # the check's ``anchored_points`` index
+    index: tuple          # ``anchored_points`` index of the gauge points
+    extra: slice          # the extra points within ``columns``
+
+    def points(self) -> list:
+        """The probes as (u, xi, eta) tuples in read order, as the
+        point-by-point reduction evaluates them: 28 magnitude probes, 12
+        cocycle triples, 6 nu points, 6 l points, then M at the colors of
+        the l points and of the grid."""
+        spread, cocycle, nu, l, _ = self.draws
+        grid = self.grid
+        return (
+            [(complex(self.u_probe) * s, xi, eta) for s, (xi, eta) in zip(
+                spread, itertools.product(grid, grid[::2]))]
+            + [p for u, v, xi, eta, lam in cocycle
+               for p in ((u + v, xi, lam), (u, xi, eta), (v, eta, lam))]
+            + [(float(u), float(xi), float(xi)) for u, xi in nu]
+            + [(float(u), xi, eta) for u, xi, eta in l]
+            + [(self.u_probe, x, self.anchor)
+               for x in [*np.ravel(l[:, 1:]), *grid]])
 
 
 def gauge_points(anchor: complex = 0.0, u_probe: complex = 0.1,
-                 color_grid=None, seed: int = 0) -> _Probes:
+                 color_grid=None, seed: int = 0, extra=None) -> _Probes:
     """The probe plan of ``gauge_reduce`` with these arguments.  Its
     ``columns`` are the points the reduction evaluates: its probes, then
-    the inner points of its gauge check."""
+    the inner points (``anchored_points``) of its 8 gauge-check points
+    followed by the ``extra`` points, (u, xi, eta) columns whose gauge
+    form the reduction also gives."""
     rng = np.random.default_rng(seed)
     if color_grid is None:
         color_grid = np.linspace(-0.45, 0.45, 7)
-    color_grid = np.asarray(color_grid, dtype=float)
-    clo, chi = float(color_grid.min()), float(color_grid.max())
+    grid = np.asarray(color_grid, dtype=float)
+    clo, chi = float(grid.min()), float(grid.max())
     up = abs(complex(u_probe))
 
     def draw(k, n_u, n_colors):
@@ -290,25 +307,33 @@ def gauge_points(anchor: complex = 0.0, u_probe: complex = 0.1,
         return np.hstack([up * (0.5 + 1.5 * R[:, :n_u]),
                           clo + (chi - clo) * R[:, n_u:]])
 
-    spread = 0.6 + 0.8 * rng.random(len(color_grid) * len(color_grid[::2]))
-    mag_pts = [(complex(u_probe) * s, xi, eta) for s, (xi, eta) in zip(
-        spread, itertools.product(color_grid, color_grid[::2]))]
-    cocycle = draw(12, 2, 3)
-    nu_pts = [(float(u), float(xi)) for u, xi in draw(6, 1, 1)]
-    l_pts = [(float(u), xi, eta) for u, xi, eta in draw(6, 1, 2)]
-    gauge_pts = [(float(u), xi, eta) for u, xi, eta in draw(8, 1, 2)]
-    m_colors = [*np.ravel([p[1:] for p in l_pts]), *color_grid]
-    pts = (mag_pts
-           + [p for u, v, xi, eta, lam in cocycle
-              for p in ((u + v, xi, lam), (u, xi, eta), (v, eta, lam))]
-           + [(u, xi, xi) for u, xi in nu_pts] + l_pts
-           + [(u_probe, x, anchor) for x in m_colors])
-    inner, index = anchored_points(*map(np.array, zip(*gauge_pts)),
-                                   u_probe, anchor)
-    columns = tuple(np.concatenate(c)
-                    for c in zip(map(np.array, zip(*pts)), inner))
-    return _Probes(anchor, u_probe, pts, len(mag_pts), len(cocycle), nu_pts,
-                   l_pts, gauge_pts, m_colors, color_grid, columns, index)
+    half = grid[::2]
+    spread = 0.6 + 0.8 * rng.random(len(grid) * len(half))
+    draws = (spread, draw(12, 2, 3), draw(6, 1, 1), draw(6, 1, 2),
+             draw(8, 1, 2))
+    u, v, xi, eta, lam = draws[1].T
+    nu_u, nu_x = draws[2].T
+    l_u, l_xi, l_eta = draws[3].T
+    m_colors = np.concatenate([draws[3][:, 1:].ravel(), grid])
+    # complex(u_probe) * s as CPython multiplies a complex by a float
+    mag_u = (Split(*_parts(u_probe)) * Split(spread, 0.0)).complex()
+    probes = (
+        np.concatenate([mag_u, np.ravel([u + v, u, v], order="F"), nu_u, l_u,
+                        np.full(len(m_colors), u_probe, dtype=complex)]),
+        np.concatenate([np.repeat(grid, len(half)),
+                        np.ravel([xi, xi, eta], order="F"), nu_x, l_xi,
+                        m_colors]),
+        np.concatenate([np.tile(half, len(grid)),
+                        np.ravel([lam, eta, lam], order="F"), nu_x, l_eta,
+                        np.full(len(m_colors), anchor, dtype=complex)]))
+    gauged = draws[4].T
+    if extra is not None:
+        gauged = [np.concatenate(c) for c in zip(gauged, extra)]
+    inner, index = anchored_points(*gauged, u_probe, anchor)
+    start = len(probes[0]) + len(draws[4])
+    return _Probes(anchor, u_probe, grid, draws,
+                   tuple(map(np.concatenate, zip(probes, inner))), index,
+                   slice(start, start + len(gauged[0]) - len(draws[4])))
 
 
 def anchored_points(u, xi, eta, u_probe, anchor):
@@ -393,60 +418,103 @@ def gauge_reduce(fam: WeightFamily, anchor: complex = 0.0,
     ``eval_array`` call.
     """
     p = gauge_points(anchor, u_probe, color_grid, seed)
-    return _reduce(fam, p, fam.eval_array(*p.columns))
+    return _reduce(fam, p, fam.eval_array(*p.columns))[:2]
 
 
-def _reduce(fam: WeightFamily, p: _Probes, rows
-            ) -> tuple[WeightFamily, GaugeCertificate]:
+def _reduce(fam: WeightFamily, p: _Probes, rows):
     """``gauge_reduce`` on the plan ``p`` of ``gauge_points`` and the rows
-    (W, ok) of ``fam`` at its ``columns``."""
+    (W, ok) of ``fam`` at its ``columns``, with the rows (W, ok) of the
+    gauge form at the plan's extra points.  Each check is a few array
+    operations on the probes' rows, and raises the error of the point-by-
+    point reduction: that of the first probe in its read order that is
+    marked (the probe's own error, from ``eval``) or divides by a2 (a7 at
+    the l points) of magnitude below ``_ZERO_TOL``.  Magnitudes are
+    Python's complex abs and quotients CPython's; a NaN magnitude is
+    skipped, as by ``max``."""
     W, ok = rows
     anchor, u_probe = p.anchor, p.u_probe
-    n = len(p.points)
-    # rows in probe order; a point marked in W raises its own error in turn
-    probe_rows = (W[i] if ok[i] else fam.eval(*q).a
-                  for i, q in enumerate(p.points))
-    m_row = {x: i for i, x in enumerate(p.m_colors, n - len(p.m_colors))}
+    spread, cocycle, nu_draw, l_draw, checks = p.draws
+    c0 = len(spread)                    # the cocycle triples
+    n0 = c0 + 3 * len(cocycle)          # the nu points
+    l0 = n0 + len(nu_draw)              # the l points
+    m0 = l0 + len(l_draw)               # M at the l colors, then the grid
+    g0 = m0 + 2 * len(l_draw)
+    n = g0 + len(p.grid)
 
-    mags = [np.abs(next(probe_rows)) for _ in range(p.n_mag)]
-    dead = vanishing_weights(np.max(mags, axis=0))
-    if dead:
-        raise NotEightVertex(f"weights {dead} vanish identically on samples")
+    def mag(z):
+        """Python's complex abs of a Split or a complex array."""
+        if not isinstance(z, Split):
+            z = Split.of(z)
+        return np.hypot(z.re, z.im)
 
-    def f_ratio(a):
-        return _ratio(SCALAR, a.tolist())
+    def part(z, at):
+        return Split(z.re[at], z.im[at])
 
-    # cocycle check: f(u+v,xi,lam) = f(u,xi,eta) f(v,eta,lam)
-    defect = 0.0
-    for _ in range(p.n_cocycle):
-        lhs = f_ratio(next(probe_rows))
-        rhs = f_ratio(next(probe_rows)) * f_ratio(next(probe_rows))
-        defect = max(defect, abs(lhs - rhs))
-    if defect > 1e-8:
-        raise MultiplicativityViolation(
-            f"a3/a2 cocycle defect {defect:.3e} exceeds 1e-8; "
-            "input is not a solution")
+    with np.errstate(all="ignore"):
+        # read order: the l point j, then M at its colors xi_j and eta_j
+        order = np.concatenate([
+            np.arange(l0), np.ravel([np.arange(l0, m0), np.arange(m0, g0, 2),
+                                     np.arange(m0 + 1, g0, 2)], order="F"),
+            np.arange(g0, n)])
+        divisor = W[:n, 1].copy()
+        divisor[l0:m0] = W[l0:m0, 6]
+        failed = ~ok[:n] | (mag(divisor) < _ZERO_TOL)
+        failed[:c0] = ~ok[:c0]          # a magnitude probe divides by none
+        first = np.append(np.flatnonzero(failed[order]), n)[0]
 
-    # nu diagnostic: f(u,xi,xi) = exp(nu u) for near-solutions
-    nus = []
-    for u, _ in p.nu:
-        val = f_ratio(next(probe_rows))
-        if abs(val) > _ZERO_TOL:
-            nus.append(np.log(complex(val)) / u)
-    nu = complex(np.mean(nus)) if nus else 0j
+        def fail_before(stop):
+            """Raise the error of the first failing probe if it is read
+            before the read position ``stop``."""
+            if first < stop:
+                i = order[first]
+                if not ok[i]:
+                    fam.eval(*p.points()[i])
+                raise ZeroDivisor(f"{'a7' if l0 <= i < m0 else 'a2'} "
+                                  "vanishes at a requested point")
+
+        fail_before(c0)
+        dead = vanishing_weights(np.abs(W[:c0]).max(axis=0))
+        if dead:
+            raise NotEightVertex(
+                f"weights {dead} vanish identically on samples")
+
+        # cocycle check: f(u+v,xi,lam) = f(u,xi,eta) f(v,eta,lam)
+        fail_before(n0)
+        f = Split.of(W[:n, 2]) / Split.of(W[:n, 1])      # a3/a2
+        defect = float(np.fmax.reduce(mag(
+            part(f, slice(c0, n0, 3)) - part(f, slice(c0 + 1, n0, 3))
+            * part(f, slice(c0 + 2, n0, 3))), initial=0.0))
+        if defect > 1e-8:
+            raise MultiplicativityViolation(
+                f"a3/a2 cocycle defect {defect:.3e} exceeds 1e-8; "
+                "input is not a solution")
+
+        # nu diagnostic: f(u,xi,xi) = exp(nu u) for near-solutions; no
+        # check raises between the nu and the l points
+        fail_before(g0)
+        val = part(f, slice(n0, l0))
+        keep = mag(val) > _ZERO_TOL
+        nu = (complex(np.mean(np.log(val.complex()[keep])
+                              / nu_draw[keep, 0]))
+              if keep.any() else 0j)
+
+        # l = a8/a7 / (M(xi) M(eta)) at the l points
+        l = complex(np.mean((
+            Split.of(W[l0:m0, 7]) / Split.of(W[l0:m0, 6])
+            / (part(f, slice(m0, g0, 2)) * part(f, slice(m0 + 1, g0, 2)))
+        ).complex()))
+
+        # M at the colors of the probes whose rows hold it, for the scalar
+        # evaluator; a color whose row fails is evaluated, and raises, there
+        held = np.arange(m0, n)[~failed[m0:]]
+        known = dict(zip(p.columns[1][held].real.tolist(),
+                         part(f, held).complex().tolist()))
 
     @functools.cache   # x as float, np.float64 or complex(x, 0): one entry
     def M(x) -> complex:
-        i = m_row.get(x)
-        return f_ratio(W[i] if i is not None and ok[i]
-                       else fam.eval(u_probe, x, anchor).a)
-
-    l_vals = []
-    for _, xi, eta in p.l:
-        w = next(probe_rows).tolist()
-        l_vals.append((w[7] / _nonzero(SCALAR, w[6], "a7"))
-                      / (M(xi) * M(eta)))
-    l = complex(np.mean(l_vals))
+        if x in known:
+            return known[x]
+        return _ratio(SCALAR, fam.eval(u_probe, x, anchor).a.tolist())
 
     def reduced(o, base, u, xi, eta):
         if o is SCALAR:
@@ -461,19 +529,23 @@ def _reduce(fam: WeightFamily, p: _Probes, rows
                            index, l)
 
     out = wrap(fam, reduced, f"gauge_reduce({fam.label})", gauge=True)
-    gauge_res = 0.0
-    checked = gauge_rows(W[n:], ok[n:], p.check_index, l)
-    # a point marked in the check's rows raises its own error in turn
-    for q, w, good in zip(p.checks, *checked):
-        a = (w if good else out.eval(*q).a).tolist()
-        gauge_res = max(gauge_res, abs(a[1] - 1), abs(a[2] - 1),
-                        abs(a[6] - a[7]))
-
+    # one pass gives the gauge form at the check points and the extra ones
+    G, good = gauge_rows(W[n:], ok[n:], p.index, l)
+    k = len(checks)
+    if not good[:k].all():
+        # the first marked check point raises its own error
+        u, xi, eta = checks[good[:k].argmin()]
+        out.eval(float(u), xi, eta)
+    with np.errstate(all="ignore"):
+        gauge_res = float(np.fmax.reduce(
+            [mag(G[:k, 1] - 1), mag(G[:k, 2] - 1), mag(G[:k, 6] - G[:k, 7])],
+            axis=None, initial=0.0))
+        fail_before(n)
     cert = GaugeCertificate(
         anchor=complex(anchor), u_probe=complex(u_probe),
         M_samples={float(x): M(float(x)) for x in p.grid},
         l_constant=l, nu_estimate=nu,
-        multiplicativity_defect=float(defect),
-        gauge_residual=float(gauge_res),
+        multiplicativity_defect=defect,
+        gauge_residual=gauge_res,
     )
-    return out, cert
+    return out, cert, (G[k:], good[k:])

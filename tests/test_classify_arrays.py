@@ -7,22 +7,24 @@ its check needs it.  Values must be equal bit for bit, and a failing point
 must raise the oracle's error: the first one in the oracle's evaluation
 order, with its message."""
 
+import cmath
 import dataclasses
 import functools
+import importlib
 
 import numpy as np
 import pytest
 
-from cybe import (CybeError, MultiplicativityViolation, NotEightVertex,
-                  PoleProximity, StepUnstable, WeightFamily, WeightVector,
-                  ZeroDivisor, apply, gauge_reduce, hamiltonian_coeffs,
-                  make_family)
+from cybe import (ClassifyPlan, CybeError, MultiplicativityViolation,
+                  NotEightVertex, PoleProximity, StepUnstable, WeightFamily,
+                  WeightVector, ZeroDivisor, apply, classify, gauge_reduce,
+                  hamiltonian_coeffs, make_family, transforms)
 from cybe.numkernel import SCALAR
 from cybe.transforms import (_ZERO_TOL, GaugeCertificate, _nonzero,
                              anchored_points, gauge_rows, wrap)
 from cybe.weights import vanishing_weights
 
-from conftest import CANONICAL_SPECS
+from conftest import CANONICAL_SPECS, outermost_calls
 from test_batch_eval import (ALL_KINDS, SCALE_REGAUGE, assert_batch_is_scalar,
                              bits)
 from test_families import GAUGE_IDS
@@ -379,3 +381,75 @@ def test_planted_grid_failures_raise_the_oracles_error(plant, error):
     want = outcome(lambda: oracle_fd_coeffs(fam, GRID))
     assert want[0] is error
     assert outcome(lambda: fd_coeffs(fam, GRID)) == want
+
+
+# ---- the array passes ----
+
+def test_a_nan_cocycle_ratio_is_skipped_as_by_max():
+    """At a2 = a3 = (1e308, 1e308), whose magnitude is finite, the Smith
+    denominator of CPython's a3/a2 overflows and the ratio is (nan, 0), so
+    the triple's cocycle defect is NaN, which Python's running ``max``
+    skips: the reduction still certifies, with the oracle's certificate."""
+    big = complex(1e308, 1e308)
+    assert cmath.isnan(big / big) and abs(big) < 1.5e308
+
+    def step(o, base, u, xi, eta):
+        a = o.columns(base(u, xi, eta))
+        at = _at(o, COCYCLE[4], u, xi, eta)
+        a[1] = o.where(at, big, lambda: a[1])
+        a[2] = o.where(at, big, lambda: a[2])
+        return a
+    fam = wrap(BASE, step, "nan_ratio", gauge=False)
+    want = oracle_certificate(fam, **PROBE)
+    assert 0 < want.multiplicativity_defect <= 1e-8
+    assert repr(gauge_reduce(fam, **PROBE)[1]) == repr(want)
+
+
+def counted(monkeypatch, module, name, *also):
+    """The list that gains one entry per call of ``module.name``, patched
+    there and in the modules ``also`` that import it by name."""
+    log = []
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        log.append(1)
+        return fn(*args, **kwargs)
+    for where in (module, *also):
+        monkeypatch.setattr(where, name, counting)
+    return log
+
+
+@pytest.mark.parametrize("name", ["ff_trig", "baxter_elliptic"])
+def test_a_reduced_op_makes_one_call_draw_and_gauge_pass(name, monkeypatch):
+    """One ``eval_array`` call, no ``eval``, one probe-plan draw and one
+    ``gauge_rows`` pass, which gives the gauge form at the reduction's
+    check points and classify's gauge-form points together."""
+    fam = VARIANTS[f"scale_regauge({name})"]
+    calls = outermost_calls(monkeypatch)
+    draws = counted(monkeypatch, transforms, "gauge_points",
+                    importlib.import_module("cybe.classify"))
+    passes = counted(monkeypatch, transforms, "gauge_rows")
+    rep = classify(fam, ClassifyPlan(n_ybe=60, seed=3))
+    assert rep.notes[0].startswith("gauge-reduced")
+    assert rep.initial_condition_ok
+    assert calls == {"eval_array": 1, "eval": 0}
+    assert (len(draws), len(passes)) == (1, 1)
+
+
+def test_the_stencil_is_one_array_pass(monkeypatch):
+    """The Richardson step runs once, over the whole (4, n, 8) stencil,
+    with no loop over colors; a marked stencil point is the one point that
+    ``eval`` evaluates, to raise its own error in its color's turn."""
+    passes = counted(monkeypatch, importlib.import_module("cybe.classify"),
+                     "_richardson")
+    calls = outermost_calls(monkeypatch)
+    assert not fd_coeffs(VARIANTS["scale_regauge(ff_elliptic)"],
+                         GRID).analytic
+    assert len(passes) == 1
+    assert calls == {"eval_array": 1, "eval": 0}
+    fam = planted(VARIANTS["all_kinds(ff_trig)"],
+                  poles=[(-1e-5, GRID[9], GRID[9]), (1e-5, GRID[12], GRID[12])])
+    with pytest.raises(PoleProximity, match=r"\(-1e-05, "):
+        fd_coeffs(fam, GRID)
+    assert len(passes) == 2
+    assert calls == {"eval_array": 2, "eval": 1}

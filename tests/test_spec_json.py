@@ -318,3 +318,30 @@ def test_nonfinite_numbers_exit_2(field, doc):
     assert (code, out) == (2, "")
     assert err.startswith("error: numbers must be finite") and \
         len(err.splitlines()) == 1
+
+
+def nested(depth: int) -> list:
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("value", [
+    nested(990), "x" * 10_000,
+    {str(i): [i] * 50 for i in range(50)}, 12345678901234567890 ** 5,
+], ids=["deep", "long_string", "wide_object", "long_number"])
+def test_an_unknown_family_is_named_in_one_short_line(value):
+    """The message shows a repr of the value cut to a fixed length, not the
+    whole document (a 990-deep array once gave a 6 kB line)."""
+    with pytest.raises(InvalidSpec) as exc:
+        spec_from_json({"family": value})
+    message = str(exc.value)
+    assert message.startswith("unknown family ") and "\n" not in message
+    assert len(message) <= len("unknown family ") + 60
+
+
+def test_an_unknown_family_name_is_quoted_whole():
+    with pytest.raises(InvalidSpec) as exc:
+        spec_from_json({"family": "nope"})
+    assert str(exc.value) == "unknown family 'nope'"
