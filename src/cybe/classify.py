@@ -456,7 +456,7 @@ def _rows_beside(fam: WeightFamily, p, known) -> tuple:
     """The rows (W, ok) of ``fam`` at the columns of the probe plan ``p``
     from one call that leaves out its extra points, whose rows ``known``
     are given."""
-    s = p.extra
+    s = p.at["extra"]
     rows = fam.eval_array(*(np.concatenate([c[:s.start], c[s.stop:]])
                             for c in p.columns))
     return tuple(np.concatenate([r[:s.start], k, r[s.start:]])
@@ -503,7 +503,8 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
                                    _triple_points)}
         | ({"reduction": probes.columns} if probes else stages))
     # the gauge-form points' own rows
-    at = (split_rows([r[probes.extra] for r in rows["reduction"]], stages)
+    at = (split_rows([r[probes.at["extra"]] for r in rows["reduction"]],
+                     stages)
           if probes else {name: rows[name] for name in stages})
 
     Us, rels = [], []     # a block's residual components are not kept

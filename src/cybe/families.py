@@ -618,11 +618,18 @@ def spec_to_json(spec: FamilySpec) -> dict:
 _FAMILY_NAMES = frozenset(f.value for f in FamilyId)
 
 
-def _shown(value, limit: int = 60) -> str:
-    """The repr of a JSON value for a message, at most ``limit`` characters
-    (reprlib bounds the work on a deep or long value)."""
-    text = reprlib.repr(value)
-    return text if len(text) <= limit else text[:limit - 3] + "..."
+_SHOWN = 60
+#: reprlib bounds the work on a deep or long value; a string, number or
+#: other value whose repr fits in ``_SHOWN`` characters is shown whole
+_REPR = reprlib.Repr()
+_REPR.maxstring = _REPR.maxlong = _REPR.maxother = _SHOWN
+
+
+def _shown(value) -> str:
+    """The repr of a JSON value for a message, at most ``_SHOWN``
+    characters (a container's repr may hold several cut items)."""
+    text = _REPR.repr(value)
+    return text if len(text) <= _SHOWN else text[:_SHOWN - 3] + "..."
 
 
 def spec_from_json(doc: dict) -> FamilySpec:

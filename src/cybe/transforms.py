@@ -262,37 +262,38 @@ class _Probes(NamedTuple):
 
     anchor: complex
     u_probe: complex
-    grid: np.ndarray
-    draws: tuple          # (spread, cocycle, nu, l, checks) as drawn
     columns: tuple        # the (u, xi, eta) columns the reduction evaluates
+    at: dict              # segment name -> its slice of ``columns``
     index: tuple          # ``anchored_points`` index of the gauge points
-    extra: slice          # the extra points within ``columns``
 
-    def points(self) -> list:
-        """The probes as (u, xi, eta) tuples in read order, as the
-        point-by-point reduction evaluates them: 28 magnitude probes, 12
-        cocycle triples, 6 nu points, 6 l points, then M at the colors of
-        the l points and of the grid."""
-        spread, cocycle, nu, l, _ = self.draws
-        grid = self.grid
-        return (
-            [(complex(self.u_probe) * s, xi, eta) for s, (xi, eta) in zip(
-                spread, itertools.product(grid, grid[::2]))]
-            + [p for u, v, xi, eta, lam in cocycle
-               for p in ((u + v, xi, lam), (u, xi, eta), (v, eta, lam))]
-            + [(float(u), float(xi), float(xi)) for u, xi in nu]
-            + [(float(u), xi, eta) for u, xi, eta in l]
-            + [(self.u_probe, x, self.anchor)
-               for x in [*np.ravel(l[:, 1:]), *grid]])
+    def point(self, i: int) -> tuple:
+        """Point i of ``columns`` as the point-by-point reduction passes it
+        to ``eval``: a magnitude probe's u is complex, a nu point three
+        floats, M is read at (u_probe, color, anchor) as given, and every
+        other coordinate is the column's real part (u a float at the l and
+        check points)."""
+        u, xi, eta = (c[i] for c in self.columns)
+        segment = next(k for k, s in self.at.items() if s.start <= i < s.stop)
+        if segment in ("M", "grid"):
+            return self.u_probe, xi.real, self.anchor
+        if segment == "mag":
+            return complex(u), xi.real, eta.real
+        if segment == "nu":
+            return float(u.real), float(xi.real), float(eta.real)
+        if segment == "cocycle":
+            return u.real, xi.real, eta.real
+        return float(u.real), xi.real, eta.real
 
 
 def gauge_points(anchor: complex = 0.0, u_probe: complex = 0.1,
                  color_grid=None, seed: int = 0, extra=None) -> _Probes:
     """The probe plan of ``gauge_reduce`` with these arguments.  Its
-    ``columns`` are the points the reduction evaluates: its probes, then
-    the inner points (``anchored_points``) of its 8 gauge-check points
-    followed by the ``extra`` points, (u, xi, eta) columns whose gauge
-    form the reduction also gives."""
+    ``columns`` are the points the reduction evaluates, in the segments
+    that ``at`` names: the probes (``mag``nitude, ``cocycle`` triples,
+    ``nu`` and ``l`` points, then ``M`` at the colors of the l points and
+    at the ``grid``), then the inner points (``anchored_points``) of the 8
+    gauge ``checks`` followed by the ``extra`` points, (u, xi, eta) columns
+    whose gauge form the reduction also gives."""
     rng = np.random.default_rng(seed)
     if color_grid is None:
         color_grid = np.linspace(-0.45, 0.45, 7)
@@ -307,33 +308,40 @@ def gauge_points(anchor: complex = 0.0, u_probe: complex = 0.1,
         return np.hstack([up * (0.5 + 1.5 * R[:, :n_u]),
                           clo + (chi - clo) * R[:, n_u:]])
 
+    def anchored(colors):
+        return (np.full(len(colors), u_probe, dtype=complex), colors,
+                np.full(len(colors), anchor, dtype=complex))
+
     half = grid[::2]
     spread = 0.6 + 0.8 * rng.random(len(grid) * len(half))
-    draws = (spread, draw(12, 2, 3), draw(6, 1, 1), draw(6, 1, 2),
-             draw(8, 1, 2))
-    u, v, xi, eta, lam = draws[1].T
-    nu_u, nu_x = draws[2].T
-    l_u, l_xi, l_eta = draws[3].T
-    m_colors = np.concatenate([draws[3][:, 1:].ravel(), grid])
-    # complex(u_probe) * s as CPython multiplies a complex by a float
-    mag_u = (Split(*_parts(u_probe)) * Split(spread, 0.0)).complex()
-    probes = (
-        np.concatenate([mag_u, np.ravel([u + v, u, v], order="F"), nu_u, l_u,
-                        np.full(len(m_colors), u_probe, dtype=complex)]),
-        np.concatenate([np.repeat(grid, len(half)),
-                        np.ravel([xi, xi, eta], order="F"), nu_x, l_xi,
-                        m_colors]),
-        np.concatenate([np.tile(half, len(grid)),
-                        np.ravel([lam, eta, lam], order="F"), nu_x, l_eta,
-                        np.full(len(m_colors), anchor, dtype=complex)]))
-    gauged = draws[4].T
+    cocycle, nu, l, checks = (draw(12, 2, 3), draw(6, 1, 1), draw(6, 1, 2),
+                              draw(8, 1, 2))
+    u, v, xi, eta, lam = cocycle.T
+    segments = {
+        # complex(u_probe) * s as CPython multiplies a complex by a float
+        "mag": ((Split(*_parts(u_probe)) * Split(spread, 0.0)).complex(),
+                np.repeat(grid, len(half)), np.tile(half, len(grid))),
+        # f(u+v, xi, lam), f(u, xi, eta) and f(v, eta, lam) of each triple
+        "cocycle": (np.ravel([u + v, u, v], order="F"),
+                    np.ravel([xi, xi, eta], order="F"),
+                    np.ravel([lam, eta, lam], order="F")),
+        "nu": (nu[:, 0], nu[:, 1], nu[:, 1]),
+        "l": tuple(l.T),
+        "M": anchored(l[:, 1:].ravel()),
+        "grid": anchored(grid),
+    }
+    gauged = checks.T
     if extra is not None:
         gauged = [np.concatenate(c) for c in zip(gauged, extra)]
     inner, index = anchored_points(*gauged, u_probe, anchor)
-    start = len(probes[0]) + len(draws[4])
-    return _Probes(anchor, u_probe, grid, draws,
-                   tuple(map(np.concatenate, zip(probes, inner))), index,
-                   slice(start, start + len(gauged[0]) - len(draws[4])))
+    sizes = ([len(s[0]) for s in segments.values()]
+             + [len(checks), len(gauged[0]) - len(checks)])
+    ends = list(itertools.accumulate(sizes))
+    at = dict(zip([*segments, "checks", "extra"],
+                  map(slice, [0, *ends], ends)))
+    return _Probes(anchor, u_probe,
+                   tuple(map(np.concatenate, zip(*segments.values(), inner))),
+                   at, index)
 
 
 def anchored_points(u, xi, eta, u_probe, anchor):
@@ -427,19 +435,17 @@ def _reduce(fam: WeightFamily, p: _Probes, rows):
     gauge form at the plan's extra points.  Each check is a few array
     operations on the probes' rows, and raises the error of the point-by-
     point reduction: that of the first probe in its read order that is
-    marked (the probe's own error, from ``eval``) or divides by a2 (a7 at
-    the l points) of magnitude below ``_ZERO_TOL``.  Magnitudes are
-    Python's complex abs and quotients CPython's; a NaN magnitude is
-    skipped, as by ``max``."""
+    marked (the probe's own error, from ``eval``), divides by a2 (a7 at the
+    l points) of magnitude below ``_ZERO_TOL``, or takes a magnitude that
+    overflows from finite parts (Python's abs raises OverflowError there).
+    Magnitudes are Python's complex abs and quotients CPython's; a NaN
+    magnitude is skipped, as by ``max``."""
     W, ok = rows
-    anchor, u_probe = p.anchor, p.u_probe
-    spread, cocycle, nu_draw, l_draw, checks = p.draws
-    c0 = len(spread)                    # the cocycle triples
-    n0 = c0 + 3 * len(cocycle)          # the nu points
-    l0 = n0 + len(nu_draw)              # the l points
-    m0 = l0 + len(l_draw)               # M at the l colors, then the grid
-    g0 = m0 + 2 * len(l_draw)
-    n = g0 + len(p.grid)
+    anchor, u_probe, at = p.anchor, p.u_probe, p.at
+    n = at["checks"].start               # the probes come first
+    ids = np.arange(n)
+    mags, cocycle, nus, ls, ms, grid = (ids[at[k]] for k in (
+        "mag", "cocycle", "nu", "l", "M", "grid"))
 
     def mag(z):
         """Python's complex abs of a Split or a complex array."""
@@ -447,66 +453,82 @@ def _reduce(fam: WeightFamily, p: _Probes, rows):
             z = Split.of(z)
         return np.hypot(z.re, z.im)
 
-    def part(z, at):
-        return Split(z.re[at], z.im[at])
+    def overflows(z, r):
+        """Where Python's abs of the Split z, of magnitude r, raises
+        OverflowError: r overflows from finite parts."""
+        return np.isinf(r) & np.isfinite(z.re) & np.isfinite(z.im)
+
+    def part(z, i):
+        return Split(z.re[i], z.im[i])
 
     with np.errstate(all="ignore"):
-        # read order: the l point j, then M at its colors xi_j and eta_j
-        order = np.concatenate([
-            np.arange(l0), np.ravel([np.arange(l0, m0), np.arange(m0, g0, 2),
-                                     np.arange(m0 + 1, g0, 2)], order="F"),
-            np.arange(g0, n)])
+        f = Split.of(W[:n, 2]) / Split.of(W[:n, 1])      # a3/a2
+        # each probe's divisor: none at a magnitude probe, a7 at the l points
         divisor = W[:n, 1].copy()
-        divisor[l0:m0] = W[l0:m0, 6]
-        failed = ~ok[:n] | (mag(divisor) < _ZERO_TOL)
-        failed[:c0] = ~ok[:c0]          # a magnitude probe divides by none
-        first = np.append(np.flatnonzero(failed[order]), n)[0]
+        divisor[at["mag"]] = 1
+        divisor[at["l"]] = W[at["l"], 6]
+        d = Split.of(divisor)
+        r = mag(d)
+        failed = ~ok[:n] | (r < _ZERO_TOL) | overflows(d, r)
+        # after its divisor, a check takes the magnitude of the cocycle
+        # defect f(u+v,xi,lam) - f(u,xi,eta) f(v,eta,lam) at the last probe
+        # of each triple, and of f at the nu points
+        diff = (part(f, cocycle[0::3])
+                - part(f, cocycle[1::3]) * part(f, cocycle[2::3]))
+        val = part(f, at["nu"])
+        diff_r, val_r = mag(diff), mag(val)
+        failed[cocycle[2::3]] |= overflows(diff, diff_r)
+        failed[at["nu"]] |= overflows(val, val_r)
 
-        def fail_before(stop):
-            """Raise the error of the first failing probe if it is read
-            before the read position ``stop``."""
-            if first < stop:
-                i = order[first]
-                if not ok[i]:
-                    fam.eval(*p.points()[i])
-                raise ZeroDivisor(f"{'a7' if l0 <= i < m0 else 'a2'} "
+        def fail(i):
+            """Raise the point-by-point error of the failing probe i."""
+            if not ok[i]:
+                fam.eval(*p.point(i))     # raises the probe's own error
+            if abs(complex(divisor[i])) < _ZERO_TOL:
+                raise ZeroDivisor(f"{'a7' if i in ls else 'a2'} "
                                   "vanishes at a requested point")
+            raise OverflowError("absolute value too large")   # Python's abs
 
-        fail_before(c0)
-        dead = vanishing_weights(np.abs(W[:c0]).max(axis=0))
+        def check(read):
+            """Raise the error of the first failing probe of ``read``, a
+            check's probes in read order."""
+            bad = read[failed[read]]
+            if len(bad):
+                fail(bad[0])
+
+        check(mags)
+        dead = vanishing_weights(np.abs(W[at["mag"]]).max(axis=0))
         if dead:
             raise NotEightVertex(
                 f"weights {dead} vanish identically on samples")
 
         # cocycle check: f(u+v,xi,lam) = f(u,xi,eta) f(v,eta,lam)
-        fail_before(n0)
-        f = Split.of(W[:n, 2]) / Split.of(W[:n, 1])      # a3/a2
-        defect = float(np.fmax.reduce(mag(
-            part(f, slice(c0, n0, 3)) - part(f, slice(c0 + 1, n0, 3))
-            * part(f, slice(c0 + 2, n0, 3))), initial=0.0))
+        check(cocycle)
+        defect = float(np.fmax.reduce(diff_r, initial=0.0))
         if defect > 1e-8:
             raise MultiplicativityViolation(
                 f"a3/a2 cocycle defect {defect:.3e} exceeds 1e-8; "
                 "input is not a solution")
 
         # nu diagnostic: f(u,xi,xi) = exp(nu u) for near-solutions; no
-        # check raises between the nu and the l points
-        fail_before(g0)
-        val = part(f, slice(n0, l0))
-        keep = mag(val) > _ZERO_TOL
+        # check raises between the nu and the l points, and each l point
+        # is read before M at its colors xi and eta
+        check(np.concatenate([nus, np.ravel([ls, ms[0::2], ms[1::2]],
+                                            order="F")]))
+        keep = val_r > _ZERO_TOL
         nu = (complex(np.mean(np.log(val.complex()[keep])
-                              / nu_draw[keep, 0]))
+                              / p.columns[0][at["nu"]].real[keep]))
               if keep.any() else 0j)
 
         # l = a8/a7 / (M(xi) M(eta)) at the l points
         l = complex(np.mean((
-            Split.of(W[l0:m0, 7]) / Split.of(W[l0:m0, 6])
-            / (part(f, slice(m0, g0, 2)) * part(f, slice(m0 + 1, g0, 2)))
-        ).complex()))
+            Split.of(W[at["l"], 7]) / Split.of(W[at["l"], 6])
+            / (part(f, ms[0::2]) * part(f, ms[1::2]))).complex()))
 
         # M at the colors of the probes whose rows hold it, for the scalar
         # evaluator; a color whose row fails is evaluated, and raises, there
-        held = np.arange(m0, n)[~failed[m0:]]
+        held = np.concatenate([ms, grid])
+        held = held[~failed[held]]
         known = dict(zip(p.columns[1][held].real.tolist(),
                          part(f, held).complex().tolist()))
 
@@ -531,19 +553,23 @@ def _reduce(fam: WeightFamily, p: _Probes, rows):
     out = wrap(fam, reduced, f"gauge_reduce({fam.label})", gauge=True)
     # one pass gives the gauge form at the check points and the extra ones
     G, good = gauge_rows(W[n:], ok[n:], p.index, l)
-    k = len(checks)
-    if not good[:k].all():
-        # the first marked check point raises its own error
-        u, xi, eta = checks[good[:k].argmin()]
-        out.eval(float(u), xi, eta)
+    k = at["checks"].stop - n
     with np.errstate(all="ignore"):
-        gauge_res = float(np.fmax.reduce(
-            [mag(G[:k, 1] - 1), mag(G[:k, 2] - 1), mag(G[:k, 6] - G[:k, 7])],
-            axis=None, initial=0.0))
-        fail_before(n)
+        # per check point |a2 - 1|, |a3 - 1| and |a7 - a8|, in turn
+        res = Split.of(np.stack(
+            [G[:k, 1] - 1, G[:k, 2] - 1, G[:k, 6] - G[:k, 7]], axis=1))
+        r = mag(res)
+        bad = ~good[:k] | overflows(res, r).any(axis=1)
+        if bad.any():
+            j = int(bad.argmax())
+            if not good[j]:
+                out.eval(*p.point(n + j))   # raises the point's own error
+            raise OverflowError("absolute value too large")   # Python's abs
+        gauge_res = float(np.fmax.reduce(r, axis=None, initial=0.0))
+        check(grid)
     cert = GaugeCertificate(
         anchor=complex(anchor), u_probe=complex(u_probe),
-        M_samples={float(x): M(float(x)) for x in p.grid},
+        M_samples={float(x): M(float(x)) for x in p.columns[1][grid].real},
         l_constant=l, nu_estimate=nu,
         multiplicativity_defect=defect,
         gauge_residual=gauge_res,

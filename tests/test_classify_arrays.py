@@ -20,7 +20,7 @@ from cybe import (ClassifyPlan, CybeError, MultiplicativityViolation,
                   WeightVector, ZeroDivisor, apply, classify, gauge_reduce,
                   hamiltonian_coeffs, make_family, transforms)
 from cybe.numkernel import SCALAR
-from cybe.transforms import (_ZERO_TOL, GaugeCertificate, _nonzero,
+from cybe.transforms import (_ZERO_TOL, GaugeCertificate, _nonzero, _ratio,
                              anchored_points, gauge_rows, wrap)
 from cybe.weights import vanishing_weights
 
@@ -403,6 +403,73 @@ def test_a_nan_cocycle_ratio_is_skipped_as_by_max():
     want = oracle_certificate(fam, **PROBE)
     assert 0 < want.multiplicativity_defect <= 1e-8
     assert repr(gauge_reduce(fam, **PROBE)[1]) == repr(want)
+
+
+BIG = complex(1.5e308, 1.5e308)   # finite parts, magnitude beyond float
+
+
+def overflowing(fam, a2=(), a3=(), a7=(), a3_value=BIG):
+    """``fam`` with a2 = BIG at ``a2``, a7 = BIG at ``a7``, and a2 = 1,
+    a3 = ``a3_value`` at ``a3`` (so that a3/a2 is that value)."""
+    def step(o, base, u, xi, eta):
+        a = o.columns(base(u, xi, eta))
+        for p in a2:
+            a[1] = o.where(_at(o, p, u, xi, eta), BIG, lambda: a[1])
+        for p in a3:
+            at = _at(o, p, u, xi, eta)
+            a[1] = o.where(at, 1 + 0j, lambda: a[1])
+            a[2] = o.where(at, a3_value, lambda: a[2])
+        for p in a7:
+            a[6] = o.where(_at(o, p, u, xi, eta), BIG, lambda: a[6])
+        return a
+    return wrap(fam, step, f"overflowing({fam.label})", gauge=False)
+
+
+def _gauge_a3(point, value):
+    """The a3 that makes a3 of the gauge form ``value`` at the gauge probe
+    ``point`` (where a2 is 1): a3 / (M(eta)/M(xi)), up to rounding."""
+    M_eta, M_xi = (_ratio(SCALAR, BASE.eval(*q).a.tolist()) for q in point)
+    r = SCALAR.npsqrt(M_eta) / SCALAR.npsqrt(M_xi)
+    return value / (r * r)
+
+
+#: a3 of the gauge form (1.4e308, 1.4e308) at GAUGE_POINTS[3]
+GAUGE_A3 = _gauge_a3(GAUGE_POINTS[4:6], complex(1.4e308, 1.4e308))
+
+
+@pytest.mark.parametrize("plant, poles, error", [
+    (dict(a2=[COCYCLE[7]]), [L_POINTS[3]], OverflowError),
+    (dict(a2=[NUS[1]]), [COCYCLE[7]], PoleProximity),
+    (dict(a3=[COCYCLE[3]]), [COCYCLE[6]], OverflowError),
+    (dict(a3=[COCYCLE[3]]), [COCYCLE[5]], PoleProximity),
+    (dict(a3=[NUS[2]]), [L_POINTS[0]], OverflowError),
+    (dict(a7=[L_POINTS[3]]), [L_POINTS[5]], OverflowError),
+    (dict(a2=[L_POINTS[4]]), [L_POINTS[6]], OverflowError),
+    (dict(a2=[GAUGE_POINTS[3]]), [GAUGE_POINTS[6]], PoleProximity),
+    (dict(a3=[GAUGE_POINTS[3]], a3_value=GAUGE_A3), [GAUGE_POINTS[6]],
+     OverflowError),
+    (dict(a3=[GAUGE_POINTS[3]], a3_value=GAUGE_A3), [GAUGE_POINTS[0]],
+     PoleProximity),
+    (dict(a2=[M_GRID[3]]), [M_GRID[5]], OverflowError),
+], ids=["cocycle_a2_then_pole", "pole_then_nu_a2", "cocycle_defect_then_pole",
+        "pole_within_the_triple", "nu_magnitude", "l_a7", "l_M_a2",
+        "gauge_probe_a2", "gauge_residual_then_pole",
+        "pole_then_gauge_residual", "grid_M_a2"])
+def test_planted_overflows_raise_the_oracles_error(plant, poles, error):
+    """Where a magnitude that the point-by-point reduction takes with
+    Python's abs overflows from finite parts, it raised OverflowError (a
+    gauge probe's a2 through ``eval``, as PoleProximity): the arrays raise
+    the same error, in the same turn."""
+    fam = planted(overflowing(BASE, **plant), poles=poles)
+
+    def raised(make):
+        try:
+            return make()
+        except (CybeError, OverflowError) as exc:
+            return type(exc), str(exc)
+    want = raised(lambda: oracle_certificate(fam, **PROBE))
+    assert want[0] is error
+    assert raised(lambda: gauge_reduce(fam, **PROBE)[1]) == want
 
 
 def counted(monkeypatch, module, name, *also):

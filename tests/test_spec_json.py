@@ -341,7 +341,10 @@ def test_an_unknown_family_is_named_in_one_short_line(value):
     assert len(message) <= len("unknown family ") + 60
 
 
-def test_an_unknown_family_name_is_quoted_whole():
+@pytest.mark.parametrize("name", ["nope", "eight_vertex_" * 3 + "x",
+                                  "n" * 58])
+def test_an_unknown_family_name_is_quoted_whole(name):
+    """A name whose repr fits in the 60 characters is not cut."""
     with pytest.raises(InvalidSpec) as exc:
-        spec_from_json({"family": "nope"})
-    assert str(exc.value) == "unknown family 'nope'"
+        spec_from_json({"family": name})
+    assert str(exc.value) == f"unknown family {name!r}"
