@@ -401,17 +401,15 @@ class ClassificationReport:
 _IC_US = (0.0, 1e-7)
 
 
-def _gauge_form_points(plan: ClassifyPlan, grid) -> dict:
+def _gauge_form_points(plan: ClassifyPlan, grid, branch) -> dict:
     """The points classify evaluates on the gauge form, by stage, as (u,
     xi, eta) columns: the initial value at each u of ``_IC_US`` on 8 colors,
-    the finite-difference stencil on ``grid`` and the first block of the
-    branch sampler."""
+    the finite-difference stencil on ``grid`` and ``branch``, the points
+    of the branch sampler's first block."""
     colors = np.tile(
         np.random.default_rng(plan.seed + 1).uniform(*plan.color_span, 8), 2)
-    branch = plan.sample_plan(_N_POINTS)
     return {"ic": (np.repeat(_IC_US, 8), colors, colors),
-            "stencil": stencil_points(grid),
-            "branch": first_block(branch, _point_spans(branch), _point)}
+            "stencil": stencil_points(grid), "branch": branch}
 
 
 def _initial_condition_residual(W, ok) -> float:
@@ -487,7 +485,11 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     sweep = plan.sample_plan(plan.n_ybe)
     grid = np.linspace(*plan.color_span, _N_GRID)
     reduction = _reduction(plan)
-    stages = _gauge_form_points(plan, grid)
+    branch = plan.sample_plan(_N_POINTS)
+    blocks = {"sweep": first_block(sweep, _triple_spans(sweep),
+                                   _triple_points),
+              "branch": first_block(branch, _point_spans(branch), _point)}
+    stages = _gauge_form_points(plan, grid, blocks["branch"].columns)
     if fam.spec is not None:
         # closed-form coefficients, or a trivial family, whose trivial
         # shape ends the pipeline: no finite differences
@@ -499,19 +501,19 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     probes = (None if fam.gauge or fam.spec is not None
               else gauge_points(**reduction, extra=extra))
     rows = evaluate_groups(
-        fam, {"sweep": first_block(sweep, _triple_spans(sweep),
-                                   _triple_points)}
+        fam, {"sweep": blocks["sweep"].columns}
         | ({"reduction": probes.columns} if probes else stages))
     # the gauge-form points' own rows
     at = (split_rows([r[probes.at["extra"]] for r in rows["reduction"]],
                      stages)
           if probes else {name: rows[name] for name in stages})
 
-    Us, rels = [], []     # a block's residual components are not kept
-    for U, rel, _ in residual_sweep(fam, sweep, rows["sweep"]):
-        Us.append(U)
-        rels.append(rel)
-    U, rels = np.concatenate(Us), np.concatenate(rels)
+    # the sweep's weights at (u, xi, eta) and residuals, block by block
+    U, rels, k = np.empty((sweep.n, 8), dtype=complex), np.empty(sweep.n), 0
+    for block, rel, _ in residual_sweep(fam, sweep,
+                                        (blocks["sweep"], rows["sweep"])):
+        U[k:k + len(rel)], rels[k:k + len(rel)] = block, rel
+        k += len(rel)
     base = dict(ybe_median=float(np.median(rels)), ybe_max=float(np.max(rels)))
     if base["ybe_median"] > plan.tol_solution:
         return ClassificationReport(
@@ -554,8 +556,8 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
 
     # both conditions at once on the Split columns of the sampled weights,
     # rounding as point by point; np.hypot is Python's complex abs
-    W = np.concatenate([W for _, (W,) in _points(
-        work, plan.sample_plan(_N_POINTS), _point, at["branch"])])
+    W = np.concatenate([W for _, (W,), _ in _points(
+        work, branch, _point, (blocks["branch"], at["branch"]))])
     w = [Split.of(col) for col in W.T]
     ff, curve = (free_fermion_residual(w),
                  baxter_curve_residual(w, alpha, beta, gamma))

@@ -58,8 +58,9 @@ _EXIT_ERROR = (
 )
 
 
-#: most samples of a verify or classify sweep; classify holds about 0.34 kB
-#: per sample, so a sweep of the cap peaks near 0.4 GB RSS
+#: most samples of a verify or classify sweep; classify holds about 0.2 kB
+#: per sample (tracemalloc, 100 000 samples), so a sweep of the cap holds
+#: about 0.2 GB
 MAX_SAMPLES = 1_000_000
 
 #: most points of an eval or transform grid; the JSON output holds about
@@ -217,18 +218,20 @@ def cmd_verify(args) -> int:
                       max_weight=args.max_weight)
     # the first block of each sweep in one call; a gauge family also gets
     # the unitarity sweep
-    groups = {"sweep": first_block(plan, _triple_spans(plan), _triple_points)}
+    blocks = {"sweep": first_block(plan, _triple_spans(plan),
+                                   _triple_points)}
     if fam.gauge:
         unit_plan = dataclasses.replace(plan, n=min(args.samples, 50))
-        groups["unit"] = first_block(unit_plan, _point_spans(unit_plan),
+        blocks["unit"] = first_block(unit_plan, _point_spans(unit_plan),
                                      _point_pair)
-    rows = evaluate_groups(fam, groups)
+    rows = evaluate_groups(fam, {k: b.columns for k, b in blocks.items()})
     rels = []
     worst = np.zeros(len(COMPONENT_IDS))
-    for _, rel, comp in residual_sweep(fam, plan, rows["sweep"]):
+    for _, rel, top in residual_sweep(fam, plan,
+                                      (blocks["sweep"], rows["sweep"])):
         rels.append(rel)
         # fmax: a NaN component never lowers the running max
-        worst = np.fmax(worst, np.fmax.reduce(comp, axis=0))
+        worst = np.fmax(worst, top)
     rels = np.concatenate(rels)
     offenders = sorted(zip(COMPONENT_IDS, worst.tolist()),
                        key=lambda kv: -kv[1])[:5]
@@ -236,7 +239,7 @@ def cmd_verify(args) -> int:
     unit = None
     if fam.gauge:
         unit = max(float(d.max()) for d in unitarity_sweep(
-            fam, unit_plan, rows["unit"]))
+            fam, unit_plan, (blocks["unit"], rows["unit"])))
 
     median = float(np.median(rels))
     ok = median <= args.tol

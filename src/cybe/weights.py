@@ -25,7 +25,10 @@ The 28 equations are exactly the nonzero entries of the 8x8 defect, so
 every residual is computed from them: the max-abs defect ``matrix_norm`` is
 the largest component magnitude.  ``ybe_residuals`` takes (B, 8) weight
 arrays and works through them in chunks of ``_CHUNK`` rows, so that its
-float arrays stay in cache at any B.  The 28 components are written once,
+float arrays stay in cache at any B; the sampler's sweep reduces each
+chunk to its row and column maxima as it goes (``_residual_maxima``), so
+that no (B, 28) array is formed, and takes the scale from the weight
+magnitudes that the sampler already has.  The 28 components are written once,
 as a table of products (f1, f2, f3) of the 24 weight columns of U|W|V,
 each taken as (f1*f2)*f3: the 60 distinct pair products f1*f2 of a chunk
 are formed once, then four term steps on (28, B) float arrays add the
@@ -40,8 +43,12 @@ unfused (numpy's SIMD complex-array multiply may fuse multiply-adds and
 then differs in the last bit), so every component rounds exactly as the
 scalar complex arithmetic of the written equations does;
 ``component_residuals`` is its one-row case.  ``unitarity_defects`` writes
-out the 8 nonzero entries of R(u) R(-u) - (1 - a5 a6) E and evaluates them
-on ``numkernel.Split`` columns; ``unitarity_defect`` is its one-row case.
+out the 8 nonzero entries of R(u) R(-u) - (1 - a5 a6) E once
+(``_unitarity_entries``) and evaluates them on the real float columns
+when every weight is real and at most ``_WEIGHT_BOUND``, for the reasons
+above, else on ``numkernel.Split`` columns; only the magnitude step
+differs (``np.abs`` against ``np.hypot``).  ``unitarity_defect`` is its
+one-row case.
 Neither path multiplies matrices, so no value depends on the BLAS build.
 The kron form ``ybe_defect`` is the public matrix form of the identity.
 """
@@ -312,20 +319,51 @@ def ybe_residuals(U: np.ndarray, W: np.ndarray, V: np.ndarray):
     (``_real_components``); any other block takes the complex kernel.
     """
     mags = [np.abs(A).max(axis=1) for A in (U, W, V)]
+    comp = np.empty((len(U), len(COMPONENT_IDS)))
+    for rows, part in _component_chunks(U, W, V, mags):
+        comp[rows] = part
+    return comp, _scale(mags)
+
+
+def _residual_maxima(U: np.ndarray, W: np.ndarray, V: np.ndarray, mags):
+    """``ybe_residuals`` reduced chunk by chunk, given the largest weight
+    magnitude of each row of U, W and V as ``mags``: matrix_norm (B,), the
+    column ``np.fmax`` of the components (28,) and scale (B,).  No (B, 28)
+    array is formed; a max does not depend on the order of its terms, so
+    every value is bitwise that of ``ybe_residuals``."""
+    norm = np.empty(len(U))
+    top = None
+    for rows, part in _component_chunks(U, W, V, mags):
+        norm[rows] = part.max(axis=1)
+        part = np.fmax.reduce(part, axis=0)
+        top = part if top is None else np.fmax(top, part)
+    return norm, top, _scale(mags)
+
+
+def _component_chunks(U, W, V, mags):
+    """Yield (rows, |components|) for each chunk of ``_CHUNK`` rows: a
+    slice and a (c, 28) float array, from the real kernel when every
+    imaginary part is zero and every magnitude in ``mags`` is at most
+    ``_WEIGHT_BOUND``, else from the complex kernel."""
     real = (not any(A.imag.any() for A in (U, W, V))
             and all((m <= _WEIGHT_BOUND).all() for m in mags))
-    comp = np.empty((len(U), len(COMPONENT_IDS)))
     for i in range(0, len(U), _CHUNK):
         rows = slice(i, i + _CHUNK)
         if real:
-            re = np.concatenate([A[rows].real.T for A in (U, W, V)])
-            np.abs(_real_components(re).T, out=comp[rows])
+            part = _real_components(
+                np.concatenate([A[rows].real.T for A in (U, W, V)]))
+            yield rows, np.abs(part, out=part).T
         else:
             # np.abs of a complex array, as in the scalar path: np.hypot on
             # the float parts rounds differently
-            np.abs(_components(U[rows], W[rows], V[rows]), out=comp[rows])
+            yield rows, np.abs(_components(U[rows], W[rows], V[rows]))
+
+
+def _scale(mags) -> np.ndarray:
+    """The product of the three rows' largest weight magnitudes, each at
+    least 1e-300."""
     su, sw, sv = (np.maximum(m, 1e-300) for m in mags)
-    return comp, su * sw * sv
+    return su * sw * sv
 
 
 def _require_gauge(w: WeightVector, where: str) -> None:
@@ -389,25 +427,43 @@ def unitarity_defects(W: np.ndarray, Wr: np.ndarray) -> np.ndarray:
     at (u,xi,eta) and Wr at (-u,eta,xi).
 
     Raises NotGauge, with the message of the per-point check, at the first
-    row pair that is not gauge-normalized.
+    row pair that is not gauge-normalized.  When every imaginary part is
+    zero and every weight magnitude at most ``_WEIGHT_BOUND``, the entries
+    are formed on the real float columns; any other block takes
+    ``numkernel.Split`` columns.
     """
     ok = _gauge_rows(W) & _gauge_rows(Wr)
     if not ok.all():
         first = int(np.argmin(ok))
         for A in (W, Wr):
             _require_gauge(WeightVector(A[first]), "unitarity_residual")
-    a1, a2, a3, a4, a5, a6, a7, a8 = (Split.of(col) for col in W.T)
-    b1, b2, b3, b4, b5, b6, b7, b8 = (Split.of(col) for col in Wr.T)
-    c = 1 - a5*a6
-    # R is two 2x2 blocks, [[a1, a7], [a8, a4]] on (11, 22) and
-    # [[a2, a5], [a6, a3]] on (12, 21); these are the 8 entries of
-    # R(u) R(-u) - c E that are not structurally zero
-    entries = (a1*b1 + a7*b8 - c, a1*b7 + a7*b4,
-               a8*b1 + a4*b8, a8*b7 + a4*b4 - c,
-               a2*b2 + a5*b6 - c, a2*b5 + a5*b3,
-               a6*b2 + a3*b6, a6*b5 + a3*b3 - c)
+    if (not (W.imag.any() or Wr.imag.any())
+            and (np.abs(W.real) <= _WEIGHT_BOUND).all()
+            and (np.abs(Wr.real) <= _WEIGHT_BOUND).all()):
+        # every weight is finite, so each cross term of a product is a
+        # zero, no product of two weights overflows, and the complex abs
+        # of (x, +-0) is |x|: the Split result bit for bit
+        return np.max([np.abs(e) for e in _unitarity_entries(
+            W.real.T, Wr.real.T)], axis=0)
+    entries = _unitarity_entries([Split.of(col) for col in W.T],
+                                 [Split.of(col) for col in Wr.T])
     # np.hypot is Python's complex abs bit for bit
     return np.max([np.hypot(e.re, e.im) for e in entries], axis=0)
+
+
+def _unitarity_entries(a, b):
+    """The 8 entries of R(u) R(-u) - (1 - a5 a6) E that are not
+    structurally zero, from the columns a1..a8 of R(u) and b1..b8 of R(-u):
+    float arrays or ``Split`` columns."""
+    a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b1, b2, b3, b4, b5, b6, b7, b8 = b
+    c = 1 - a5*a6
+    # R is two 2x2 blocks, [[a1, a7], [a8, a4]] on (11, 22) and
+    # [[a2, a5], [a6, a3]] on (12, 21)
+    return (a1*b1 + a7*b8 - c, a1*b7 + a7*b4,
+            a8*b1 + a4*b8, a8*b7 + a4*b4 - c,
+            a2*b2 + a5*b6 - c, a2*b5 + a5*b3,
+            a6*b2 + a3*b6, a6*b5 + a3*b3 - c)
 
 
 def vanishing_weights(mags) -> str:

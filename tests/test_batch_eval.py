@@ -528,11 +528,17 @@ def test_sampler_matches_oracle(name, plan):
         assert got_blocks is SamplingExhausted
     else:
         # one residual block per accepted block of the sampler
-        chunks = [len(S) for S, _ in _triples(fam, plan)]
+        chunks = [len(S) for S, _, _ in _triples(fam, plan)]
         assert [len(U) for U, _, _ in got_blocks] == chunks
         assert all(0 < c <= _DRAW_MAX for c in chunks)
-        assert_same_arrays([np.concatenate(c) for c in zip(*got_blocks)],
-                           oracle_sweep(fam, plan))
+        U, rel, comp = oracle_sweep(fam, plan)
+        assert_same_arrays([np.concatenate(c) for c in zip(*got_blocks)][:2],
+                           (U, rel))
+        # each block's column max of the oracle's components, NaN ignored
+        ends = np.cumsum(chunks)
+        assert_same_arrays([top for _, _, top in got_blocks],
+                           [np.fmax.reduce(comp[e - c:e], axis=0)
+                            for c, e in zip(chunks, ends)])
 
     small = dataclasses.replace(plan, n=min(plan.n, 50))
     got = outcome(lambda: list(_points(fam, small)))
@@ -542,7 +548,8 @@ def test_sampler_matches_oracle(name, plan):
         assert outcome(lambda: draw_points(fam, small)) is want
         return
     assert draw_points(fam, small) == [s for s, _ in want]
-    S, W, Wr = (np.concatenate(c) for c in zip(*((S, *ws) for S, ws in got)))
+    S, W, Wr = (np.concatenate(c)
+                for c in zip(*((S, *ws) for S, ws, _ in got)))
     assert [tuple(row) for row in S] == [s for s, _ in want]
     assert_same_arrays((W, Wr), [np.array([ws[k].a for _, ws in want])
                                  for k in range(2)])
@@ -562,7 +569,8 @@ def test_draw_with_a_pre_evaluated_first_block(name, plan, blocks,
     fam = FAMILIES[name]
     for spans, pattern in ((sampling._triple_spans(plan), _triple_points),
                            (sampling._point_spans(plan), _point_pair)):
-        first = fam.eval_array(*sampling.first_block(plan, spans, pattern))
+        block = sampling.first_block(plan, spans, pattern)
+        first = block, fam.eval_array(*block.columns)
         calls = collections.Counter()
         batched = WeightFamily.eval_array
 
@@ -573,7 +581,7 @@ def test_draw_with_a_pre_evaluated_first_block(name, plan, blocks,
         got = {}
         for run in (None, "first"):
             got[run] = outcome(lambda: [
-                (S, *W) for S, W in sampling._draw(
+                (S, *W) for S, W, _ in sampling._draw(
                     fam, plan, spans, pattern, first if run else None)])
         monkeypatch.undo()
         if blocks == "exhausted":

@@ -379,7 +379,7 @@ def test_branch_stage_samples_single_points(fid, monkeypatch):
     plan = ClassifyPlan(n_ybe=40, seed=3)
     classify(fam, plan)
     branch = plan.sample_plan(_N_POINTS)
-    u, xi, eta = first_block(branch, _point_spans(branch), _point)
+    u, xi, eta = first_block(branch, _point_spans(branch), _point).columns
     assert len(u) >= _N_POINTS
     assert set(zip(u, xi, eta)) <= evaluated
     assert not evaluated & set(zip(-u, eta, xi))

@@ -451,18 +451,19 @@ def test_residual_sweep_blocks_match_scalar_reports(n):
     plan = SamplePlan(n=n, seed=n)
     blocks = list(residual_sweep(fam, plan))
     # one residual block per accepted block of the sampler
-    chunks = [len(S) for S, _ in _triples(fam, plan)]
+    chunks = [len(S) for S, _, _ in _triples(fam, plan)]
     assert [len(U) for U, _, _ in blocks] == chunks
     assert sum(chunks) == n and all(c <= _DRAW_MAX for c in chunks)
     U = np.concatenate([b[0] for b in blocks])
     rel = np.concatenate([b[1] for b in blocks])
-    comp = np.concatenate([b[2] for b in blocks])
     pts = [_triple_points(*t) for t in draw_triples(fam, plan)]
     reps = [ybe_residual(*(fam.eval(*p) for p in tp)) for tp in pts]
     assert np.array_equal(U, [fam.eval(*tp[0]).a for tp in pts])
     assert np.array_equal(rel, [rep.relative for rep in reps])
-    assert np.array_equal(comp, [list(rep.component_norms.values())
-                                 for rep in reps])
+    comp = np.array([list(rep.component_norms.values()) for rep in reps])
+    ends = np.cumsum(chunks)
+    for (_, _, top), c, e in zip(blocks, chunks, ends):
+        assert np.array_equal(top, comp[e - c:e].max(axis=0))
 
 
 def test_residual_sweep_evaluates_each_point_once():
@@ -542,7 +543,7 @@ def test_unitarity_defects_are_the_per_point_defects(name, monkeypatch):
     within ORACLE_EPS * EPS * scale of the 4x4 matrix oracle."""
     monkeypatch.setattr(sampling, "_DRAW_MAX", 256)
     fam = gauge_families()[name]
-    blocks = [pair for _, pair in _points(fam, SamplePlan(n=300, seed=4))]
+    blocks = [pair for _, pair, _ in _points(fam, SamplePlan(n=300, seed=4))]
     assert [len(W) for W, _ in blocks] == [256, 44]
     for W, Wr in blocks:
         got = unitarity_defects(W, Wr)
@@ -577,7 +578,7 @@ def test_unitarity_defects_raise_at_the_first_non_gauge_point():
     """Row 3 breaks the gauge at the partner point only, row 5 at both; the
     message is the per-point one of row 3's partner."""
     fam = make_family(ff_tanh_spec())
-    (_, (W, Wr)), = _points(fam, SamplePlan(n=8, seed=1))
+    (_, (W, Wr), _), = _points(fam, SamplePlan(n=8, seed=1))
     W, Wr = W.copy(), Wr.copy()
     Wr[3, 6] += 3e-3
     W[5, 1] += 0.25
@@ -606,7 +607,7 @@ def test_non_gauge_family_raises_the_per_point_message():
     fam = WeightFamily(spec=None, evaluate=ev, label="leaves_gauge",
                        gauge=True)
     plan = SamplePlan(n=50, seed=7)
-    (_, (W, Wr)), = _points(fam, plan)
+    (_, (W, Wr), _), = _points(fam, plan)
     want = first_not_gauge(W, Wr)
     assert want is not None and want.startswith(
         "unitarity_residual: weights are not gauge-normalized (|a2-1|=")
@@ -616,11 +617,11 @@ def test_non_gauge_family_raises_the_per_point_message():
 
 
 def test_non_gauge_point_raises_before_the_next_block_is_drawn():
-    """Only the first block of 10 + 10 // 4 + 4 = 16 candidates evaluates
+    """Only the first block of 10 + 10 // 32 + 4 = 14 candidates evaluates
     without a pole, and it holds fewer than 10 accepted points; every later
     block is rejected whole, so sampling would be exhausted."""
     base = make_family(ff_tanh_spec())
-    first_block = 2 * 16   # a point and its unitarity partner per candidate
+    first_block = 2 * 14   # a point and its unitarity partner per candidate
 
     def family(shift):
         calls = []
