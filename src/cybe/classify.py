@@ -100,10 +100,10 @@ def hamiltonian_coeffs(fam: WeightFamily, xi_grid=None, h: float = 1e-5,
     xi_grid = np.asarray(xi_grid, dtype=float)
 
     n = len(xi_grid)
-    if fam.analytic_coeffs(xi_grid[0]) is not None:
+    if (first := fam.analytic_coeffs(xi_grid[0])) is not None:
         return HamiltonianCoefficients(
-            xi_grid=xi_grid, m=np.array([fam.analytic_coeffs(x)
-                                         for x in xi_grid]),
+            xi_grid=xi_grid, m=np.array(
+                [first] + [fam.analytic_coeffs(x) for x in xi_grid[1:]]),
             h=h, fd_error=np.zeros(n), analytic=True)
     S, ok = (fam.eval_array(*stencil_points(xi_grid, h))
              if stencil is None else stencil)

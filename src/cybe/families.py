@@ -413,17 +413,18 @@ def eval_family(spec: FamilySpec, u, xi, eta) -> WeightVector:
 
 def _sampled(out: list[str], what: str, fn, points,
              prefix: str = "warning: ") -> dict:
-    """``fn(p)`` at each grid point p where it evaluates, keyed by p.  The
-    points where it raises (a pole, an overflow or a domain error) become
-    one diagnostic in ``out`` naming ``what``; checks use the others."""
-    values, failed = {}, []
-    for p in points:
+    """``fn(p)`` at each distinct grid point p where it evaluates, keyed by
+    p.  The points where it raises (a pole, an overflow or a domain error)
+    become one diagnostic in ``out`` naming ``what``, which counts a
+    repeated point once per repeat; checks use the others."""
+    values, errors = {}, {}
+    for p in dict.fromkeys(points):
         try:
             values[p] = fn(p)
         except (ArithmeticError, ValueError, PoleProximity) as exc:
-            failed.append(p)
-            error = exc
-    if failed:
+            errors[p] = exc
+    if failed := [p for p in points if p in errors]:
+        error = errors[failed[-1]]
         shown = ", ".join(
             f"({', '.join(f'{v:.6g}' for v in p)})" if isinstance(p, tuple)
             else f"{p:.6g}" for p in failed[:4])

@@ -12,10 +12,11 @@ Hamiltonian sum_j R'_{j,j+1}(0) without two terms: its identity part and
 the antisymmetric (m5-m6)(XY-YX)/4i, which for free fermions is the
 current operator and commutes with the transfer matrix on its own.
 
-Site 1 is the slowest tensor index.  The chain is stored as its bonds in
-O(n 2^n): ZZ and field on the diagonal, and per bond the XX + YY
-amplitudes of one bit flip.  The dense matrix, 16 4^n bytes, is built
-only when ``ChainOperator.matrix`` is read, as a matrix dump does.
+Site 1 is the slowest tensor index.  The chain is stored as its nonzeros
+in O(n 2^n): ZZ and field on the diagonal, and per bond the XX + YY
+amplitudes of one bit flip.  A matrix dump streams the dense matrix in
+row blocks of at most 64 KiB; the whole matrix, 16 4^n bytes, is built
+only when ``ChainOperator.matrix`` is read.
 """
 
 from __future__ import annotations
@@ -50,35 +51,51 @@ class CouplingConstants:
 
 @dataclass(frozen=True)
 class ChainOperator:
-    """H as its diagonal and, per bond, the mask of the two bits its XX + YY
-    flips with the amplitude of each flip: H[idx ^ mask, idx] = amplitudes."""
+    """H by its nonzeros: H[idx ^ masks[k], idx] = values[k] for each k.
+    masks[0] = 0 holds the diagonal; the others are the bit pairs that the
+    bonds' XX + YY flip, with the amplitudes of bonds that flip the same
+    bits (n = 2, periodic) added."""
 
     n: int
     periodic: bool
-    diag: np.ndarray
-    bonds: tuple[tuple[int, np.ndarray], ...]
+    masks: np.ndarray
+    values: np.ndarray
+
+    @property
+    def diag(self) -> np.ndarray:
+        return self.values[0]
+
+    @functools.cached_property
+    def _nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, vals): row r of H holds vals[k, r] in column cols[k, r]."""
+        cols = np.arange(2 ** self.n) ^ self.masks[:, None]
+        return cols, np.take_along_axis(self.values, cols, axis=1)
+
+    def row_blocks(self, rows: int):
+        """The dense matrix in blocks of ``rows`` rows, each written into
+        the same buffer, which the next block overwrites."""
+        dim = 2 ** self.n
+        cols, vals = self._nonzeros
+        buf = np.empty((min(rows, dim), dim), dtype=complex)
+        local = np.arange(len(buf))
+        for start in range(0, dim, len(buf)):
+            block = buf[:dim - start]
+            block.fill(0)
+            span = slice(start, start + len(block))
+            block[local[:len(block)], cols[:, span]] = vals[:, span]
+            yield block
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """The dense 2^n x 2^n matrix, built on first access."""
-        dim = 2 ** self.n
-        idx = np.arange(dim)
-        H = np.zeros((dim, dim), dtype=complex)
-        for mask, amplitudes in self.bonds:
-            H[idx ^ mask, idx] += amplitudes
-        H.reshape(-1)[::dim + 1] = self.diag
-        return H
+        """The dense 2^n x 2^n matrix, built on first access: the one block
+        of all rows."""
+        return next(self.row_blocks(2 ** self.n))
 
     def hermiticity_defect(self) -> float:
-        """max |H - H^H|: on the diagonal, and on each bit flip, where bonds
-        that flip the same bits (n = 2, periodic) add up."""
-        flips = {}
-        for mask, amplitudes in self.bonds:
-            flips[mask] = flips.get(mask, 0) + amplitudes
-        idx = np.arange(len(self.diag))
-        return float(np.max([np.abs(self.diag - self.diag.conj()).max()] + [
-            np.abs(v - v[idx ^ mask].conj()).max()
-            for mask, v in flips.items()]))
+        """max |H - H^H| from the nonzeros alone: the mirror of
+        H[j ^ m, j] = values[k, j] is H[j, j ^ m] = vals[k, j]."""
+        d = self._nonzeros[1].conj()
+        return float(np.abs(np.subtract(self.values, d, out=d)).max())
 
 
 def couplings_from_coeffs(m) -> CouplingConstants:
@@ -103,20 +120,27 @@ def build_chain(c: CouplingConstants, n: int, periodic: bool = False
     if not 2 <= n <= MAX_SITES:
         raise SizeLimit(f"site count {n} outside [2, {MAX_SITES}]")
     dim = 2 ** n
-    idx = np.arange(dim)
     bit = 1 << np.arange(n - 1, -1, -1)
-    z = 1 - 2 * ((idx & bit[:, None]) != 0)
-    diag = np.zeros(dim, dtype=complex)
-    bonds = []
-    # bond by bond, ZZ then field: the roundings of the plain sum of Pauli
-    # products, to which the matrix is bitwise equal for n > 2
-    for a, b in [(j, (j + 1) % n) for j in range(n if periodic else n - 1)]:
-        zz = z[a] * z[b]
-        bonds.append((int(bit[a] | bit[b]), c.jx - c.jy * zz))
-        diag += c.jz * zz
-        diag += 0.5 * c.h * (z[a] + z[b])
-    return ChainOperator(n=n, periodic=periodic, diag=diag,
-                         bonds=tuple(bonds))
+    # int8 spins: the products of +-1 are exact and the bond rows small
+    z = 1 - 2 * ((np.arange(dim) & bit[:, None]) != 0).astype(np.int8)
+    a = np.arange(n if periodic else n - 1)
+    b = (a + 1) % n
+    zz = z[a] * z[b]
+    # a zero row, then per bond ZZ and field: summed down the rows, the
+    # roundings of the plain sum of Pauli products, to which the matrix is
+    # bitwise equal for n > 2
+    terms = np.zeros((1 + 2 * len(a), dim), dtype=complex)
+    terms[1::2] = c.jz * zz
+    terms[2::2] = 0.5 * c.h * (z[a] + z[b])
+    values = np.zeros((1 + len(a), dim), dtype=complex)
+    values[0] = terms.sum(axis=0)
+    # onto zeros, as the dense sum adds them: an amplitude -0 reads +0
+    values[1:] += c.jx - c.jy * zz
+    masks = np.concatenate([[0], bit[a] | bit[b]])
+    if n == 2 and periodic:
+        # both bonds of a two-site ring flip the same two bits
+        values, masks = np.stack([values[0], values[1] + values[2]]), masks[:2]
+    return ChainOperator(n=n, periodic=periodic, masks=masks, values=values)
 
 
 def cyclic_shift(n: int) -> np.ndarray:
@@ -151,8 +175,9 @@ def ff_relation_check(c: CouplingConstants, m, tol: float = 1e-8) -> dict:
     }
 
 
-#: matrix rows per formatted block of the CSV export
-_CSV_ROWS = 256
+#: most bytes of one row block of a dump: below glibc's 128 KiB mmap
+#: threshold, so the block buffer takes no fresh pages
+_BLOCK_BYTES = 1 << 16
 
 
 def _csv_rows(cols: np.ndarray) -> bytes:
@@ -166,21 +191,26 @@ def _csv_rows(cols: np.ndarray) -> bytes:
 
 
 def export_matrix(op: ChainOperator, path: str, fmt: str = "npy") -> None:
-    """Dense dump; 'npy' binary or 'csv' with re/im column pairs, in the
-    format of ``np.savetxt``.  The CSV is written in blocks of
-    ``_CSV_ROWS`` rows, so its float re/im copy stays small at any size."""
-    if fmt == "npy":
-        np.save(path, op.matrix)
-    elif fmt == "csv":
-        dim = op.matrix.shape[0]
-        # a .gz path is gzipped, as np.savetxt does for file names
-        opener = gzip.open if str(path).endswith(".gz") else open
-        with opener(path, "wb") as fh:
-            for start in range(0, dim, _CSV_ROWS):
-                block = op.matrix[start:start + _CSV_ROWS]
-                cols = np.empty((len(block), 2 * dim))
-                cols[:, 0::2] = block.real
-                cols[:, 1::2] = block.imag
-                fh.write(_csv_rows(cols))
-    else:
+    """Dense dump; 'npy' binary, in the bytes of ``np.save``, or 'csv' with
+    re/im column pairs, in the format of ``np.savetxt``.  Both stream the
+    matrix in row blocks of at most ``_BLOCK_BYTES``, so no dense copy
+    exists at any size."""
+    if fmt not in ("npy", "csv"):
         raise ValueError(f"unknown export format {fmt!r}")
+    dim = 2 ** op.n
+    blocks = op.row_blocks(max(1, _BLOCK_BYTES // (16 * dim)))
+    path = str(path)
+    if fmt == "npy":
+        # as np.save does, a path without the .npy suffix gets it
+        with open(path if path.endswith(".npy") else path + ".npy",
+                  "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": np.lib.format.dtype_to_descr(np.dtype(complex)),
+                "fortran_order": False, "shape": (dim, dim)})
+            for block in blocks:
+                fh.write(block)
+    else:
+        # a .gz path is gzipped, as np.savetxt does for file names
+        with (gzip.open if path.endswith(".gz") else open)(path, "wb") as fh:
+            for block in blocks:
+                fh.write(_csv_rows(block.view(np.float64)))

@@ -63,6 +63,17 @@ def test_fd_matches_analytic(fid):
     assert (np.abs(ana.m - fd.m) / scale).max() < 1e-8
 
 
+
+def test_analytic_coefficients_once_per_color(monkeypatch):
+    fam = make_family(ff_trig_spec())
+    colors = []
+    coeffs = WeightFamily.analytic_coeffs
+    monkeypatch.setattr(WeightFamily, "analytic_coeffs",
+                        lambda self, x: colors.append(x) or coeffs(self, x))
+    got = hamiltonian_coeffs(fam, grid())
+    assert colors == list(grid())
+    assert np.array_equal(got.m, [coeffs(fam, x) for x in grid()])
+
 def test_fd_step_validation():
     fam = make_family(ff_elliptic_spec())
     with pytest.raises(StepUnstable):

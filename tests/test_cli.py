@@ -226,6 +226,17 @@ def test_couplings_and_chain_dump(tmp_path, capsys):
     assert code == 2
 
 
+def test_chain_dump_path_gets_the_npy_suffix(tmp_path, capsys):
+    # as np.save does: --matrix-out h writes h.npy
+    path = spec_file(tmp_path, ff_elliptic_spec())
+    code, out, _ = run_cli(["couplings", "--spec", path, "--sites", "3",
+                            "--matrix-out", str(tmp_path / "h")], capsys)
+    assert code == 0
+    assert json.loads(out)["matrix_file"] == str(tmp_path / "h")
+    assert not (tmp_path / "h").exists()
+    assert np.load(tmp_path / "h.npy").shape == (8, 8)
+
+
 def test_out_file(tmp_path, capsys):
     path = spec_file(tmp_path, trivial_a_spec())
     out_path = tmp_path / "report.json"

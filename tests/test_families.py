@@ -271,6 +271,24 @@ def test_validate_profile_raising_on_the_grid_is_a_warning():
                                  "-0.2, ... (OverflowError")
 
 
+
+def test_validate_evaluates_each_distinct_color_once(monkeypatch):
+    """A one-point span puts 11 equal colors on the grid: each profile is
+    evaluated there once, and the diagnostic still counts all 11."""
+    calls = []
+    call = ColorProfile.__call__
+    monkeypatch.setattr(ColorProfile, "__call__",
+                        lambda self, x, *o: calls.append(x) or
+                        call(self, x, *o))
+    assert validate_spec(ff_trig_spec(), (0.3, 0.3)) == []
+    assert calls == [0.3, 0.3]   # G twice in the check, at one color
+    calls.clear()
+    assert validate_spec(with_bs_profiles(0.6), (0.0, 0.0)) == [
+        "warning: profiles G and H cannot be evaluated at 11 of 11 sampled "
+        "points: 0, 0, 0, 0, ... (ZeroDivisionError: complex division by "
+        "zero)"]
+    assert calls == [0.0]
+
 def test_pole_errors():
     with pytest.raises(PoleProximity):
         eval_family(ff_hyperbolic_spec(lam=0.4, mu=1.0, gslope=0.0),

@@ -196,12 +196,13 @@ def test_csv_export_matches_full_copy(tmp_path, monkeypatch, n, periodic,
     """Row-block CSV bytes equal one np.savetxt of the whole re/im copy."""
     import cybe.spinchain
     if rows is not None:
-        monkeypatch.setattr(cybe.spinchain, "_CSV_ROWS", rows)
-    op = build_chain(CouplingConstants(1, 0.5 - 0.2j, 0.25, 0.1j), n, periodic)
-    dim = len(op.matrix)
-    cols = np.empty((dim, 2 * dim))
-    cols[:, 0::2] = op.matrix.real
-    cols[:, 1::2] = op.matrix.imag
+        monkeypatch.setattr(cybe.spinchain, "_BLOCK_BYTES", rows * 16 * 2 ** n)
+    c = CouplingConstants(1, 0.5 - 0.2j, 0.25, 0.1j)
+    op = build_chain(c, n, periodic)
+    H = _dense_chain(c, n, periodic)
+    cols = np.empty((len(H), 2 * len(H)))
+    cols[:, 0::2] = H.real
+    cols[:, 1::2] = H.imag
     want, got = tmp_path / "full.csv", tmp_path / "blocks.csv"
     np.savetxt(want, cols, delimiter=",")
     export_matrix(op, str(got), "csv")
@@ -222,6 +223,70 @@ def test_csv_rows_match_savetxt_on_special_values():
     want = io.BytesIO()
     np.savetxt(want, cols, delimiter=",")
     assert _csv_rows(cols) == want.getvalue()
+
+
+def _signed_zero_couplings(rng):
+    """Zero couplings of either sign, and jx = +-jy, whose flips cancel to
+    zeros, with real and complex values."""
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return [CouplingConstants(0.0, 0.0, 0.0, 0.0),
+            CouplingConstants(-0.0, -0.0, -0.0, -0.0),
+            CouplingConstants(*[complex(-0.0, -0.0)] * 4),
+            CouplingConstants(v[0].real, v[0].real, v[2].real, v[3].real),
+            CouplingConstants(v[0].real, -v[0].real, v[2].real, v[3].real),
+            CouplingConstants(v[0], v[0], v[2], v[3]),
+            CouplingConstants(v[0], -v[0], v[2], v[3])]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_npy_export_is_np_save_of_the_oracle(tmp_path, monkeypatch, rng, n):
+    """The streamed .npy bytes are np.save's of the dense oracle, signed
+    zeros included, for blocks of 64 KiB, of 1 row and of 3 rows, which
+    does not divide 2^n.  Above 7 sites, where the oracle is slow, a
+    periodic complex chain with signed zeros, and below 10 sites an open
+    one."""
+    import cybe.spinchain
+    if n <= 7:
+        chains = [(c, periodic) for periodic in (False, True)
+                  for c in _signed_zero_couplings(rng) + [
+                      _random_couplings(rng), _random_couplings(rng, True)]
+                  # the oracle rounds a two-site ring's double bond its own
+                  # way (test_double_bond_two_sites)
+                  if n > 2 or not periodic or c.jx in (c.jy, -c.jy)]
+    else:
+        chains = [(_signed_zero_couplings(rng)[-1], True)]
+        if n < 10:
+            chains.append((_random_couplings(rng, complex_=True), False))
+    for c, periodic in chains:
+        want = io.BytesIO()
+        np.save(want, _dense_chain(c, n, periodic))
+        op = build_chain(c, n, periodic)
+        for rows in (None, 1, 3):
+            if rows is not None:
+                monkeypatch.setattr(cybe.spinchain, "_BLOCK_BYTES",
+                                    rows * 16 * 2 ** n)
+            export_matrix(op, str(tmp_path / "h.npy"))
+            assert (tmp_path / "h.npy").read_bytes() == want.getvalue()
+
+
+def test_npy_export_appends_the_suffix(tmp_path):
+    """As np.save does, a path that does not end in .npy gets it."""
+    op = build_chain(CouplingConstants(1, 0.5, 0.25, 0.1), 3, True)
+    for name in ("h", "h.txt", "h.npy"):
+        export_matrix(op, str(tmp_path / name))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.npy",
+                                                          "h.txt.npy"]
+    assert np.load(tmp_path / "h.txt.npy").shape == (8, 8)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_row_blocks_concatenate_to_the_matrix(rng, n):
+    op = build_chain(_random_couplings(rng, complex_=True), n, n % 2 == 0)
+    H = op.matrix
+    for rows in range(1, 2 ** n + 2):
+        blocks = [block.copy() for block in op.row_blocks(rows)]
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tobytes() == H.tobytes()
 
 
 def test_export(tmp_path):
@@ -325,7 +390,7 @@ _CLI_RUN = """
 import sys
 from cybe.cli import main
 code = main(["couplings", "--spec", sys.argv[1], "--sites", sys.argv[2],
-             "--periodic"])
+             "--periodic", *sys.argv[3:]])
 # the peak RSS of this process's own memory, in kB: getrusage would report
 # at least the test runner's peak, which the child inherits at exec
 with open("/proc/self/status") as fh:
@@ -351,6 +416,22 @@ def test_max_sites_cli():
     assert f"site count {MAX_SITES + 1}" in proc.stderr
 
 
+def test_dump_streams_the_matrix(tmp_path):
+    """An 11-site dump writes 64 MB without holding the dense matrix: the
+    process peaks below 64 MB (94 MB when the dump built the matrix)."""
+    spec = json.dumps(spec_to_json(baxter_elliptic_spec()))
+    path = tmp_path / "h.npy"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_RUN, spec, "11", "--matrix-out",
+         str(path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr.split()[-1]) < 64 * 1024
+    H = np.load(path, mmap_mode="r")
+    assert H.shape == (2048, 2048)
+    assert np.array_equal(H[:64], H[:, :64].conj().T)
+    assert abs(np.trace(H)) <= 1e-12 * np.abs(H).max()
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_hermiticity_defect_matches_full_matrix(n, rng):
     # complex couplings: the defect read from the bonds is the dense one bit
@@ -367,4 +448,5 @@ def test_defect_never_builds_the_matrix(rng):
     assert op.hermiticity_defect() > 0
     assert "matrix" not in op.__dict__
     assert op.diag.shape == (2 ** MAX_SITES,)
-    assert len(op.bonds) == MAX_SITES
+    assert op.masks.shape == (MAX_SITES + 1,)
+    assert op.values.shape == (MAX_SITES + 1, 2 ** MAX_SITES)
