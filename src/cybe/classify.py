@@ -555,14 +555,14 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     alpha, beta, gamma = _constants(coeffs)
 
     # both conditions at once on the Split columns of the sampled weights,
-    # rounding as point by point; np.hypot is Python's complex abs
+    # rounding and taking magnitudes as point by point
     W = np.concatenate([W for _, (W,), _ in _points(
         work, branch, _point, (blocks["branch"], at["branch"]))])
     w = [Split.of(col) for col in W.T]
     ff, curve = (free_fermion_residual(w),
                  baxter_curve_residual(w, alpha, beta, gamma))
-    ff_median = float(np.median(np.hypot(ff.re, ff.im)))
-    curve_median = float(np.median(np.hypot(curve.re, curve.im)))
+    ff_median = float(np.median(ff.abs()))
+    curve_median = float(np.median(curve.abs()))
 
     measured = {
         "alpha": [alpha.real, alpha.imag],

@@ -293,9 +293,8 @@ def cmd_couplings(args) -> int:
         doc["periodic"] = args.periodic
         doc["hermiticity_defect"] = op.hermiticity_defect()
         if args.matrix_out:
-            export_matrix(op, args.matrix_out,
-                          "csv" if args.format == "csv" else "npy")
-            doc["matrix_file"] = args.matrix_out
+            doc["matrix_file"] = export_matrix(
+                op, args.matrix_out, "csv" if args.format == "csv" else "npy")
     _emit(doc, args)
     return 0
 

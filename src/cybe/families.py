@@ -36,6 +36,9 @@ Baxter degeneracy warning.  Fields a family does not read are ignored.
 
 Evaluation: each family is one closed form ``form(o, u, xi, eta)`` over an
 operation table of ``numkernel``, and ``from_form`` builds its evaluators.
+The same builder writes the family's first-order coefficients
+m_i = d/du a_i at u = 0, eta = xi as a second form ``coeffs(o, xi)``, which
+``WeightFamily.analytic_coeffs`` runs; the trivial families have none.
 ``WeightFamily.eval`` runs it on Python complex numbers (``SCALAR``) and
 raises at a pole; ``eval_array`` runs it on split real/imaginary columns of
 n points (``Batch``) and returns the (n, 8) weights with the mask of the
@@ -139,24 +142,21 @@ class WeightFamily:
     returns a WeightVector, and ``batch(o, u, xi, eta)``, when present,
     returns the (n, 8) weight array of n points for a ``numkernel.Batch``
     ``o``, marking in ``o.bad`` the points at which ``evaluate`` raises.
-    ``eval_array`` works with or without ``batch``."""
+    ``eval_array`` works with or without ``batch``.  ``coeffs(o, xi)``, when
+    present, gives the closed-form coefficients m1..m8 at color xi."""
 
     spec: FamilySpec | None
     evaluate: object  # callable (u, xi, eta) -> WeightVector
     label: str = ""
     gauge: bool = True
     batch: object = None  # callable (Batch, u, xi, eta) -> (n, 8) array
+    coeffs: object = None  # callable (o, xi) -> m1..m8
 
     def eval(self, u, xi, eta) -> WeightVector:
         """The weights at (u, xi, eta).  An evaluation that overflows or
         gives a non-finite weight raises PoleProximity, as a pole does."""
-        try:
-            return self.evaluate(u, xi, eta)
-        except CybeError:
-            raise
-        except (ArithmeticError, ValueError) as exc:
-            raise PoleProximity(f"weights overflow at (u, xi, eta) = "
-                                f"({u}, {xi}, {eta}): {exc}") from None
+        return _guarded("weights overflow at (u, xi, eta) = ({}, {}, {})",
+                        self.evaluate, u, xi, eta)
 
     def eval_array(self, u, xi, eta):
         """The weights at n points (arrays of u, xi and eta) as an (n, 8)
@@ -180,18 +180,24 @@ class WeightFamily:
         return W, ~o.bad
 
     def analytic_coeffs(self, xi):
-        """Spectral-derivative coefficients m1..m8 at color xi, or None.
-        A color at which they overflow raises PoleProximity, as in
-        ``eval``."""
-        if self.spec is None:
+        """The closed-form coefficients m1..m8 at color xi, or None: a
+        family without a spec, or a trivial one, has none.  A color at
+        which they overflow raises PoleProximity, as in ``eval``."""
+        if self.spec is None or self.coeffs is None:
             return None
-        try:
-            return _analytic_coeffs(self.spec, complex(xi))
-        except CybeError:
-            raise
-        except (ArithmeticError, ValueError) as exc:
-            raise PoleProximity(f"coefficients overflow at xi = {xi}: "
-                                f"{exc}") from None
+        return np.array(_guarded("coefficients overflow at xi = {1}",
+                                 self.coeffs, SCALAR, xi), dtype=complex)
+
+
+def _guarded(where: str, fn, *args):
+    """``fn(*args)``; an overflow or a domain error raises PoleProximity
+    instead, as a pole does, naming ``where`` formatted with the args."""
+    try:
+        return fn(*args)
+    except CybeError:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        raise PoleProximity(f"{where.format(*args)}: {exc}") from None
 
 
 def _sign_unit(o, t, scale):
@@ -219,13 +225,17 @@ def _ff_coefficients(o, Gx, Gy, Hx, Hy, delta):
 
 
 # Each builder checks the spec and returns the closed form
-# (o, u, xi, eta) -> the eight weights, over the operations o of numkernel.
+# (o, u, xi, eta) -> the eight weights and the coefficients
+# (o, xi) -> m_i = d/du a_i at u = 0, eta = xi, both over the operations o
+# of numkernel.  A coefficient that does not depend on the color is
+# computed here, once, unless computing it can raise: an overflow is raised
+# where the coefficients are read, never by the build.
 
-def _sn(mu, k) -> complex:
-    """sn(mu) at modulus k; a modulus the kernel does not take, and a
-    lattice pole or an overflow at mu, are spec errors."""
+def _sn(mu, k) -> tuple[complex, complex, complex]:
+    """(sn, cn, dn) at mu and modulus k; a modulus the kernel does not
+    take, and a lattice pole or an overflow at mu, are spec errors."""
     try:
-        return jacobi_sncndn(mu, k)[0]
+        return jacobi_sncndn(mu, k)
     except ModulusOutOfRange as exc:
         raise InvalidSpec(f"modulus k unusable: {exc}") from None
     except (PoleProximity, ArithmeticError, ValueError) as exc:
@@ -235,10 +245,11 @@ def _sn(mu, k) -> complex:
 def _baxter_elliptic(spec: FamilySpec):
     if spec.lam == 0 or spec.mu == 0:
         raise InvalidSpec("rates lam and mu must be nonzero")
-    snmu = _sn(spec.mu, spec.k)
+    snmu, cnmu, dnmu = _sn(spec.mu, spec.k)
     if abs(snmu) < _DENOM_TOL:
         raise InvalidSpec("sn(mu) vanishes; shift mu divides the closed form")
     k, lam, F, s5, s7 = spec.k, spec.lam, spec.F, spec.s5, spec.s7
+    m1, m5, m7 = lam * cnmu * dnmu / snmu, s5 * lam / snmu, s7 * k * lam * snmu
 
     def form(o, u, xi, eta):
         w = lam * u + F(xi, o) - F(eta, o)
@@ -248,7 +259,7 @@ def _baxter_elliptic(spec: FamilySpec):
         a5 = s5 * snw / snmu
         a7 = s7 * k * snw * snwm
         return a1, 1, 1, a1, a5, a5, a7, a7
-    return form
+    return form, lambda o, xi: (m1, 0, 0, m1, m5, m5, m7, m7)
 
 
 def _baxter_trig(spec: FamilySpec):
@@ -257,19 +268,26 @@ def _baxter_trig(spec: FamilySpec):
     tanmu = cmath.tan(spec.mu)
     if abs(tanmu) < _DENOM_TOL:
         raise InvalidSpec("tan(mu) vanishes; shift mu divides the closed form")
-    lam, F, s5, s7 = spec.lam, spec.F, spec.s5, spec.s7
+    lam, mu, F, s5, s7 = spec.lam, spec.mu, spec.F, spec.s5, spec.s7
 
     def form(o, u, xi, eta):
         w = lam * u + F(xi, o) - F(eta, o)
-        cw, cwm = o.cos(w), o.cos(w + spec.mu)
+        cw, cwm = o.cos(w), o.cos(w + mu)
         o.check((o.abs(cw) < _DENOM_TOL) | (o.abs(cwm) < _DENOM_TOL),
                 PoleProximity, lambda: f"tan pole near w = {w}")
-        tw, twm = o.tan(w), o.tan(w + spec.mu)
+        tw, twm = o.tan(w), o.tan(w + mu)
         a1 = twm / tanmu
         a5 = s5 * tw / tanmu
         a7 = s7 * tw * twm
         return a1, 1, 1, a1, a5, a5, a7, a7
-    return form
+
+    def coeffs(o, xi):
+        smu, cmu = o.sin(mu), o.cos(mu)   # may overflow where tan mu does not
+        m1 = lam / (smu * cmu)
+        m5 = s5 * lam * cmu / smu
+        m7 = s7 * lam * smu / cmu
+        return m1, 0, 0, m1, m5, m5, m7, m7
+    return form, coeffs
 
 
 def _ff_elliptic(spec: FamilySpec):
@@ -278,6 +296,7 @@ def _ff_elliptic(spec: FamilySpec):
     k = spec.ff_modulus
     _sn(0.0, k)   # rejects a modulus the kernel does not take
     lam, F, G, H, delta, s7 = spec.lam, spec.F, spec.G, spec.H, spec.delta, spec.s7
+    m7 = s7 * k * lam
 
     def form(o, u, xi, eta):
         w = lam * u + F(xi, o) - F(eta, o)
@@ -293,13 +312,21 @@ def _ff_elliptic(spec: FamilySpec):
         a6 = C * snw - D * cdw
         a7 = s7 * k * snw * cdw
         return a1, 1, 1, a4, a5, a6, a7, a7
-    return form
+
+    def coeffs(o, xi):
+        Gx, Hx = G(xi, o), H(xi, o)
+        scale = 1.0 + o.abs(Gx) ** 2 + o.abs(Hx) ** 2
+        m1 = lam * _root(o, Hx * Hx, scale) * _sign_unit(o, Hx * Gx, scale)
+        m5 = lam * delta * _root(o, Gx * Gx, scale)
+        return m1, 0, 0, -m1, m5, m5, m7, m7
+    return form, coeffs
 
 
 def _ff_trig(spec: FamilySpec):
     if spec.lam == 0:
         raise InvalidSpec("rate lam must be nonzero")
     lam, F, G, s5, s7 = spec.lam, spec.F, spec.G, spec.s5, spec.s7
+    m7 = s7 * lam
 
     def form(o, u, xi, eta):
         w = lam * u + F(xi, o) - F(eta, o)
@@ -317,13 +344,20 @@ def _ff_trig(spec: FamilySpec):
         a6 = Y * (-(Gx - Gy) / cw + twoGG * sw)
         a7 = s7 * tw
         return a1, 1, 1, a4, a5, a6, a7, a7
-    return form
+
+    def coeffs(o, xi):
+        Gx = G(xi, o)
+        m1 = lam * o.sqrt(Gx * Gx)
+        m5 = s5 * m1
+        return m1, 0, 0, -m1, m5, m5, m7, m7
+    return form, coeffs
 
 
 def _ff_hyperbolic(spec: FamilySpec):
     if spec.lam == 0 and spec.mu == 0:
         raise InvalidSpec("rates lam and mu must not both vanish")
     lam, mu, F, G, s5, s7 = spec.lam, spec.mu, spec.F, spec.G, spec.s5, spec.s7
+    m5, m7 = s5 * lam, s7 * mu
 
     def form(o, u, xi, eta):
         wf = lam * u + F(xi, o) - F(eta, o)
@@ -335,7 +369,7 @@ def _ff_hyperbolic(spec: FamilySpec):
         a5 = s5 * o.sinh(wf) / cg
         a7 = s7 * o.tan(wg)
         return a1, 1, 1, a1, a5, -a5, a7, a7
-    return form
+    return form, lambda o, xi: (0, 0, 0, 0, m5, -m5, m7, m7)
 
 
 def _trivial_a(spec: FamilySpec):
@@ -344,7 +378,7 @@ def _trivial_a(spec: FamilySpec):
     def form(o, u, xi, eta):
         h = prof(u, xi, eta, o)
         return h, 1, 1, h, h, h, 1, 1
-    return form
+    return form, None   # no identity initial value, so no coefficients
 
 
 def _trivial_b(spec: FamilySpec):
@@ -356,10 +390,10 @@ def _trivial_b(spec: FamilySpec):
                 lambda: "profile F vanishes at eta")
         e = F(xi, o) / fe * o.exp(u)
         return e, 1, 1, e, e, -e, 1j, 1j
-    return form
+    return form, None
 
 
-#: family -> (closed-form builder, profiles the family requires)
+#: family -> (builder of the closed forms, profiles the family requires)
 _BUILDERS = {
     FamilyId.BAXTER_ELLIPTIC: (_baxter_elliptic, ()),
     FamilyId.BAXTER_TRIG: (_baxter_trig, ()),
@@ -373,11 +407,12 @@ _BUILDERS = {
 
 
 def from_form(form, label: str, gauge: bool, spec: FamilySpec | None = None,
-              array: bool = True) -> WeightFamily:
+              array: bool = True, coeffs=None) -> WeightFamily:
     """The family whose weights are ``form(o, u, xi, eta)`` (eight values,
     or an array of them on its last axis), run on ``SCALAR`` by ``evaluate``
-    and, if ``array``, on a ``Batch`` by ``batch``.  The point reaches the
-    form as given; tracing names the evaluator by the form's module."""
+    and, if ``array``, on a ``Batch`` by ``batch``, with the coefficient
+    form ``coeffs``.  The point reaches the form as given; tracing names
+    the evaluator by the form's module."""
     def evaluate(u, xi, eta):
         return WeightVector(form(SCALAR, u, xi, eta))
 
@@ -386,11 +421,12 @@ def from_form(form, label: str, gauge: bool, spec: FamilySpec | None = None,
 
     evaluate.__module__ = form.__module__
     return WeightFamily(spec=spec, evaluate=evaluate, label=label, gauge=gauge,
-                        batch=batch if array else None)
+                        batch=batch if array else None, coeffs=coeffs)
 
 
 def _build(spec: FamilySpec):
-    """The closed form of a spec; InvalidSpec if it cannot be built."""
+    """The closed forms (weights, coefficients or None) of a spec;
+    InvalidSpec if it cannot be built."""
     build, required = _BUILDERS[spec.family]
     for name in required:
         if getattr(spec, name) is None:
@@ -402,7 +438,9 @@ def _build(spec: FamilySpec):
 def make_family(spec: FamilySpec) -> WeightFamily:
     """Build the evaluators for a spec.  Raises InvalidSpec when the spec
     cannot be built; validate_spec adds the sampled profile checks."""
-    return from_form(_build(spec), spec.family.value, spec.is_gauge, spec)
+    form, coeffs = _build(spec)
+    return from_form(form, spec.family.value, spec.is_gauge, spec,
+                     coeffs=coeffs)
 
 
 def eval_family(spec: FamilySpec, u, xi, eta) -> WeightVector:
@@ -441,7 +479,7 @@ def validate_spec(spec: FamilySpec, color_span=(-0.5, 0.5)) -> list[str]:
     that cannot be built gets the one message ``make_family`` raises; soft
     warnings are prefixed 'warning:'."""
     try:
-        _build(spec)
+        _, coeffs = _build(spec)
     except InvalidSpec as exc:
         return [str(exc)]
     out: list[str] = []
@@ -449,7 +487,7 @@ def validate_spec(spec: FamilySpec, color_span=(-0.5, 0.5)) -> list[str]:
     fam = spec.family
     if fam is FamilyId.BAXTER_ELLIPTIC:
         # alpha, beta, gamma are m7, m5, m1 up to the signs s7 and s5
-        alpha, beta, gamma = _analytic_coeffs(spec, 0j)[[6, 4, 0]]
+        alpha, beta, gamma = np.array(coeffs(SCALAR, 0j))[[6, 4, 0]]
         degenerate = min(abs(beta + sa * alpha + sg * gamma)
                          for sa in (1, -1) for sg in (1, -1))
         if degenerate < 1e-8 * max(abs(alpha), abs(beta), abs(gamma)):
@@ -476,47 +514,6 @@ def validate_spec(spec: FamilySpec, color_span=(-0.5, 0.5)) -> list[str]:
             out.append(f"profile F vanishes on the color domain at "
                        f"{zeros[:3]}")
     return out
-
-
-# -------------------- analytic spectral-derivative coefficients ----------
-
-def _analytic_coeffs(spec: FamilySpec, xi: complex):
-    """m_i = d/du a_i at u = 0, eta = xi.  None for the trivial families,
-    whose weights violate the identity initial value."""
-    fam = spec.family
-    m = np.zeros(8, dtype=complex)
-    if fam is FamilyId.BAXTER_ELLIPTIC:
-        snmu, cnmu, dnmu = jacobi_sncndn(spec.mu, spec.k)
-        m[0] = m[3] = spec.lam * cnmu * dnmu / snmu
-        m[4] = m[5] = spec.s5 * spec.lam / snmu
-        m[6] = m[7] = spec.s7 * spec.k * spec.lam * snmu
-    elif fam is FamilyId.BAXTER_TRIG:
-        smu, cmu = cmath.sin(spec.mu), cmath.cos(spec.mu)
-        m[0] = m[3] = spec.lam / (smu * cmu)
-        m[4] = m[5] = spec.s5 * spec.lam * cmu / smu
-        m[6] = m[7] = spec.s7 * spec.lam * smu / cmu
-    elif fam in (FamilyId.FF_ELLIPTIC, FamilyId.FF_TANH):
-        Gx, Hx = spec.G(xi), spec.H(xi)
-        scale = 1.0 + abs(Gx) ** 2 + abs(Hx) ** 2
-        m1 = (spec.lam * _root(SCALAR, Hx * Hx, scale)
-              * _sign_unit(SCALAR, Hx * Gx, scale))
-        m5 = spec.lam * spec.delta * _root(SCALAR, Gx * Gx, scale)
-        m[0], m[3] = m1, -m1
-        m[4] = m[5] = m5
-        m[6] = m[7] = spec.s7 * spec.ff_modulus * spec.lam
-    elif fam is FamilyId.FF_TRIG:
-        Gx = spec.G(xi)
-        m1 = spec.lam * cmath.sqrt(Gx * Gx)
-        m[0], m[3] = m1, -m1
-        m[4] = m[5] = spec.s5 * m1
-        m[6] = m[7] = spec.s7 * spec.lam
-    elif fam is FamilyId.FF_HYPERBOLIC:
-        m[4] = spec.s5 * spec.lam
-        m[5] = -m[4]
-        m[6] = m[7] = spec.s7 * spec.mu
-    else:
-        return None
-    return m
 
 
 # -------------------- literature reductions --------------------

@@ -111,6 +111,14 @@ class Split:
         z.real, z.imag = self.re, self.im
         return z
 
+    def abs(self):
+        """Python's complex abs of each element (``np.hypot``); a magnitude
+        that overflows from finite parts is inf here."""
+        return np.hypot(self.re, self.im)
+
+    def __getitem__(self, i) -> "Split":
+        return Split(self.re[i], self.im[i])
+
     def __add__(self, o):
         ore, oim = _parts(o)
         return Split(self.re + ore, self.im + oim)
@@ -299,10 +307,10 @@ class Batch:
     def abs(self, x):
         """Python's complex abs, which raises OverflowError when the
         magnitude of a finite number overflows."""
-        re, im = _parts(x)
-        r = np.hypot(re, im)
+        z = Split(*_parts(x))
+        r = z.abs()
         if np.isinf(r).any():
-            self._flag(np.isinf(r) & np.isfinite(re) & np.isfinite(im))
+            self._flag(np.isinf(r) & np.isfinite(z.re) & np.isfinite(z.im))
         return r
 
     def where(self, cond, a, b) -> Split:

@@ -190,20 +190,21 @@ def _csv_rows(cols: np.ndarray) -> bytes:
     return "".join([",".join(row) + "\n" for row in text]).encode("latin1")
 
 
-def export_matrix(op: ChainOperator, path: str, fmt: str = "npy") -> None:
+def export_matrix(op: ChainOperator, path: str, fmt: str = "npy") -> str:
     """Dense dump; 'npy' binary, in the bytes of ``np.save``, or 'csv' with
     re/im column pairs, in the format of ``np.savetxt``.  Both stream the
     matrix in row blocks of at most ``_BLOCK_BYTES``, so no dense copy
-    exists at any size."""
+    exists at any size.  Returns the path written: as np.save does, an
+    'npy' path without the .npy suffix gets it."""
     if fmt not in ("npy", "csv"):
         raise ValueError(f"unknown export format {fmt!r}")
     dim = 2 ** op.n
     blocks = op.row_blocks(max(1, _BLOCK_BYTES // (16 * dim)))
     path = str(path)
     if fmt == "npy":
-        # as np.save does, a path without the .npy suffix gets it
-        with open(path if path.endswith(".npy") else path + ".npy",
-                  "wb") as fh:
+        if not path.endswith(".npy"):
+            path += ".npy"
+        with open(path, "wb") as fh:
             np.lib.format.write_array_header_1_0(fh, {
                 "descr": np.lib.format.dtype_to_descr(np.dtype(complex)),
                 "fortran_order": False, "shape": (dim, dim)})
@@ -214,3 +215,4 @@ def export_matrix(op: ChainOperator, path: str, fmt: str = "npy") -> None:
         with (gzip.open if path.endswith(".gz") else open)(path, "wb") as fh:
             for block in blocks:
                 fh.write(_csv_rows(block.view(np.float64)))
+    return path

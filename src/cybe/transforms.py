@@ -447,19 +447,10 @@ def _reduce(fam: WeightFamily, p: _Probes, rows):
     mags, cocycle, nus, ls, ms, grid = (ids[at[k]] for k in (
         "mag", "cocycle", "nu", "l", "M", "grid"))
 
-    def mag(z):
-        """Python's complex abs of a Split or a complex array."""
-        if not isinstance(z, Split):
-            z = Split.of(z)
-        return np.hypot(z.re, z.im)
-
     def overflows(z, r):
         """Where Python's abs of the Split z, of magnitude r, raises
         OverflowError: r overflows from finite parts."""
         return np.isinf(r) & np.isfinite(z.re) & np.isfinite(z.im)
-
-    def part(z, i):
-        return Split(z.re[i], z.im[i])
 
     with np.errstate(all="ignore"):
         f = Split.of(W[:n, 2]) / Split.of(W[:n, 1])      # a3/a2
@@ -468,15 +459,14 @@ def _reduce(fam: WeightFamily, p: _Probes, rows):
         divisor[at["mag"]] = 1
         divisor[at["l"]] = W[at["l"], 6]
         d = Split.of(divisor)
-        r = mag(d)
+        r = d.abs()
         failed = ~ok[:n] | (r < _ZERO_TOL) | overflows(d, r)
         # after its divisor, a check takes the magnitude of the cocycle
         # defect f(u+v,xi,lam) - f(u,xi,eta) f(v,eta,lam) at the last probe
         # of each triple, and of f at the nu points
-        diff = (part(f, cocycle[0::3])
-                - part(f, cocycle[1::3]) * part(f, cocycle[2::3]))
-        val = part(f, at["nu"])
-        diff_r, val_r = mag(diff), mag(val)
+        diff = f[cocycle[0::3]] - f[cocycle[1::3]] * f[cocycle[2::3]]
+        val = f[at["nu"]]
+        diff_r, val_r = diff.abs(), val.abs()
         failed[cocycle[2::3]] |= overflows(diff, diff_r)
         failed[at["nu"]] |= overflows(val, val_r)
 
@@ -523,14 +513,14 @@ def _reduce(fam: WeightFamily, p: _Probes, rows):
         # l = a8/a7 / (M(xi) M(eta)) at the l points
         l = complex(np.mean((
             Split.of(W[at["l"], 7]) / Split.of(W[at["l"], 6])
-            / (part(f, ms[0::2]) * part(f, ms[1::2]))).complex()))
+            / (f[ms[0::2]] * f[ms[1::2]])).complex()))
 
         # M at the colors of the probes whose rows hold it, for the scalar
         # evaluator; a color whose row fails is evaluated, and raises, there
         held = np.concatenate([ms, grid])
         held = held[~failed[held]]
         known = dict(zip(p.columns[1][held].real.tolist(),
-                         part(f, held).complex().tolist()))
+                         f[held].complex().tolist()))
 
     @functools.cache   # x as float, np.float64 or complex(x, 0): one entry
     def M(x) -> complex:
@@ -558,7 +548,7 @@ def _reduce(fam: WeightFamily, p: _Probes, rows):
         # per check point |a2 - 1|, |a3 - 1| and |a7 - a8|, in turn
         res = Split.of(np.stack(
             [G[:k, 1] - 1, G[:k, 2] - 1, G[:k, 6] - G[:k, 7]], axis=1))
-        r = mag(res)
+        r = res.abs()
         bad = ~good[:k] | overflows(res, r).any(axis=1)
         if bad.any():
             j = int(bad.argmax())

@@ -47,7 +47,7 @@ out the 8 nonzero entries of R(u) R(-u) - (1 - a5 a6) E once
 (``_unitarity_entries``) and evaluates them on the real float columns
 when every weight is real and at most ``_WEIGHT_BOUND``, for the reasons
 above, else on ``numkernel.Split`` columns; only the magnitude step
-differs (``np.abs`` against ``np.hypot``).  ``unitarity_defect`` is its
+differs (``np.abs`` against ``Split.abs``).  ``unitarity_defect`` is its
 one-row case.
 Neither path multiplies matrices, so no value depends on the BLAS build.
 The kron form ``ybe_defect`` is the public matrix form of the identity.
@@ -115,12 +115,11 @@ class WeightVector:
 
 def _gauge_rows(A: np.ndarray, tol: float = GAUGE_TOL) -> np.ndarray:
     """Whether each row of the (B, 8) array A has a2 = a3 = 1, a7 = a8
-    within tol.  np.hypot is Python's complex abs bit for bit (np.abs of a
-    complex array is not)."""
-    def mag(z):
-        return np.hypot(z.real, z.imag)
-    return ((mag(A[:, 1] - 1) <= tol) & (mag(A[:, 2] - 1) <= tol)
-            & (mag(A[:, 6] - A[:, 7]) <= tol))
+    within tol, with Python's complex abs (np.abs of a complex array is
+    not it bit for bit)."""
+    return ((Split.of(A[:, 1] - 1).abs() <= tol)
+            & (Split.of(A[:, 2] - 1).abs() <= tol)
+            & (Split.of(A[:, 6] - A[:, 7]).abs() <= tol))
 
 
 #: (row, col) of a1..a8 in the 4x4 matrix
@@ -447,8 +446,7 @@ def unitarity_defects(W: np.ndarray, Wr: np.ndarray) -> np.ndarray:
             W.real.T, Wr.real.T)], axis=0)
     entries = _unitarity_entries([Split.of(col) for col in W.T],
                                  [Split.of(col) for col in Wr.T])
-    # np.hypot is Python's complex abs bit for bit
-    return np.max([np.hypot(e.re, e.im) for e in entries], axis=0)
+    return np.max([e.abs() for e in entries], axis=0)
 
 
 def _unitarity_entries(a, b):

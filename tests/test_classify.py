@@ -12,7 +12,7 @@ from cybe import (ClassifyPlan, SpectralProfile, StepUnstable, TransformSpec,
                   derived_identity_suite, hamiltonian_coeffs,
                   invariant_suite, jacobi_sncndn, make_family)
 from cybe import transforms
-from cybe.classify import _N_POINTS, elliptic_ff_identities
+from cybe.classify import _N_POINTS, _du, elliptic_ff_identities
 from cybe.families import (FAMILY_CLASS, FamilyId, WeightFamily,
                            spec_from_json)
 from cybe.sampling import _point, _point_spans, first_block
@@ -53,7 +53,7 @@ def test_hyperbolic_analytic_coefficients():
 
 
 @pytest.mark.parametrize("fid", GAUGE_IDS)
-def test_fd_matches_analytic(fid):
+def test_fd_matches_analytic(fid, rng):
     fam = make_family(CANONICAL_SPECS[fid]())
     ana = hamiltonian_coeffs(fam, grid())
     # without its spec the family has no closed-form coefficients
@@ -61,6 +61,17 @@ def test_fd_matches_analytic(fid):
     assert ana.analytic and not fd.analytic
     scale = np.maximum(np.abs(ana.m), 1.0)
     assert (np.abs(ana.m - fd.m) / scale).max() < 1e-8
+    # random signs, complex rates and complex colors: each closed-form m_i
+    # is the Richardson difference of the weight form at u = 0, eta = xi
+    for _ in range(8):
+        spec = random_spec(fid, rng)
+        fam = make_family(dataclasses.replace(
+            spec, lam=spec.lam * complex(1, rng.uniform(-0.3, 0.3)),
+            mu=spec.mu * complex(1, rng.uniform(-0.3, 0.3))))
+        for x in rng.uniform(-0.4, 0.4, 3) + 1j * rng.uniform(-0.2, 0.2, 3):
+            m, _ = _du(fam, 0.0, x, x)
+            ana = fam.analytic_coeffs(x)
+            assert np.abs(ana - m).max() < 1e-8 * max(1.0, np.abs(ana).max())
 
 
 
@@ -475,7 +486,7 @@ def test_classification_report_json():
 def test_classify_memory_grows_by_the_weights_alone():
     """classify keeps U and the relative residuals of its sweep, not the 28
     components of every triple: a 20 000-sample sweep peaks below 0.45 kB
-    of traced memory per sample (about 0.34 kB; 0.58 kB with the
+    of traced memory per sample (about 0.23 kB; 0.58 kB with the
     components kept)."""
     import tracemalloc
     fam = make_family(ff_trig_spec())

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, determinism, output formats."""
 
 import argparse
+import dataclasses
 import io
 import json
 import subprocess
@@ -10,12 +11,13 @@ import warnings
 import numpy as np
 import pytest
 
-from cybe import InvalidSpec, SamplePlan, spec_to_json
+from cybe import InvalidSpec, SamplePlan, spec_to_json, validate_spec
 from cybe.cli import build_parser, main
 
 from conftest import (CANONICAL_SPECS, baxter_elliptic_spec,
-                      ff_elliptic_spec, ff_tanh_spec, outermost_calls,
-                      quarter_period_prime, trivial_a_spec, trivial_b_spec)
+                      baxter_trig_spec, ff_elliptic_spec, ff_tanh_spec,
+                      outermost_calls, quarter_period_prime, trivial_a_spec,
+                      trivial_b_spec)
 
 
 def run_cli(args, capsys):
@@ -227,14 +229,15 @@ def test_couplings_and_chain_dump(tmp_path, capsys):
 
 
 def test_chain_dump_path_gets_the_npy_suffix(tmp_path, capsys):
-    # as np.save does: --matrix-out h writes h.npy
+    # as np.save does: --matrix-out h writes h.npy, the file reported
     path = spec_file(tmp_path, ff_elliptic_spec())
     code, out, _ = run_cli(["couplings", "--spec", path, "--sites", "3",
                             "--matrix-out", str(tmp_path / "h")], capsys)
     assert code == 0
-    assert json.loads(out)["matrix_file"] == str(tmp_path / "h")
+    matrix_file = json.loads(out)["matrix_file"]
+    assert matrix_file == str(tmp_path / "h.npy")
     assert not (tmp_path / "h").exists()
-    assert np.load(tmp_path / "h.npy").shape == (8, 8)
+    assert np.load(matrix_file).shape == (8, 8)
 
 
 def test_out_file(tmp_path, capsys):
@@ -343,6 +346,20 @@ def test_overflow_at_requested_point_exit_3(capsys):
     assert out == ""
     assert err.startswith("error: weights overflow at (u, xi, eta)")
     assert err.count("\n") == 1
+
+
+def test_coefficients_overflow_when_read_not_when_built(capsys):
+    # tan(0.3+800j) is finite, so the spec builds and validates; sin and
+    # cos of it overflow, so reading its coefficients is a pole (exit 3)
+    spec = dataclasses.replace(baxter_trig_spec(), mu=0.3 + 800j)
+    assert validate_spec(spec) == []
+    code, out, err = run_cli(["couplings", "--spec",
+                              json.dumps(spec_to_json(spec)), "--xi", "0.2"],
+                             capsys)
+    assert code == 3
+    assert out == ""
+    assert err == ("error: coefficients overflow at xi = 0.2: "
+                   "math range error\n")
 
 
 def test_overflowing_samples_are_rejected(capsys):
