@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CybeError, StepUnstable
+from .errors import CybeError, InvalidSpec, StepUnstable
 from .families import FamilyId, WeightFamily
 from .numkernel import Split, jacobi_sncndn
 from .sampling import (SamplePlan, _point, _point_spans, _points,
@@ -215,7 +215,7 @@ def curve_residuals(fam: WeightFamily, coeffs: HamiltonianCoefficients,
             return max(abs(d2[i] - m5e**2 * w.a[i]) for i in (0, 3, 4, 5))
         names = ("second_order_ode",)
     else:
-        raise ValueError(f"unknown branch {branch!r}")
+        raise InvalidSpec(f"unknown branch {branch!r}")
     return _worst(names, samples, magnitudes)
 
 
@@ -295,8 +295,8 @@ def elliptic_ff_identities(fam: WeightFamily, samples) -> dict[str, float]:
     spec = fam.spec
     if spec is None or spec.family not in (FamilyId.FF_ELLIPTIC,
                                            FamilyId.FF_TANH):
-        raise ValueError("elliptic_ff_identities needs an elliptic or tanh "
-                         "free-fermion family")
+        raise InvalidSpec("elliptic_ff_identities needs an elliptic or "
+                          "tanh free-fermion family")
     kap = 1.0 / spec.lam
 
     def magnitudes(u, xi, eta):

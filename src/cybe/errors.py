@@ -1,4 +1,5 @@
-"""Semantic exception hierarchy. Public functions never raise bare ValueError."""
+"""Semantic exception hierarchy. Public functions never raise bare ValueError,
+except the ``WeightVector`` constructor (its docstring says why)."""
 
 from __future__ import annotations
 

@@ -12,11 +12,13 @@ Hamiltonian sum_j R'_{j,j+1}(0) without two terms: its identity part and
 the antisymmetric (m5-m6)(XY-YX)/4i, which for free fermions is the
 current operator and commutes with the transfer matrix on its own.
 
-Site 1 is the slowest tensor index.  The chain is stored as its nonzeros
-in O(n 2^n): ZZ and field on the diagonal, and per bond the XX + YY
-amplitudes of one bit flip.  A matrix dump streams the dense matrix in
-row blocks of at most 64 KiB; the whole matrix, 16 4^n bytes, is built
-only when ``ChainOperator.matrix`` is read.
+Site 1 is the slowest tensor index.  The chain is stored as one table of
+its nonzeros in O(n 2^n): ZZ and field on the diagonal, and per bond the
+XX + YY amplitude of a bit-pair flip, the same from both ends.  So H is
+complex symmetric: the table is read both ways, with no mirror copy, and
+max |H - H^H| is twice its largest |Im|.  A matrix dump streams the dense
+matrix in row blocks of at most 64 KiB; the whole matrix, 16 4^n bytes,
+is built only when ``ChainOperator.matrix`` is read.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeLimit
+from .errors import InvalidSpec, SizeLimit
 
 MAX_SITES = 12
 
@@ -51,10 +53,11 @@ class CouplingConstants:
 
 @dataclass(frozen=True)
 class ChainOperator:
-    """H by its nonzeros: H[idx ^ masks[k], idx] = values[k] for each k.
+    """H by its nonzeros: H[r, r ^ masks[k]] = values[k, r] for each k.
     masks[0] = 0 holds the diagonal; the others are the bit pairs that the
     bonds' XX + YY flip, with the amplitudes of bonds that flip the same
-    bits (n = 2, periodic) added."""
+    bits (n = 2, periodic) added.  Each row of values takes the same value
+    at r and r ^ masks[k], so H = H^T and the table is also its columns."""
 
     n: int
     periodic: bool
@@ -65,24 +68,18 @@ class ChainOperator:
     def diag(self) -> np.ndarray:
         return self.values[0]
 
-    @functools.cached_property
-    def _nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cols, vals): row r of H holds vals[k, r] in column cols[k, r]."""
-        cols = np.arange(2 ** self.n) ^ self.masks[:, None]
-        return cols, np.take_along_axis(self.values, cols, axis=1)
-
     def row_blocks(self, rows: int):
         """The dense matrix in blocks of ``rows`` rows, each written into
         the same buffer, which the next block overwrites."""
         dim = 2 ** self.n
-        cols, vals = self._nonzeros
         buf = np.empty((min(rows, dim), dim), dtype=complex)
         local = np.arange(len(buf))
         for start in range(0, dim, len(buf)):
             block = buf[:dim - start]
             block.fill(0)
             span = slice(start, start + len(block))
-            block[local[:len(block)], cols[:, span]] = vals[:, span]
+            cols = np.arange(start, span.stop) ^ self.masks[:, None]
+            block[local[:len(block)], cols] = self.values[:, span]
             yield block
 
     @functools.cached_property
@@ -92,17 +89,16 @@ class ChainOperator:
         return next(self.row_blocks(2 ** self.n))
 
     def hermiticity_defect(self) -> float:
-        """max |H - H^H| from the nonzeros alone: the mirror of
-        H[j ^ m, j] = values[k, j] is H[j, j ^ m] = vals[k, j]."""
-        d = self._nonzeros[1].conj()
-        return float(np.abs(np.subtract(self.values, d, out=d)).max())
+        """max |H - H^H| from the table alone: as H = H^T, H - H^H is
+        2i Im H."""
+        return float(2 * np.abs(self.values.imag).max())
 
 
 def couplings_from_coeffs(m) -> CouplingConstants:
     """The four linear combinations of m1..m8 (array-like of 8)."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (8,):
-        raise ValueError("need the eight coefficients m1..m8")
+        raise InvalidSpec("need the eight coefficients m1..m8")
     m1, m2, m3, m4, m5, m6, m7, m8 = m
     return CouplingConstants(
         jx=(m5 + m6 + m7 + m8) / 4,
@@ -114,9 +110,10 @@ def couplings_from_coeffs(m) -> CouplingConstants:
 
 def build_chain(c: CouplingConstants, n: int, periodic: bool = False
                 ) -> ChainOperator:
-    """The chain Hamiltonian by bonds; Hermitian for real couplings.
-    With z_j = 1 - 2 bit_j, XX + YY of bond (a, b) sends idx to
-    idx ^ mask_ab with amplitude Jx - Jy z_a z_b."""
+    """The chain Hamiltonian by bonds; Hermitian for real couplings, and
+    complex symmetric for any.  With z_j = 1 - 2 bit_j, XX + YY of bond
+    (a, b) sends idx to idx ^ mask_ab with amplitude Jx - Jy z_a z_b, the
+    same from both ends of the flip."""
     if not 2 <= n <= MAX_SITES:
         raise SizeLimit(f"site count {n} outside [2, {MAX_SITES}]")
     dim = 2 ** n
@@ -126,16 +123,14 @@ def build_chain(c: CouplingConstants, n: int, periodic: bool = False
     a = np.arange(n if periodic else n - 1)
     b = (a + 1) % n
     zz = z[a] * z[b]
-    # a zero row, then per bond ZZ and field: summed down the rows, the
-    # roundings of the plain sum of Pauli products, to which the matrix is
-    # bitwise equal for n > 2
-    terms = np.zeros((1 + 2 * len(a), dim), dtype=complex)
-    terms[1::2] = c.jz * zz
-    terms[2::2] = 0.5 * c.h * (z[a] + z[b])
     values = np.zeros((1 + len(a), dim), dtype=complex)
-    values[0] = terms.sum(axis=0)
-    # onto zeros, as the dense sum adds them: an amplitude -0 reads +0
-    values[1:] += c.jx - c.jy * zz
+    # per bond, the diagonal gains ZZ then field: the roundings of the plain
+    # sum of Pauli products, to which the matrix is bitwise equal for n > 2;
+    # the amplitude goes onto zeros, as the dense sum adds it: -0 reads +0
+    for k, (zz_k, za, zb) in enumerate(zip(zz, z[a], z[b]), 1):
+        values[0] += c.jz * zz_k
+        values[0] += 0.5 * c.h * (za + zb)
+        values[k] += c.jx - c.jy * zz_k
     masks = np.concatenate([[0], bit[a] | bit[b]])
     if n == 2 and periodic:
         # both bonds of a two-site ring flip the same two bits
@@ -197,7 +192,7 @@ def export_matrix(op: ChainOperator, path: str, fmt: str = "npy") -> str:
     exists at any size.  Returns the path written: as np.save does, an
     'npy' path without the .npy suffix gets it."""
     if fmt not in ("npy", "csv"):
-        raise ValueError(f"unknown export format {fmt!r}")
+        raise InvalidSpec(f"unknown export format {fmt!r}")
     dim = 2 ** op.n
     blocks = op.row_blocks(max(1, _BLOCK_BYTES // (16 * dim)))
     path = str(path)

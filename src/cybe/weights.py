@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotGauge
+from .errors import InvalidSpec, NotGauge
 from .numkernel import Split
 
 GAUGE_TOL = 1e-10
@@ -78,7 +78,10 @@ _E2 = np.eye(2, dtype=complex)
 
 @dataclass(frozen=True)
 class WeightVector:
-    """The eight vertex weights at one evaluation point."""
+    """The eight vertex weights at one evaluation point.  A malformed or
+    non-finite vector raises bare ValueError, not InvalidSpec:
+    ``WeightFamily.eval`` turns it into PoleProximity (exit 3), as it does
+    an overflow, where an InvalidSpec would exit 2."""
 
     a: np.ndarray  # shape (8,), complex128, order a1..a8
 
@@ -149,7 +152,7 @@ def tensor_embed(R: np.ndarray, slot: int) -> np.ndarray:
         return np.kron(R, _E2)
     if slot == 23:
         return np.kron(_E2, R)
-    raise ValueError("slot must be 12 or 23")
+    raise InvalidSpec("slot must be 12 or 23")
 
 
 COMPONENT_IDS = tuple(f"eq{i:02d}" for i in range(1, 29))

@@ -6,6 +6,7 @@ import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,13 +440,25 @@ def test_hermiticity_defect_matches_full_matrix(n, rng):
     for periodic in (False, True):
         op = build_chain(_random_couplings(rng, complex_=True), n, periodic)
         M = op.matrix
+        # the defect reads the table as H = H^T
+        assert np.array_equal(M, M.T)
         assert op.hermiticity_defect() == float(np.abs(M - M.conj().T).max())
         assert op.hermiticity_defect() > 0
 
 
 def test_defect_never_builds_the_matrix(rng):
-    op = build_chain(_random_couplings(rng, complex_=True), MAX_SITES, True)
-    assert op.hermiticity_defect() > 0
+    """Build and defect together hold at most three tables' worth: no
+    stack of diagonal terms and no mirror copy of the table (4.9 tables
+    with both, 1.5 without)."""
+    c = _random_couplings(rng, complex_=True)
+    tracemalloc.start()
+    try:
+        op = build_chain(c, MAX_SITES, True)
+        assert op.hermiticity_defect() > 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * op.values.nbytes
     assert "matrix" not in op.__dict__
     assert op.diag.shape == (2 ** MAX_SITES,)
     assert op.masks.shape == (MAX_SITES + 1,)
