@@ -417,13 +417,8 @@ def _initial_condition_residual(W, ok) -> float:
     of the initial-value rows (W, ok): at u = 0, else at u = 1e-7, and 0 at
     a color where neither evaluates."""
     target = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
-    worst = 0.0
-    for i in range(8):
-        for j in (i, i + 8):
-            if ok[j]:
-                worst = max(worst, np.abs(W[j] - target).max())
-                break
-    return float(worst)
+    rows = np.where(ok[:8], np.arange(8), np.arange(8, 16))[ok[:8] | ok[8:]]
+    return float(np.abs(W[rows] - target).max(initial=0.0))
 
 
 def _trivial_shape(U: np.ndarray) -> Verdict | None:
@@ -450,17 +445,6 @@ def _reduction(plan: ClassifyPlan) -> dict:
                 seed=plan.seed)
 
 
-def _rows_beside(fam: WeightFamily, p, known) -> tuple:
-    """The rows (W, ok) of ``fam`` at the columns of the probe plan ``p``
-    from one call that leaves out its extra points, whose rows ``known``
-    are given."""
-    s = p.at["extra"]
-    rows = fam.eval_array(*(np.concatenate([c[:s.start], c[s.stop:]])
-                            for c in p.columns))
-    return tuple(np.concatenate([r[:s.start], k, r[s.start:]])
-                 for r, k in zip(rows, known))
-
-
 def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
              ) -> ClassificationReport:
     """Decide the solution type of a weight family.
@@ -477,8 +461,8 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     is a closed form.  The plan's ``extra`` points are the gauge-form
     points, so the reduction's one ``gauge_rows`` pass gives the gauge form
     at its check points and at them.  A reduction that the guess missed
-    costs a second call, of the plan's other points, and each further
-    sampler block one more.
+    costs one more call, of the whole plan, and each further sampler block
+    one more.
     """
     plan = plan or ClassifyPlan()
     notes: list[str] = []
@@ -531,8 +515,7 @@ def classify(fam: WeightFamily, plan: ClassifyPlan | None = None
     if not base["is_gauge"]:
         if probes is None:
             probes = gauge_points(**reduction, extra=extra)
-            rows["reduction"] = _rows_beside(fam, probes, tuple(
-                map(np.concatenate, zip(*at.values()))))
+            rows["reduction"] = fam.eval_array(*probes.columns)
         try:
             work, cert, gauge = _reduce(fam, probes, rows["reduction"])
             notes.append(f"gauge-reduced (residual {cert.gauge_residual:.2e})")

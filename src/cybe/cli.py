@@ -11,7 +11,7 @@ to decode) / size limit (--samples above MAX_SAMPLES, a grid of more
 than MAX_GRID_POINTS points, --sites above spinchain.MAX_SITES) /
 malformed flag (--samples below 1,
 --tol negative or non-finite, a non-finite --u-span, --color-span,
---perturb DELTA, --xi or grid endpoint, a flag the command does not
+--perturb DELTA, --xi, --h or grid endpoint, a flag the command does not
 take) / a couplings family that is not a gauge family, 3 pole or
 overflow at a requested point, or a scale or regauge profile vanishing
 there, 4 NOT_EIGHT_VERTEX, 5 INDETERMINATE,
@@ -275,9 +275,9 @@ def cmd_classify(args) -> int:
 def cmd_couplings(args) -> int:
     from .spinchain import build_chain, couplings_from_coeffs, export_matrix
 
-    xi = _finite("--xi", args.xi)
+    xi, h = _finite("--xi", args.xi), _finite("--h", args.h)
     fam = _load_family(args, (xi, xi))
-    m = hamiltonian_coeffs(fam, np.array([xi]), h=args.h).m[0]
+    m = hamiltonian_coeffs(fam, np.array([xi]), h=h).m[0]
     # the chain form carries m7 + m8 and, on a periodic chain, m2 + m3 only
     d78, d23 = abs(m[6] - m[7]), abs(m[1] - m[2])
     if max(d78, d23) > 1e-8 * max(1.0, float(np.abs(m).max())):

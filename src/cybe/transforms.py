@@ -515,17 +515,7 @@ def _reduce(fam: WeightFamily, p: _Probes, rows):
             Split.of(W[at["l"], 7]) / Split.of(W[at["l"], 6])
             / (f[ms[0::2]] * f[ms[1::2]])).complex()))
 
-        # M at the colors of the probes whose rows hold it, for the scalar
-        # evaluator; a color whose row fails is evaluated, and raises, there
-        held = np.concatenate([ms, grid])
-        held = held[~failed[held]]
-        known = dict(zip(p.columns[1][held].real.tolist(),
-                         f[held].complex().tolist()))
-
-    @functools.cache   # x as float, np.float64 or complex(x, 0): one entry
     def M(x) -> complex:
-        if x in known:
-            return known[x]
         return _ratio(SCALAR, fam.eval(u_probe, x, anchor).a.tolist())
 
     def reduced(o, base, u, xi, eta):
@@ -557,9 +547,11 @@ def _reduce(fam: WeightFamily, p: _Probes, rows):
             raise OverflowError("absolute value too large")   # Python's abs
         gauge_res = float(np.fmax.reduce(r, axis=None, initial=0.0))
         check(grid)
+    # check(grid) has passed, so every grid row holds its M
     cert = GaugeCertificate(
         anchor=complex(anchor), u_probe=complex(u_probe),
-        M_samples={float(x): M(float(x)) for x in p.columns[1][grid].real},
+        M_samples=dict(zip(p.columns[1][grid].real.tolist(),
+                           f[grid].complex().tolist())),
         l_constant=l, nu_estimate=nu,
         multiplicativity_defect=defect,
         gauge_residual=gauge_res,

@@ -12,7 +12,8 @@ from cybe import (ClassifyPlan, SpectralProfile, StepUnstable, TransformSpec,
                   derived_identity_suite, hamiltonian_coeffs,
                   invariant_suite, jacobi_sncndn, make_family)
 from cybe import transforms
-from cybe.classify import _N_POINTS, _du, elliptic_ff_identities
+from cybe.classify import (_N_POINTS, _du, _initial_condition_residual,
+                           elliptic_ff_identities)
 from cybe.families import (FAMILY_CLASS, FamilyId, WeightFamily,
                            spec_from_json)
 from cybe.sampling import _point, _point_spans, first_block
@@ -277,6 +278,38 @@ def test_classify_scale_regauge_meets_the_initial_value(fid):
     assert [n.split(" ")[0] for n in rep.notes] == ["gauge-reduced"]
 
 
+def _loop_initial_condition_residual(W, ok) -> float:
+    """The initial-value residual color by color: the row at u = 0 if it
+    evaluates, else the row at u = 1e-7, else none."""
+    target = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
+    worst = 0.0
+    for i in range(8):
+        for j in (i, i + 8):
+            if ok[j]:
+                worst = max(worst, np.abs(W[j] - target).max())
+                break
+    return float(worst)
+
+
+@pytest.mark.parametrize("marked, want", [
+    ([], 2e-9), ([3], 0.25), ([3, 11], 1e-9), (range(16), 0.0)],
+    ids=["u0_row_valid", "late_row_only", "both_rows_marked",
+         "every_row_marked"])
+def test_initial_condition_residual_takes_one_row_per_color(marked, want):
+    """Rows 0-7 are the 8 colors at u = 0, rows 8-15 the same colors at
+    u = 1e-7.  Color 3 decides: its u = 0 row is 2e-9 off the identity and
+    its u = 1e-7 row 0.25, every other row 1e-9; a marked row is NaN."""
+    W = np.tile(np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex), (16, 1))
+    W[:, 4] = 1e-9
+    W[3, 4], W[11, 4] = 2e-9, 0.25
+    ok = np.ones(16, dtype=bool)
+    ok[list(marked)] = False
+    W[~ok] = np.nan
+    got = _initial_condition_residual(W, ok)
+    assert got == want
+    assert got == _loop_initial_condition_residual(W, ok)
+
+
 @pytest.mark.parametrize("fid", ALL_IDS)
 def test_classify_evaluates_points_only_for_the_initial_value(
         fid, monkeypatch):
@@ -310,7 +343,8 @@ def _guesses():
     trivial = apply(TransformSpec("swap_14_56"),
                     make_family(CANONICAL_SPECS[FamilyId.TRIVIAL_B]()))
     return [
-        # claims gauge form, but its sweep is not: a second call reduces it
+        # claims gauge form, but its sweep is not: a second call, of the
+        # whole probe plan, reduces it
         (dataclasses.replace(ff, gauge=True), 2),
         # claims none and has no spec, but its sweep is gauge: its own rows
         # lead the inner points of the one call
@@ -328,23 +362,6 @@ def test_a_wrong_guess_costs_at_most_one_call(fam, calls, monkeypatch):
     counts = outermost_calls(monkeypatch)
     assert repr(classify(fam, plan)) == repr(want)
     assert counts == {"eval_array": calls, "eval": 0}
-
-
-def test_a_wrong_guess_evaluates_no_point_twice(monkeypatch):
-    """The second call of a family that claims gauge form but is not holds
-    only gauge_reduce's probes and the anchored points of the gauge-form
-    points: the gauge-form points themselves were in the first call."""
-    fam = _guesses()[0][0]
-    calls = []
-    batched = WeightFamily.eval_array
-
-    def recording(self, u, xi, eta):
-        calls.append(set(zip(u, xi, eta)))
-        return batched(self, u, xi, eta)
-    monkeypatch.setattr(WeightFamily, "eval_array", recording)
-    classify(fam, ClassifyPlan(n_ybe=40, seed=3))
-    first, second = calls
-    assert not first & second
 
 
 def test_a_reduced_op_draws_the_probe_plan_once(monkeypatch):

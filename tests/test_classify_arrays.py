@@ -295,7 +295,9 @@ def test_gauge_rows_from_inner_rows_are_the_reduced_rows(fid):
     points are the reduced family's ``eval_array`` rows, values and mask,
     and each is its ``eval``: with a pole at a point, at the anchored point
     of a color that half the points share, and a2 ~ 0 at the anchored
-    point of another."""
+    point of another, and at points whose colors are those of the probes
+    that hold M, the grid's and the l points'.  The certificate's M is
+    a3/a2 of ``eval`` at the anchored point of its color."""
     fam = VARIANTS[f"scale_regauge({fid.value})"]
     rng = np.random.default_rng(5)
     n = 40
@@ -306,17 +308,25 @@ def test_gauge_rows_from_inner_rows_are_the_reduced_rows(fid):
     fam = planted(fam, poles=[(u[2], xi[2], eta[2]), (0.14, xi[0], 0.0)],
                   zero_a2=[(0.14, eta[6], 0.0)])
     red, cert = gauge_reduce(fam, **PROBE)
+    for x, m in cert.M_samples.items():
+        w = fam.eval(PROBE["u_probe"], x, PROBE["anchor"]).a.tolist()
+        assert bits([m]).tolist() == bits([w[2] / w[1]]).tolist()
+    p = transforms.gauge_points(**PROBE)
+    held = np.concatenate([list(cert.M_samples),
+                           *(c[p.at["l"]].real for c in p.columns[1:])])
+    u = np.concatenate([u, rng.uniform(-0.35, 0.35, len(held))])
+    xi, eta = np.concatenate([xi, held]), np.concatenate([eta, held[::-1]])
     inner, index = anchored_points(u, xi, eta, PROBE["u_probe"],
                                    PROBE["anchor"])
     # one anchored point per distinct color
-    assert len(inner[0]) == n + len(set(xi) | set(eta))
+    assert len(inner[0]) == len(u) + len(set(xi) | set(eta))
     W, ok = gauge_rows(*fam.eval_array(*inner), index, cert.l_constant)
     Wr, okr = red.eval_array(u, xi, eta)
     assert np.array_equal(ok, okr)
     assert np.array_equal(bits(W[ok]), bits(Wr[ok]))
-    marked = {2} | {i for i in range(n) if xi[0] in (xi[i], eta[i])
+    marked = {2} | {i for i in range(len(u)) if xi[0] in (xi[i], eta[i])
                     or eta[6] in (xi[i], eta[i])}
-    assert len(marked) > n // 2
+    assert len(marked) > n // 2 and ok[n:].all()
     assert set(np.flatnonzero(~ok)) == marked
     assert np.array_equal(ok, assert_batch_is_scalar(red, u, xi, eta))
 

@@ -495,11 +495,14 @@ def _samples(sub):
      "--perturb DELTA must be a finite number, got '-nan'"),
     (["verify", "--perturb", "a9", "0.1"],
      "cannot perturb unknown field 'a9'"),
+    (["couplings", "--h", "nan"], "--h must be a finite number, got nan"),
+    (["couplings", "--h", "inf"], "--h must be a finite number, got inf"),
 ], ids=["verify_tol_nan", "verify_tol_inf", "verify_tol_negative",
         "classify_tol_nan", "u_span_nan", "color_span_inf", "perturb_nan",
         "eval_perturb_inf", "perturb_not_a_number", "tol_negative_inf",
         "classify_tol_negative_infinity", "u_span_negative_inf",
-        "perturb_negative_nan", "perturb_unknown_field"])
+        "perturb_negative_nan", "perturb_unknown_field", "couplings_h_nan",
+        "couplings_h_inf"])
 def test_malformed_flag_exit_2(argv, message, capsys):
     code, out, err = run_cli(argv + ["--spec", _FF_TRIG] + _samples(argv[0]),
                              capsys)

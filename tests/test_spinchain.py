@@ -446,6 +446,51 @@ def test_hermiticity_defect_matches_full_matrix(n, rng):
         assert op.hermiticity_defect() > 0
 
 
+def _times(op, v):
+    """H v from the nonzero table alone: (H v)[r] = sum_k values[k, r]
+    v[r ^ masks[k]]."""
+    return (op.values * v[np.arange(len(v)) ^ op.masks[:, None]]).sum(axis=0)
+
+
+def _shifted(v, n):
+    """The one-site cyclic shift of v, as ``cyclic_shift(n) @ v``: basis
+    state b goes to b rotated left by one bit."""
+    b = np.arange(2 ** n)
+    out = np.empty_like(v)
+    out[((b << 1) & (2 ** n - 1)) | (b >> (n - 1))] = v
+    return out
+
+
+def _random_vector(rng, n):
+    return rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_table_product_is_the_matrix_product(n, rng):
+    # the merged two-site ring included; the bit rotation is cyclic_shift
+    for periodic in (False, True):
+        op = build_chain(_random_couplings(rng, complex_=True), n, periodic)
+        v = _random_vector(rng, n)
+        assert np.allclose(_times(op, v), op.matrix @ v, rtol=0, atol=1e-13)
+        assert np.array_equal(_shifted(v, n), cyclic_shift(n) @ v)
+
+
+def test_max_sites_ring_is_shift_invariant_and_symmetric(rng):
+    """At MAX_SITES the periodic chain commutes with the cyclic shift and
+    satisfies w^T (H v) = v^T (H w), checked on its table: the dense
+    matrix would take 16 4^n bytes (268 MB)."""
+    n = MAX_SITES
+    op = build_chain(_random_couplings(rng, complex_=True), n, True)
+    v, w = _random_vector(rng, n), _random_vector(rng, n)
+    Hv = _times(op, v)
+    scale = np.abs(Hv).max()
+    assert np.abs(_times(op, _shifted(v, n)) - _shifted(Hv, n)).max() \
+        <= 1e-13 * scale
+    assert abs(w @ Hv - v @ _times(op, w)) \
+        <= 1e-13 * np.linalg.norm(w) * np.linalg.norm(Hv)
+    assert "matrix" not in op.__dict__
+
+
 def test_defect_never_builds_the_matrix(rng):
     """Build and defect together hold at most three tables' worth: no
     stack of diagonal terms and no mirror copy of the table (4.9 tables
