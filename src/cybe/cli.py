@@ -9,10 +9,10 @@ solution verdict), 1 verification failure or non-solution verdict,
 2 invalid spec (also a --spec or --transform document nested too deeply
 to decode) / size limit (--samples above MAX_SAMPLES, a grid of more
 than MAX_GRID_POINTS points, --sites above spinchain.MAX_SITES) /
-malformed flag (--samples below 1,
---tol negative or non-finite, a non-finite --u-span, --color-span,
---perturb DELTA, --xi, --h or grid endpoint, a flag the command does not
-take) / a couplings family that is not a gauge family, 3 pole or
+malformed flag (--samples below 1, --tol negative or non-finite, a
+non-finite --u-span, --color-span, --max-weight, --perturb DELTA, --xi,
+--h or grid endpoint, --h outside [1e-7, 1e-3], a flag the command does
+not take) / a couplings family that is not a gauge family, 3 pole or
 overflow at a requested point, or a scale or regauge profile vanishing
 there, 4 NOT_EIGHT_VERTEX, 5 INDETERMINATE,
 6 pole-free sampling exhausted (widen the spans or relax --max-weight),
@@ -34,8 +34,8 @@ import numpy as np
 from .classify import ClassifyPlan, Verdict, classify, hamiltonian_coeffs
 from .errors import (CybeError, InvalidSpec, NonFiniteOutput,
                      PoleProximity, SamplingExhausted, SizeLimit, ZeroDivisor)
-from .families import (WeightFamily, make_family, spec_from_json,
-                       validate_spec)
+from .families import (WeightFamily, _spec_checks, make_family,
+                       spec_from_json)
 from .sampling import (SamplePlan, _point_pair, _point_spans,
                        _triple_points, _triple_spans, evaluate_groups,
                        first_block, residual_sweep, unitarity_sweep)
@@ -86,12 +86,12 @@ def _load_family(args, color_span) -> WeightFamily:
     validated on 11 colors spread over ``color_span``, the span of the
     colors the command evaluates."""
     spec = spec_from_json(_load_json_arg("--spec", args.spec))
-    diags = validate_spec(spec, color_span)
+    fam = make_family(spec)
+    diags = _spec_checks(spec, fam.coeffs, color_span)
     if errors := [d for d in diags if not d.startswith("warning:")]:
         raise InvalidSpec("; ".join(errors))
     for diag in diags:
         print(diag, file=sys.stderr)
-    fam = make_family(spec)
     if args.transform:
         pipe = Pipeline.from_json(_load_json_arg("--transform", args.transform))
         for step in pipe.steps:
@@ -129,10 +129,63 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _scalar(x) -> str | None:
+    """The JSON text of a finite number, a string, a bool or None, as
+    ``json.dumps`` writes it; None for any other value."""
+    if isinstance(x, float):
+        return float.__repr__(x) if math.isfinite(x) else None
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    return None
+
+
+def _dumps(doc, indent: str = "\n") -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)`` for
+    a document whose dict keys are strings, at the nesting level whose
+    lines start with ``indent`` (a newline and two spaces per level): a
+    container's items one per line, one level deeper, keys sorted.  A
+    scalar item is written in place and a container by a deeper call.  As
+    in ``json``, a NaN or an infinity raises ValueError and a value of any
+    other type TypeError, the first in output order."""
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        inner = indent + "  "
+        items = list(map(_scalar, doc))
+        if None in items:
+            items = [t or _dumps(v, inner) for t, v in zip(items, doc)]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_quote(k)}: {_scalar(v) or _dumps(v, inner)}"
+                 for k, v in sorted(doc.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if (text := _scalar(doc)) is not None:
+        return text
+    if isinstance(doc, float):
+        raise ValueError(f"Out of range float values are not JSON "
+                         f"compliant: {doc!r}")
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON "
+                    f"serializable")
+
+
 def _emit(doc, args) -> None:
     """Strict JSON: a NaN or infinity is NonFiniteOutput, not printed."""
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        text = _dumps(doc)
     except ValueError:
         raise NonFiniteOutput(
             "the result holds a NaN or an infinity, which JSON cannot carry"
@@ -207,6 +260,7 @@ def _require_sweep_flags(args) -> None:
         raise InvalidSpec(f"--tol must be at least 0, got {args.tol!r}")
     _finite("--u-span", args.u_span)
     _finite("--color-span", args.color_span)
+    _finite("--max-weight", args.max_weight)
 
 
 def cmd_verify(args) -> int:
@@ -276,6 +330,8 @@ def cmd_couplings(args) -> int:
     from .spinchain import build_chain, couplings_from_coeffs, export_matrix
 
     xi, h = _finite("--xi", args.xi), _finite("--h", args.h)
+    if not 1e-7 <= h <= 1e-3:
+        raise InvalidSpec(f"--h must be in [1e-7, 1e-3], got {args.h!r}")
     fam = _load_family(args, (xi, xi))
     m = hamiltonian_coeffs(fam, np.array([xi]), h=h).m[0]
     # the chain form carries m7 + m8 and, on a periodic chain, m2 + m3 only
@@ -379,9 +435,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _parse(argv):
+    """The parsed command line.  A known command's own parser reads the
+    rest of it, as the top parser would hand it on; any other argv (help,
+    no command, an unknown one) goes through the top parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    top = build_parser()
+    commands = next(a.choices for a in top._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    if not argv or argv[0] not in commands:
+        return top.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         # an overflow is a rejection or a named error, never a numpy warning
         with np.errstate(all="ignore"):
             return args.fn(args)

@@ -482,9 +482,18 @@ def validate_spec(spec: FamilySpec, color_span=(-0.5, 0.5)) -> list[str]:
         _, coeffs = _build(spec)
     except InvalidSpec as exc:
         return [str(exc)]
+    return _spec_checks(spec, coeffs, color_span)
+
+
+def _spec_checks(spec: FamilySpec, coeffs, color_span) -> list[str]:
+    """The diagnostics of ``validate_spec`` for a spec built with the
+    coefficient form ``coeffs``."""
     out: list[str] = []
-    grid = tuple(np.linspace(*color_span, 11).tolist())
     fam = spec.family
+    if fam in (FamilyId.FF_ELLIPTIC, FamilyId.FF_TANH, FamilyId.FF_TRIG,
+               FamilyId.TRIVIAL_B):
+        # the profile checks sample 11 colors
+        grid = tuple(np.linspace(*color_span, 11).tolist())
     if fam is FamilyId.BAXTER_ELLIPTIC:
         # alpha, beta, gamma are m7, m5, m1 up to the signs s7 and s5
         alpha, beta, gamma = np.array(coeffs(SCALAR, 0j))[[6, 4, 0]]

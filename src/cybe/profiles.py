@@ -15,7 +15,6 @@ argument it evaluates whole ``Split`` columns with the same roundings.
 from __future__ import annotations
 
 import cmath
-import contextlib
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -74,8 +73,7 @@ class _Profile:
     factors: tuple["_Profile", ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "params",
-                           tuple(complex(p) for p in self.params))
+        object.__setattr__(self, "params", tuple(map(complex, self.params)))
         if self.preset == "product":
             if not self.factors:
                 raise InvalidSpec("product profile needs at least one factor")
@@ -113,10 +111,10 @@ class _Profile:
         factors, params = doc.get("factors", []), doc.get("params", [])
         if not (isinstance(factors, list) and isinstance(params, list)):
             raise InvalidSpec(f"{what} params and factors must be JSON arrays")
-        factors = tuple(cls.from_json(f) for f in factors)
+        factors = tuple(map(cls.from_json, factors))
         if "preset" not in doc:
             raise InvalidSpec(f"{what} needs a 'preset' field")
-        return cls(doc["preset"], tuple(_cval(p) for p in params), factors)
+        return cls(doc["preset"], tuple(map(_cval, params)), factors)
 
 
 class ColorProfile(_Profile):
@@ -147,14 +145,16 @@ def _cjson(z: complex) -> list[float]:
 def _cval(v) -> complex:
     """A finite number, or a [re, im] pair of them; JSON booleans are not."""
     parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else [v]
-    if all(isinstance(p, (int, float)) and not isinstance(p, bool)
-           for p in parts):
-        with contextlib.suppress(OverflowError):   # an int beyond float
-            z = complex(*parts)
-            if not cmath.isfinite(z):   # json reads NaN and Infinity
-                raise InvalidSpec(f"numbers must be finite, got {v!r}")
-            return z
-    raise InvalidSpec(f"cannot parse complex value from {v!r}")
+    try:
+        for p in parts:
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise TypeError
+        z = complex(*parts)
+    except (TypeError, OverflowError):   # OverflowError: an int beyond float
+        raise InvalidSpec(f"cannot parse complex value from {v!r}") from None
+    if not cmath.isfinite(z):   # json reads NaN and Infinity
+        raise InvalidSpec(f"numbers must be finite, got {v!r}")
+    return z
 
 
 def _check_keys(doc: dict, allowed: set, what: str) -> None:

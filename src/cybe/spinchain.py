@@ -113,25 +113,38 @@ def build_chain(c: CouplingConstants, n: int, periodic: bool = False
     """The chain Hamiltonian by bonds; Hermitian for real couplings, and
     complex symmetric for any.  With z_j = 1 - 2 bit_j, XX + YY of bond
     (a, b) sends idx to idx ^ mask_ab with amplitude Jx - Jy z_a z_b, the
-    same from both ends of the flip."""
+    same from both ends of the flip.
+
+    The diagonal gains, bond by bond, ZZ and then the field by two in-place
+    adds: the roundings of the plain sum of Pauli products, to which the
+    matrix is bitwise equal for n > 2.  An ``np.add.reduce`` over stacked
+    terms would not keep that order: over a narrow column block numpy sums
+    the reduced axis pairwise, which changes last bits."""
     if not 2 <= n <= MAX_SITES:
         raise SizeLimit(f"site count {n} outside [2, {MAX_SITES}]")
     dim = 2 ** n
-    bit = 1 << np.arange(n - 1, -1, -1)
-    # int8 spins: the products of +-1 are exact and the bond rows small
-    z = 1 - 2 * ((np.arange(dim) & bit[:, None]) != 0).astype(np.int8)
-    a = np.arange(n if periodic else n - 1)
-    b = (a + 1) % n
-    zz = z[a] * z[b]
-    values = np.zeros((1 + len(a), dim), dtype=complex)
-    # per bond, the diagonal gains ZZ then field: the roundings of the plain
-    # sum of Pauli products, to which the matrix is bitwise equal for n > 2;
-    # the amplitude goes onto zeros, as the dense sum adds it: -0 reads +0
-    for k, (zz_k, za, zb) in enumerate(zip(zz, z[a], z[b]), 1):
-        values[0] += c.jz * zz_k
-        values[0] += 0.5 * c.h * (za + zb)
-        values[k] += c.jx - c.jy * zz_k
-    masks = np.concatenate([[0], bit[a] | bit[b]])
+    bonds = n if periodic else n - 1
+    # row j holds the spins of site j, bit n-1-j of idx (site 1 slowest);
+    # row n repeats site 1, so that bond k joins rows k and k + 1
+    shift = (n - 1 - np.arange(bonds + 1)) % n
+    # int8 spins from uint16 indices (2^MAX_SITES fits): the products and
+    # sums of +-1 are exact and the bond rows small
+    z = 1 - 2 * ((np.arange(dim, dtype=np.uint16)
+                  >> shift[:, None].astype(np.uint16)) & 1).astype(np.int8)
+    zz, zsum = z[:-1] * z[1:], z[:-1] + z[1:]
+    values = np.zeros((1 + bonds, dim), dtype=complex)
+    diag, half_h = values[0], 0.5 * c.h
+    for zz_k, zsum_k in zip(zz, zsum):
+        diag += c.jz * zz_k
+        diag += half_h * zsum_k
+    # the amplitudes go onto zeros, as the dense sum adds them (-0 reads
+    # +0), a block of bonds at a time so that no temporary passes
+    # _BLOCK_BYTES
+    rows = max(1, _BLOCK_BYTES // (16 * dim))
+    for k in range(0, bonds, rows):
+        values[1 + k:1 + k + rows] += c.jx - c.jy * zz[k:k + rows]
+    bit = 1 << shift
+    masks = np.concatenate([[0], bit[:-1] | bit[1:]])
     if n == 2 and periodic:
         # both bonds of a two-site ring flip the same two bits
         values, masks = np.stack([values[0], values[1] + values[2]]), masks[:2]

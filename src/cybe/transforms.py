@@ -42,8 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (InvalidSpec, MultiplicativityViolation, NotEightVertex,
-                     ZeroDivisor)
+from .errors import (CybeError, InvalidSpec, MultiplicativityViolation,
+                     NotEightVertex, ZeroDivisor)
 from .families import WeightFamily, _sampled, from_form
 from .numkernel import SCALAR, Batch, Split, _parts
 from .profiles import ColorProfile, SpectralProfile, _check_keys, _cjson, _cval
@@ -76,6 +76,9 @@ _SWAPS = {
 #: sampled domain of transform_diagnostics
 _DIAG_COLORS = np.linspace(-0.5, 0.5, 9)
 _DIAG_US = np.linspace(-0.35, 0.35, 5)
+#: the (u, xi, eta) columns of the scale check's 125 points, u slowest
+_DIAG_POINTS = tuple(c.ravel() for c in np.meshgrid(
+    _DIAG_US, _DIAG_COLORS[::2], _DIAG_COLORS[::2], indexing="ij"))
 
 
 @dataclass(frozen=True)
@@ -216,19 +219,33 @@ def apply(t, fam: WeightFamily) -> WeightFamily:
                 fam.gauge and t.kind not in ("scale", "regauge"))
 
 
+def _scale_magnitudes(out: list[str], g: SpectralProfile) -> list:
+    """|g| at the scale check's sampled points, from one Batch call.  If
+    the batch marks a point, gives a magnitude that is not finite or
+    raises, each point is evaluated by the scalar call instead, and
+    ``_sampled`` names the points that raise in ``out``."""
+    o = Batch(len(_DIAG_POINTS[0]))
+    try:
+        with np.errstate(all="ignore"):
+            mags = o.lift(g(*_DIAG_POINTS, o)).abs()
+        if not o.bad.any() and np.isfinite(mags).all():
+            return mags.tolist()
+    except (CybeError, ArithmeticError, ValueError):
+        pass
+    return list(_sampled(out, "scale profile g", lambda p: abs(g(*p)),
+                         list(zip(*_DIAG_POINTS)), prefix="").values())
+
+
 def transform_diagnostics(t: TransformSpec) -> list[str]:
     """Payload checks on a sampled domain: scale/regauge profiles must be
     nowhere zero, recolor maps injective.  Diagnostics are data, not errors;
     runtime evaluation still raises ZeroDivisor at an offending point."""
     out: list[str] = []
     if t.kind == "scale":
-        points = [(u, xi, eta) for u in _DIAG_US for xi in _DIAG_COLORS[::2]
-                  for eta in _DIAG_COLORS[::2]]
-        mags = _sampled(out, "scale profile g", lambda p: abs(t.g(*p)),
-                        points, prefix="")
-        if min(mags.values(), default=np.inf) < _ZERO_TOL:
+        if min(_scale_magnitudes(out, t.g), default=np.inf) < _ZERO_TOL:
             out.append("scale profile g vanishes on the sampled domain")
     elif t.kind == "regauge":
+        # 9 colors: a Batch call costs more than evaluating them one by one
         mags = _sampled(out, "regauge profile N", lambda x: abs(t.N(x)),
                         _DIAG_COLORS, prefix="")
         if min(mags.values(), default=np.inf) < _ZERO_TOL:

@@ -390,7 +390,7 @@ _BS = ('{"family":"ff_elliptic","k":0.6,"lambda":0.5,"profiles":{'
        '"H":{"preset":"cn_over_sn","params":[0.6]}}}')
 
 
-@pytest.mark.parametrize("argv, exit_code", [
+_DIAGNOSTIC_GRID_ROWS = [
     (["verify", "--spec", _BS, "--samples", "5"], 1),
     (["verify", "--spec", '{"family":"trivial_b","profiles":{"F":'
       '{"preset":"exp","params":[2000,0]}}}', "--samples", "5"], 2),
@@ -402,8 +402,14 @@ _BS = ('{"family":"ff_elliptic","k":0.6,"lambda":0.5,"profiles":{'
       "--transform", '[{"kind":"regauge","N":{"preset":"exp",'
       '"params":[2000,0]}}]', "--grid-u", "0:0:1", "--grid-xi", "0:0:1",
       "--grid-eta", "0:0:1"], 0),
-], ids=["bs_profiles", "trivial_b_overflow", "ff_trig_recip_sn",
-        "ff_trig_overflow_everywhere", "regauge_overflow"])
+]
+_DIAGNOSTIC_GRID_IDS = ["bs_profiles", "trivial_b_overflow",
+                        "ff_trig_recip_sn", "ff_trig_overflow_everywhere",
+                        "regauge_overflow"]
+
+
+@pytest.mark.parametrize("argv, exit_code", _DIAGNOSTIC_GRID_ROWS,
+                         ids=_DIAGNOSTIC_GRID_IDS)
 def test_profiles_raising_on_the_diagnostic_grid(argv, exit_code, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == exit_code
@@ -450,13 +456,17 @@ def test_vanishing_profile_message_names_plain_colors(capsys):
 @pytest.mark.parametrize("sub", ["verify", "classify"])
 @pytest.mark.parametrize("bound", ["1e300", "inf", "nan"])
 def test_max_weight_beyond_the_product_range_exit_2(sub, bound, capsys):
+    """A finite bound above the range gets the range message; inf and nan
+    are malformed flags, as every other non-finite number flag is."""
     doc = ('{"family":"trivial_a","profiles":{"spectral":'
            '{"preset":"exp_affine","params":[2000,0,0]}}}')
     code, out, err = run_cli([sub, "--spec", doc, "--samples", "40",
                               "--max-weight", bound], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: max_weight must be at most 1e+100")
+    assert err.startswith(
+        "error: max_weight must be at most 1e+100" if bound == "1e300"
+        else f"error: --max-weight must be a finite number, got {bound}")
     assert err.count("\n") == 1
 
 
@@ -470,7 +480,7 @@ def _samples(sub):
     return ["--samples", "20"] if sub in ("verify", "classify") else []
 
 
-@pytest.mark.parametrize("argv, message", [
+_MALFORMED_ROWS = [
     (["verify", "--tol", "nan"], "--tol must be a finite number, got nan"),
     (["verify", "--tol", "inf"], "--tol must be a finite number, got inf"),
     (["verify", "--tol=-1e-9"], "--tol must be at least 0, got -1e-09"),
@@ -497,12 +507,32 @@ def _samples(sub):
      "cannot perturb unknown field 'a9'"),
     (["couplings", "--h", "nan"], "--h must be a finite number, got nan"),
     (["couplings", "--h", "inf"], "--h must be a finite number, got inf"),
-], ids=["verify_tol_nan", "verify_tol_inf", "verify_tol_negative",
-        "classify_tol_nan", "u_span_nan", "color_span_inf", "perturb_nan",
-        "eval_perturb_inf", "perturb_not_a_number", "tol_negative_inf",
-        "classify_tol_negative_infinity", "u_span_negative_inf",
-        "perturb_negative_nan", "perturb_unknown_field", "couplings_h_nan",
-        "couplings_h_inf"])
+    (["couplings", "--h", "0"], "--h must be in [1e-7, 1e-3], got 0.0"),
+    (["couplings", "--h", "1"], "--h must be in [1e-7, 1e-3], got 1.0"),
+    (["couplings", "--h", "2e-3"],
+     "--h must be in [1e-7, 1e-3], got 0.002"),
+    (["couplings", "--h=-1e-5"], "--h must be in [1e-7, 1e-3], got -1e-05"),
+    (["verify", "--max-weight", "nan"],
+     "--max-weight must be a finite number, got nan"),
+    (["classify", "--max-weight", "inf"],
+     "--max-weight must be a finite number, got inf"),
+    (["verify", "--max-weight", "-inf"],
+     "--max-weight must be a finite number, got -inf"),
+]
+_MALFORMED_IDS = ["verify_tol_nan", "verify_tol_inf", "verify_tol_negative",
+                  "classify_tol_nan", "u_span_nan", "color_span_inf",
+                  "perturb_nan", "eval_perturb_inf", "perturb_not_a_number",
+                  "tol_negative_inf", "classify_tol_negative_infinity",
+                  "u_span_negative_inf", "perturb_negative_nan",
+                  "perturb_unknown_field", "couplings_h_nan",
+                  "couplings_h_inf", "couplings_h_zero", "couplings_h_one",
+                  "couplings_h_above", "couplings_h_negative",
+                  "verify_max_weight_nan", "classify_max_weight_inf",
+                  "verify_max_weight_negative_inf"]
+
+
+@pytest.mark.parametrize("argv, message", _MALFORMED_ROWS,
+                         ids=_MALFORMED_IDS)
 def test_malformed_flag_exit_2(argv, message, capsys):
     code, out, err = run_cli(argv + ["--spec", _FF_TRIG] + _samples(argv[0]),
                              capsys)
@@ -527,7 +557,7 @@ def test_negative_exponent_form_is_a_value(exponent, fixed, capsys):
     assert got == run_cli(fixed, capsys)
 
 
-@pytest.mark.parametrize("argv, message", [
+_PARSE_ERROR_ROWS = [
     ([], "the following arguments are required: command"),
     (["nope"], "argument command: invalid choice: 'nope' (choose from "
      "'eval', 'verify', 'classify', 'transform', 'couplings')"),
@@ -540,8 +570,14 @@ def test_negative_exponent_form_is_a_value(exponent, fixed, capsys):
      "argument --perturb: expected 2 arguments"),
     (["verify", "--spec", _FF_TRIG, "--tol", "-info"],
      "argument --tol: expected one argument"),
-], ids=["no_command", "unknown_command", "missing_spec", "samples_not_int",
-        "unknown_flag", "perturb_one_value", "tol_not_a_value"])
+]
+_PARSE_ERROR_IDS = ["no_command", "unknown_command", "missing_spec",
+                    "samples_not_int", "unknown_flag", "perturb_one_value",
+                    "tol_not_a_value"]
+
+
+@pytest.mark.parametrize("argv, message", _PARSE_ERROR_ROWS,
+                         ids=_PARSE_ERROR_IDS)
 def test_parse_errors_are_one_error_line(argv, message, capsys):
     assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
 
@@ -568,15 +604,20 @@ def test_each_command_declares_only_the_flags_it_reads():
     }
 
 
-@pytest.mark.parametrize("argv, flags", [
+_UNREAD_FLAG_ROWS = [
     (["couplings", "--color-span", "nan", "--samples", "-5", "--tol", "-1",
       "--max-weight", "1e300"],
      "--color-span nan --samples -5 --tol -1 --max-weight 1e300"),
     (["eval", "--seed", "7"], "--seed 7"),
     (["verify", "--samples", "20", "--format", "csv"], "--format csv"),
     (["classify", "--format", "json"], "--format json"),
-], ids=["couplings_sweep_flags", "eval_seed", "verify_format",
-        "classify_format"])
+]
+_UNREAD_FLAG_IDS = ["couplings_sweep_flags", "eval_seed", "verify_format",
+                    "classify_format"]
+
+
+@pytest.mark.parametrize("argv, flags", _UNREAD_FLAG_ROWS,
+                         ids=_UNREAD_FLAG_IDS)
 def test_a_flag_the_command_does_not_read_exit_2(argv, flags, capsys):
     assert run_cli(argv + ["--spec", _FF_TRIG], capsys) == (
         2, "", f"error: unrecognized arguments: {flags}\n")
@@ -733,3 +774,100 @@ def test_non_finite_result_is_a_named_error(value, monkeypatch, capsys):
     assert (code, out) == (7, "")
     assert err == ("error: the result holds a NaN or an infinity, which JSON "
                    "cannot carry\n")
+
+
+def _outcome(argv, capsys):
+    """(exit code or SystemExit code, stdout, stderr) of ``main``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_PARITY_ARGV = [
+    *(argv for argv, _ in _DIAGNOSTIC_GRID_ROWS),
+    *(argv + ["--spec", _FF_TRIG] + _samples(argv[0])
+      for argv, _ in _MALFORMED_ROWS),
+    *(argv for argv, _ in _PARSE_ERROR_ROWS),
+    *(argv + ["--spec", _FF_TRIG] for argv, _ in _UNREAD_FLAG_ROWS),
+    ["-h"], ["--help"], [], ["nope"], ["verify", "-h"], ["couplings", "--he"],
+    ["--spec", _FF_TRIG, "verify"],
+    ["couplings", "--spec", _FF_TRIG, "--", "--sites", "3"],
+    ["couplings", "--spec", _FF_TRIG, "--sites", "3", "--periodic"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARITY_ARGV)
+def test_command_parser_reads_argv_as_the_top_parser(argv, capsys,
+                                                     monkeypatch):
+    """``main`` parses a known command with that command's own parser: the
+    exit code, stdout and stderr are those of the top parser's
+    ``parse_args``, for every row of the exit-code, malformed-flag,
+    parse-error and unread-flag tables, for help and for argv that name
+    no command or an unknown one."""
+    import cybe.cli
+    got = _outcome(argv, capsys)
+    monkeypatch.setattr(cybe.cli, "_parse",
+                        lambda a: build_parser().parse_args(a))
+    assert got == _outcome(argv, capsys)
+
+
+def _json_leaves():
+    from hypothesis import strategies as st
+    return st.one_of(
+        st.none(), st.booleans(),
+        st.integers(), st.integers(-10 ** 400, 10 ** 400),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+        st.sampled_from([-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                         1e308, -1.7976931348623157e308, 0.1, 1e16, 1e-5]),
+        st.text(), st.sampled_from(["", "\x00\x1f\x7f", " é\U0001f600",
+                                    "\ud800", '"\\/\b\f\n\r\t']))
+
+
+def _json_docs(leaves):
+    from hypothesis import strategies as st
+    return st.recursive(
+        leaves, lambda inner: st.one_of(
+            st.lists(inner), st.lists(inner).map(tuple),
+            st.dictionaries(st.text(), inner)), max_leaves=20)
+
+
+def _raised(fn, doc):
+    try:
+        return fn(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def test_json_writer_is_json_dumps():
+    """``_emit``'s writer gives the bytes of ``json.dumps(doc, indent=2,
+    sort_keys=True, allow_nan=False)``; with a NaN, an infinity or a value
+    of a type JSON cannot carry planted anywhere, it raises what ``json``
+    raises first in output order."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from cybe.cli import _dumps
+
+    def reference(doc):
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_json_docs(_json_leaves()))
+    def same_bytes(doc):
+        assert _dumps(doc) == reference(doc)
+
+    bad = st.sampled_from([float("nan"), float("inf"), -np.inf,
+                           np.float64("nan"), object(), np.int64(3),
+                           np.bool_(True), {1, 2}, 1j])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_json_docs(st.one_of(_json_leaves(), bad)))
+    def same_error(doc):
+        assert _raised(_dumps, doc) == _raised(reference, doc)
+
+    same_bytes()
+    same_error()

@@ -508,3 +508,52 @@ def test_defect_never_builds_the_matrix(rng):
     assert op.diag.shape == (2 ** MAX_SITES,)
     assert op.masks.shape == (MAX_SITES + 1,)
     assert op.values.shape == (MAX_SITES + 1, 2 ** MAX_SITES)
+
+
+def _bond_loop_chain(c, n, periodic):
+    """Reference table: one bond at a time, the diagonal gaining ZZ and then
+    the field and each amplitude row added onto zeros, as the matrix sum of
+    Pauli products rounds them."""
+    dim = 2 ** n
+    bit = 1 << np.arange(n - 1, -1, -1)
+    z = 1 - 2 * ((np.arange(dim) & bit[:, None]) != 0).astype(np.int8)
+    a = np.arange(n if periodic else n - 1)
+    b = (a + 1) % n
+    values = np.zeros((1 + len(a), dim), dtype=complex)
+    for k, (za, zb) in enumerate(zip(z[a], z[b]), 1):
+        values[0] += c.jz * (za * zb)
+        values[0] += 0.5 * c.h * (za + zb)
+        values[k] += c.jx - c.jy * (za * zb)
+    masks = np.concatenate([[0], bit[a] | bit[b]])
+    if n == 2 and periodic:
+        values, masks = np.stack([values[0], values[1] + values[2]]), masks[:2]
+    return masks, values
+
+
+def _zero_and_unit_couplings():
+    """Couplings whose parts are signed zeros and ones, where the order
+    and form of each product and sum decide the sign of a zero."""
+    parts = (0.0, -0.0, 1.0, -1.0)
+    for k, combo in enumerate(itertools.product(parts, repeat=4)):
+        if k % 5 == 0:
+            yield CouplingConstants(*(complex(re, im) for re, im in
+                                      zip(combo, reversed(combo))))
+
+
+@pytest.mark.parametrize("block", [None, 16, 48, 160])
+def test_chain_table_keeps_the_bond_loop_roundings(block, monkeypatch, rng):
+    """The table is bitwise the one-bond-at-a-time loop for every site
+    count, on signed-zero and random complex couplings, also when the
+    amplitude rows are added in blocks of one or a few bonds."""
+    import cybe.spinchain
+    if block is not None:
+        monkeypatch.setattr(cybe.spinchain, "_BLOCK_BYTES", block)
+    cases = [*_zero_and_unit_couplings(), *_signed_zero_couplings(rng),
+             *(_random_couplings(rng, complex_=True) for _ in range(3))]
+    for n in range(2, MAX_SITES + 1):
+        for periodic in (False, True):
+            for c in cases[::1 if n <= 10 else 5]:
+                masks, values = _bond_loop_chain(c, n, periodic)
+                op = build_chain(c, n, periodic)
+                assert np.array_equal(op.masks, masks)
+                assert op.values.tobytes() == values.tobytes(), (n, c)

@@ -89,6 +89,99 @@ def test_transform_diagnostics():
     assert transform_diagnostics(dead)
 
 
+def _pointwise_diagnostics(t):
+    """The reference diagnostics: each sampled point evaluated on its own
+    by the scalar profile call."""
+    import itertools
+
+    from cybe.families import _sampled
+    from cybe.transforms import _DIAG_COLORS, _DIAG_US, _ZERO_TOL
+    out = []
+    if t.kind == "scale":
+        points = [(u, xi, eta) for u in _DIAG_US for xi in _DIAG_COLORS[::2]
+                  for eta in _DIAG_COLORS[::2]]
+        mags = _sampled(out, "scale profile g", lambda p: abs(t.g(*p)),
+                        points, prefix="")
+        if min(mags.values(), default=np.inf) < _ZERO_TOL:
+            out.append("scale profile g vanishes on the sampled domain")
+    elif t.kind == "regauge":
+        mags = _sampled(out, "regauge profile N", lambda x: abs(t.N(x)),
+                        _DIAG_COLORS, prefix="")
+        if min(mags.values(), default=np.inf) < _ZERO_TOL:
+            out.append("regauge profile N vanishes on the sampled domain")
+    elif t.kind == "recolor":
+        vals = _sampled(out, "recolor map f", t.f, _DIAG_COLORS, prefix="")
+        if any(abs(a - b) < 1e-10
+               for a, b in itertools.combinations(vals.values(), 2)):
+            out.append("recolor map f is not injective on the sampled "
+                       "color domain")
+    return out
+
+
+def _number(rng):
+    """A parameter: mostly moderate, sometimes zero, huge, or complex."""
+    pick = rng.integers(6)
+    if pick == 0:
+        return 0.0
+    if pick == 1:
+        return float(rng.choice([800.0, 2000.0, -3000.0, 1e308]))
+    x = complex(rng.normal(), rng.normal() if pick == 2 else 0.0)
+    return x * (4.0 if pick == 3 else 1.0)
+
+
+def _random_profile(cls, rng, depth=0):
+    """A random preset, or a product of up to three of them."""
+    if depth == 0 and rng.random() < 0.2:
+        return cls("product", (), tuple(_random_profile(cls, rng, 1)
+                                        for _ in range(rng.integers(1, 4))))
+    preset = rng.choice(sorted(cls._PRESETS))
+    count = cls._PRESETS[preset][0]
+    if preset in ("recip_sn", "cn_over_sn"):
+        return cls(preset, (complex(rng.uniform(0.1, 0.9)),))
+    return cls(preset, tuple(_number(rng) for _ in range(count)))
+
+
+#: profiles that vanish, overflow or divide by zero at sampled points
+_PLANTED = (
+    ("regauge", ColorProfile("linear", (1.0,))),
+    ("regauge", ColorProfile("affine", (1.0, -0.375))),
+    ("regauge", ColorProfile("recip_sn", (0.6,))),
+    ("regauge", ColorProfile("cosh", (2000.0, 0.0))),
+    ("regauge", ColorProfile("constant", (complex(1e308, 1e308),))),
+    ("recolor", ColorProfile("constant", (2.0,))),
+    ("recolor", ColorProfile("exp", (1500.0, 0.0))),
+    ("recolor", ColorProfile("cn_over_sn", (0.3,))),
+    ("scale", SpectralProfile("one_plus_bilinear", (-4.0,))),
+    ("scale", SpectralProfile("sin_bilinear", (0.0, 1.0))),
+    ("scale", SpectralProfile("exp_affine", (2000.0, 0.0, -2500.0))),
+    ("scale", SpectralProfile("const", (complex(1e308, -1e308),))),
+    ("scale", SpectralProfile("product", (), (
+        SpectralProfile("exp_affine", (0.0, 1500.0, 0.0)),
+        SpectralProfile("sin_bilinear", (1.0, 0.0))))),
+)
+
+
+def test_batched_diagnostics_are_the_pointwise_ones(rng):
+    """transform_diagnostics, which evaluates a scale profile's 125 points
+    in one batch call, gives the point-by-point diagnostics word for word
+    for every kind: on random profiles and on planted zeros, overflows and
+    divisions by zero."""
+    from cybe.transforms import transform_diagnostics
+    field = {"scale": "g", "regauge": "N", "recolor": "f"}
+    cases = list(_PLANTED)
+    for _ in range(150):
+        kind = str(rng.choice(sorted(field)))
+        cls = SpectralProfile if kind == "scale" else ColorProfile
+        cases.append((kind, _random_profile(cls, rng)))
+    flagged = 0
+    for kind, profile in cases:
+        t = TransformSpec(kind=kind, **{field[kind]: profile})
+        want = _pointwise_diagnostics(t)
+        assert transform_diagnostics(t) == want, t
+        flagged += bool(want)
+    assert flagged >= len(_PLANTED)
+
+
 def test_transform_diagnostics_of_raising_profiles():
     from cybe.transforms import transform_diagnostics
     huge = TransformSpec(kind="regauge", N=ColorProfile("exp", (2000, 0)))
